@@ -191,7 +191,8 @@ func runSoak(n int, cfg armory.Config) error {
 		return fmt.Errorf("soak: base preprocessed %d times, want exactly 1", st.CacheMisses)
 	}
 	if st.FallbackVerifies != 0 {
-		return fmt.Errorf("soak: %d verifications fell off the cached fast path", st.FallbackVerifies)
+		return fmt.Errorf("soak: %d verifications fell off the cached fast path (base findings %d, diff divergence %d, VSA reads changed %d)",
+			st.FallbackVerifies, st.FallbackBaseFindings, st.FallbackDiffDivergence, st.FallbackVSAReadsChanged)
 	}
 	fmt.Println("soak: OK")
 	return nil

@@ -15,6 +15,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -54,16 +55,6 @@ func run() error {
 	only := flag.String("only", "", "comma-separated subset of experiments")
 	perfMode := flag.Bool("perf", false, "run substrate micro-benchmarks and print benchstat-format lines")
 	flag.Parse()
-	if *perfMode {
-		return perf()
-	}
-	want := map[string]bool{}
-	for _, s := range strings.Split(*only, ",") {
-		if s != "" {
-			want[s] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	type step struct {
 		name string
@@ -84,6 +75,19 @@ func run() error {
 		{"fig6", fig6},
 		{"fig7", fig7},
 	}
+	valid := make([]string, len(steps))
+	for i, s := range steps {
+		valid[i] = s.name
+	}
+	want, err := parseOnly(*only, valid)
+	if err != nil {
+		return err
+	}
+	sel := func(name string) bool { return len(want) == 0 || want[name] }
+
+	if *perfMode {
+		return perf()
+	}
 	for _, s := range steps {
 		if !sel(s.name) {
 			continue
@@ -93,6 +97,22 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// parseOnly parses the -only list into the set of selected
+// experiments (empty: all), rejecting names not in valid.
+func parseOnly(only string, valid []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, s := range strings.Split(only, ",") {
+		if s == "" {
+			continue
+		}
+		if !slices.Contains(valid, s) {
+			return nil, fmt.Errorf("-only: unknown experiment %q (valid: %s)", s, strings.Join(valid, ","))
+		}
+		want[s] = true
+	}
+	return want, nil
 }
 
 // perf runs the substrate micro-benchmarks that gate the emulator's

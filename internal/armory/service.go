@@ -141,18 +141,22 @@ var ErrClosed = errors.New("armory: service closed")
 
 // Stats is a point-in-time snapshot of the service counters.
 type Stats struct {
-	Submitted         uint64
-	Completed         uint64
-	Failed            uint64
-	CacheHits         uint64
-	CacheMisses       uint64
-	CachedBases       int
-	LedgerBases       int
-	LedgerConflicts   uint64
-	Reissues          uint64
+	Submitted        uint64
+	Completed        uint64
+	Failed           uint64
+	CacheHits        uint64
+	CacheMisses      uint64
+	CachedBases      int
+	LedgerBases      int
+	LedgerConflicts  uint64
+	Reissues         uint64
 	VerifyRejections uint64
 	FastVerifies     uint64 // staticverify.Base fast-path verifications
 	FallbackVerifies uint64 // cold/stateless verifications
+	// FallbackVerifies by cause, as staticverify.BaseStats splits it.
+	FallbackBaseFindings    uint64
+	FallbackDiffDivergence  uint64
+	FallbackVSAReadsChanged uint64
 	// VSASites / VSAResolvedSites sum, over the cached bases analyzed
 	// with value-set analysis, the indirect transfer sites found and
 	// the subset resolved to a proven target set.
@@ -369,6 +373,9 @@ func (s *Service) Stats() Stats {
 			bs := e.base.Stats()
 			st.FastVerifies += bs.FastVerifies
 			st.FallbackVerifies += bs.FallbackVerifies
+			st.FallbackBaseFindings += bs.FallbackBaseFindings
+			st.FallbackDiffDivergence += bs.FallbackDiffDivergence
+			st.FallbackVSAReadsChanged += bs.FallbackVSAReadsChanged
 			if sites, resolved, ok := e.base.VSASummary(); ok {
 				st.VSASites += uint64(sites)
 				st.VSAResolvedSites += uint64(resolved)
@@ -396,6 +403,9 @@ func (s *Service) MetricsText() string {
 		fmt.Sprintf("armory.verify_rejections %d", st.VerifyRejections),
 		fmt.Sprintf("armory.fast_verifies %d", st.FastVerifies),
 		fmt.Sprintf("armory.fallback_verifies %d", st.FallbackVerifies),
+		fmt.Sprintf("armory.fallback_base_findings %d", st.FallbackBaseFindings),
+		fmt.Sprintf("armory.fallback_diff_divergence %d", st.FallbackDiffDivergence),
+		fmt.Sprintf("armory.fallback_vsa_reads_changed %d", st.FallbackVSAReadsChanged),
 		fmt.Sprintf("armory.vsa_sites %d", st.VSASites),
 		fmt.Sprintf("armory.vsa_resolved_sites %d", st.VSAResolvedSites),
 		fmt.Sprintf("armory.artifacts_signed %d", st.ArtifactsSigned),

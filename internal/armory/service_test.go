@@ -252,6 +252,10 @@ func TestMetricsText(t *testing.T) {
 		"armory.cache_misses 1",
 		"armory.artifacts_signed 1",
 		"armory.fast_verifies 1",
+		"armory.fallback_verifies 0",
+		"armory.fallback_base_findings 0",
+		"armory.fallback_diff_divergence 0",
+		"armory.fallback_vsa_reads_changed 0",
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

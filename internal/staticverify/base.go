@@ -58,23 +58,20 @@ type Base struct {
 	origGadgets []*gadget.Gadget
 	origAt      map[uint32]*gadget.Gadget
 
-	fast     atomic.Uint64
-	fallback atomic.Uint64
+	fast          atomic.Uint64
+	fallbackBase  atomic.Uint64
+	fallbackDiff  atomic.Uint64
+	fallbackReads atomic.Uint64
 }
 
-// baseInstr is one decoded base-image instruction at a region-relative
-// word offset.
-type baseInstr struct {
-	pc uint32 // word offset from the region start
-	in avr.Instr
-}
-
-// baseRegion is the decoded stream of one contiguous code range of the
+// baseRegion is the linear decode of one contiguous code range of the
 // base image: the fixed region (oldStart 0) or one function block.
 type baseRegion struct {
 	oldStart uint32 // byte address in the base image
-	size     uint32 // bytes
-	instrs   []baseInstr
+	// code is indexed by word offset from oldStart; the instructions
+	// chain from offset 0 by their Words, and slots where none starts
+	// stay zero.
+	code []avr.Instr
 	// clean is false when linear decoding stopped early (invalid opcode
 	// or extent overrun) — the fresh diff emits a finding there, so the
 	// fast path cannot be taken.
@@ -85,9 +82,18 @@ type baseRegion struct {
 type BaseStats struct {
 	// FastVerifies took the cached path end to end.
 	FastVerifies uint64
-	// FallbackVerifies re-ran the stateless Verify (diff divergence,
-	// base findings, or size mismatch).
+	// FallbackVerifies re-ran the stateless Verify: the sum of the
+	// three causes below.
 	FallbackVerifies uint64
+	// FallbackBaseFindings: the base CFG has findings, so no cached
+	// result translates.
+	FallbackBaseFindings uint64
+	// FallbackDiffDivergence: the lockstep diff found a divergence from
+	// the base (including a size mismatch).
+	FallbackDiffDivergence uint64
+	// FallbackVSAReadsChanged: the image differs from the base on a
+	// flash byte the cached value-set analysis read.
+	FallbackVSAReadsChanged uint64
 }
 
 // NewBase builds the cached verification handle for one preprocessed
@@ -103,12 +109,13 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	}
 	b.vecEnd = vecEnd
 
-	b.regions = append(b.regions, decodeRegion(pre.Image, 0, pre.RegionStart))
-	for _, blk := range pre.Blocks {
-		b.regions = append(b.regions, decodeRegion(pre.Image, blk.Start, blk.Size))
-	}
-
+	// The graph's function order is pre.Blocks order, and CFG recovery
+	// already decoded each block: the diff and the analysis reuse it.
 	g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd)
+	b.regions = append(b.regions, decodeRegion(pre.Image, 0, pre.RegionStart))
+	for _, f := range g.Funcs {
+		b.regions = append(b.regions, f.region)
+	}
 	b.stats = CFGStats{
 		Funcs:           len(g.Funcs),
 		BasicBlocks:     g.BasicBlockCount(),
@@ -124,7 +131,7 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	if opts.VSA && b.cfgClean {
 		// The base graph's function order is pre.Blocks order, so result
 		// index i translates through r.NewStart[i].
-		b.vsaRes = vsa.Analyze(vsaInput(pre.Image, g, pre))
+		b.vsaRes = vsa.Analyze(VSAInput(pre.Image, g, pre))
 		b.fixedEntries = g.FixedEntries
 	}
 
@@ -142,15 +149,15 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 // decodeRegion linearly decodes size bytes of base-image code starting
 // at byte address start.
 func decodeRegion(img []byte, start, size uint32) baseRegion {
-	reg := baseRegion{oldStart: start, size: size, clean: true}
 	startW, endW := start/2, (start+size)/2
+	reg := baseRegion{oldStart: start, code: make([]avr.Instr, endW-startW), clean: true}
 	for pc := startW; pc < endW; {
 		in := avr.DecodeAt(img, pc)
 		if in.Op == avr.OpInvalid || pc+uint32(in.Words) > endW {
 			reg.clean = false
 			break
 		}
-		reg.instrs = append(reg.instrs, baseInstr{pc: pc - startW, in: in})
+		reg.code[pc-startW] = in
 		pc += uint32(in.Words)
 	}
 	return reg
@@ -158,7 +165,14 @@ func decodeRegion(img []byte, start, size uint32) baseRegion {
 
 // Stats returns how many Verify calls took the fast vs. fallback path.
 func (b *Base) Stats() BaseStats {
-	return BaseStats{FastVerifies: b.fast.Load(), FallbackVerifies: b.fallback.Load()}
+	st := BaseStats{
+		FastVerifies:            b.fast.Load(),
+		FallbackBaseFindings:    b.fallbackBase.Load(),
+		FallbackDiffDivergence:  b.fallbackDiff.Load(),
+		FallbackVSAReadsChanged: b.fallbackReads.Load(),
+	}
+	st.FallbackVerifies = st.FallbackBaseFindings + st.FallbackDiffDivergence + st.FallbackVSAReadsChanged
+	return st
 }
 
 // Pre returns the preprocessed base image the handle was built from.
@@ -170,15 +184,19 @@ func (b *Base) Pre() *core.Preprocessed { return b.pre }
 // divergence falls back to the stateless implementation, so defective
 // images are reported with full findings.
 func (b *Base) Verify(r *core.Randomized) *Report {
-	st, ok := b.fastDiff(r)
-	if !ok || !b.cfgClean {
-		b.fallback.Add(1)
+	if !b.cfgClean {
+		b.fallbackBase.Add(1)
 		return Verify(b.pre, r, b.opts)
 	}
-	if b.opts.VSA && (b.vsaRes == nil || !b.vsaRes.ReadsEqual(b.pre.Image, r.Image)) {
+	st, ok := b.fastDiff(r)
+	if !ok {
+		b.fallbackDiff.Add(1)
+		return Verify(b.pre, r, b.opts)
+	}
+	if b.opts.VSA && !b.vsaRes.ReadsEqual(b.pre.Image, r.Image) {
 		// The analysis depended on a flash byte the permutation changed
 		// outside what the structural diff models; re-analyze fresh.
-		b.fallback.Add(1)
+		b.fallbackReads.Add(1)
 		return Verify(b.pre, r, b.opts)
 	}
 	b.fast.Add(1)
@@ -274,10 +292,8 @@ func (b *Base) fastDiff(r *core.Randomized) (DiffStats, bool) {
 			newStart = r.NewStart[ri-1]
 		}
 		oldW, newW := reg.oldStart/2, newStart/2
-		for i := range reg.instrs {
-			bi := &reg.instrs[i]
-			oin := &bi.in
-			pc := bi.pc
+		for pc := uint32(0); pc < uint32(len(reg.code)); pc += uint32(reg.code[pc].Words) {
+			oin := &reg.code[pc]
 			st.WordsCompared += oin.Words
 
 			switch oin.Op {

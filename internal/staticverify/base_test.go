@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mavr/internal/avr"
 	"mavr/internal/core"
 	"mavr/internal/firmware"
 )
@@ -119,8 +120,47 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 		}
 		requireSameReport(t, fresh, cached, tc.name)
 	}
-	if st := base.Stats(); st.FallbackVerifies != uint64(len(cases)) {
-		t.Fatalf("want %d fallback verifies, got %+v", len(cases), st)
+	n := uint64(len(cases))
+	if st := base.Stats(); st != (BaseStats{FallbackVerifies: n, FallbackDiffDivergence: n}) {
+		t.Fatalf("want %d fallbacks, all diff divergences, got %+v", n, st)
+	}
+
+	// A clean outcome whose image differs from the base on a flash byte
+	// the cached analysis read: the structural diff passes (the byte is
+	// data past the shuffled region), so only the read check falls back.
+	vsaOpts := DefaultOptions()
+	vsaOpts.VSA = true
+	vbase := NewBase(pre, vsaOpts)
+	if len(vbase.vsaRes.Reads) == 0 || vbase.vsaRes.Reads[0].Off < pre.RegionEnd {
+		t.Fatalf("want a cached read past the shuffled region, got %+v", vbase.vsaRes.Reads)
+	}
+	r := mk(7)
+	r.Image[vbase.vsaRes.Reads[0].Off] ^= 0xFF
+	requireSameReport(t, Verify(pre, r, vsaOpts), vbase.Verify(r), "vsa read changed")
+	if st := vbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackVSAReadsChanged: 1}) {
+		t.Fatalf("want one VSA-reads fallback, got %+v", st)
+	}
+
+	// A base whose own CFG has a finding: an invalid opcode over the
+	// first plain instruction of the first block. The randomizer refuses
+	// such a base, so verify the clean base's outcome against it.
+	bad := *pre
+	bad.Image = append([]byte(nil), pre.Image...)
+	invalid := uint16(0)
+	for avr.Decode(invalid, 0).Op != avr.OpInvalid {
+		invalid++
+	}
+	for pc := pre.Blocks[0].Start / 2; ; pc++ {
+		if op := avr.DecodeAt(bad.Image, pc).Op; op == avr.OpLDI || op == avr.OpPUSH {
+			bad.Image[2*pc], bad.Image[2*pc+1] = byte(invalid), byte(invalid>>8)
+			break
+		}
+	}
+	bbase := NewBase(&bad, DefaultOptions())
+	r = mk(7)
+	requireSameReport(t, Verify(&bad, r, DefaultOptions()), bbase.Verify(r), "base findings")
+	if st := bbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackBaseFindings: 1}) {
+		t.Fatalf("want one base-findings fallback, got %+v", st)
 	}
 }
 
@@ -148,5 +188,28 @@ func TestBaseVerifyMatchesFreshArduplane(t *testing.T) {
 	requireSameReport(t, Verify(pre, r, opts), base.Verify(r), "arduplane")
 	if st := base.Stats(); st.FastVerifies != 1 {
 		t.Fatalf("want fast path, got %+v", st)
+	}
+}
+
+// BenchmarkNewBase measures the armory's cold path on an
+// ArduPlane-scale base: CFG recovery, value-set analysis and the
+// gadget census under the options the armory serves with.
+func BenchmarkNewBase(b *testing.B) {
+	img, err := firmware.Generate(firmware.Arduplane(), firmware.ModeMAVR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre, err := core.Preprocess(img.ELF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.VSA = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := NewBase(pre, opts).VSASummary(); !ok {
+			b.Fatal("base has no analysis")
+		}
 	}
 }

@@ -54,6 +54,10 @@ type Func struct {
 	HasSPM bool
 	// Instrs counts decoded instructions.
 	Instrs int
+
+	// region is the linear decode of the function extent, shared with
+	// the cached verifier's diff and the value-set analysis.
+	region baseRegion
 }
 
 // Graph is a conservative whole-image CFG and call graph.
@@ -212,41 +216,17 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 	}
 
 	// Pass 1: decode linearly, collecting leaders and edges.
-	leaders := map[uint32]bool{startW: true}
-	leaderList := []uint32{startW}
-	addLeader := func(w uint32) {
-		if !leaders[w] {
-			leaders[w] = true
-			leaderList = append(leaderList, w)
-		}
-	}
-	type decoded struct {
-		in   avr.Instr
-		next uint32 // word address after the instruction
-	}
-	instrs := make(map[uint32]decoded)
-	truncated := uint32(0) // word address where decoding stopped, 0 = clean
-	for pc := startW; pc < endW; {
-		in := avr.DecodeAt(img, pc)
+	// Every leader lies in [startW, endW].
+	leaders := make([]bool, endW-startW+1)
+	leaders[0] = true
+	addLeader := func(w uint32) { leaders[w-startW] = true }
+	fn.region = decodeRegion(img, b.Start, b.Size)
+	code := fn.region.code
+	pc := startW
+	for pc < endW && code[pc-startW].Words != 0 {
+		in := code[pc-startW]
 		fn.Instrs++
-		if in.Op == avr.OpInvalid {
-			findings = append(findings, Finding{
-				Kind: KindUndecodable, Severity: SevError, Addr: pc * 2, Block: b.Name,
-				Detail: "invalid opcode inside function body; CFG truncated here",
-			})
-			truncated = pc
-			break
-		}
 		next := pc + uint32(in.Words)
-		if next > endW {
-			findings = append(findings, Finding{
-				Kind: KindUndecodable, Severity: SevError, Addr: pc * 2, Block: b.Name,
-				Detail: "two-word instruction overruns the function extent",
-			})
-			truncated = pc
-			break
-		}
-		instrs[pc] = decoded{in: in, next: next}
 
 		switch in.Op {
 		case avr.OpBRBS, avr.OpBRBC, avr.OpRJMP:
@@ -299,15 +279,27 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		}
 		pc = next
 	}
+	truncated := uint32(0) // word address where decoding stopped, 0 = clean
+	if !fn.region.clean {
+		fn.Instrs++
+		truncated = pc
+		detail := "two-word instruction overruns the function extent"
+		if avr.DecodeAt(img, pc).Op == avr.OpInvalid {
+			detail = "invalid opcode inside function body; CFG truncated here"
+		}
+		findings = append(findings, Finding{
+			Kind: KindUndecodable, Severity: SevError, Addr: pc * 2, Block: b.Name, Detail: detail,
+		})
+	}
 
 	// Pass 2: cut basic blocks at leaders and terminators.
 	var starts []uint32
-	for _, w := range leaderList {
-		if w < endW && (truncated == 0 || w <= truncated) {
+	for i, ok := range leaders {
+		if w := startW + uint32(i); ok && w < endW && (truncated == 0 || w <= truncated) {
 			starts = append(starts, w)
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	fn.Blocks = make([]BasicBlock, 0, len(starts))
 	for i, lw := range starts {
 		limit := endW
 		if i+1 < len(starts) {
@@ -316,14 +308,13 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		bb := BasicBlock{Start: lw * 2, Term: TermFall}
 		pc := lw
 		for pc < limit {
-			d, ok := instrs[pc]
-			if !ok { // decoding stopped here (invalid/overrun)
+			in := code[pc-startW]
+			if in.Words == 0 { // no linear instruction starts here (truncated)
 				bb.Term = TermStop
 				pc = limit
 				break
 			}
-			in := d.in
-			pc = d.next
+			pc += uint32(in.Words)
 			stop := true
 			switch in.Op {
 			case avr.OpRET, avr.OpRETI:

@@ -97,7 +97,7 @@ func Verify(pre *core.Preprocessed, r *core.Randomized, opts Options) *Report {
 		}
 		graphFindings = g.Findings
 		if opts.VSA {
-			res := vsa.Analyze(vsaInput(r.Image, g, pre))
+			res := vsa.Analyze(VSAInput(r.Image, g, pre))
 			rep.VSA, vsaFindings, demote = renderVSA(res, graphLayout(r.Image, g))
 		}
 	}

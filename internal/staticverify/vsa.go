@@ -47,12 +47,13 @@ type VSASite struct {
 	EntrySubset bool `json:"entry_subset"`
 }
 
-// vsaInput mirrors a recovered graph into the analysis package's
-// neutral types. The table and patched-offset lists come from the
-// preprocessed base and are layout invariants: the pointer patcher
-// rewrites table words in place, at the same flash offsets, in every
-// permutation.
-func vsaInput(img []byte, g *Graph, pre *core.Preprocessed) *vsa.Input {
+// VSAInput mirrors a graph recovered from img into the analysis
+// package's neutral types, handing over each function's linear decode
+// so the analysis does not decode it again. The table and
+// patched-offset lists come from the preprocessed base and are layout
+// invariants: the pointer patcher rewrites table words in place, at the
+// same flash offsets, in every permutation.
+func VSAInput(img []byte, g *Graph, pre *core.Preprocessed) *vsa.Input {
 	in := &vsa.Input{
 		Img:         img,
 		RegionStart: g.RegionStart,
@@ -62,10 +63,12 @@ func vsaInput(img []byte, g *Graph, pre *core.Preprocessed) *vsa.Input {
 	for _, t := range pre.PtrTables {
 		in.Tables = append(in.Tables, vsa.Table{DataAddr: t.DataAddr, FlashOff: t.FlashOff, Words: t.Words})
 	}
+	in.Funcs = make([]vsa.Func, 0, len(g.Funcs))
 	for _, f := range g.Funcs {
-		vf := vsa.Func{Name: f.Name, Start: f.Start, End: f.End, HasSPM: f.HasSPM}
-		for _, b := range f.Blocks {
-			vf.Blocks = append(vf.Blocks, vsa.Block{Start: b.Start, End: b.End, Succs: b.Succs})
+		vf := vsa.Func{Name: f.Name, Start: f.Start, End: f.End, HasSPM: f.HasSPM, Code: f.region.code}
+		vf.Blocks = make([]vsa.Block, len(f.Blocks))
+		for i, b := range f.Blocks {
+			vf.Blocks[i] = vsa.Block{Start: b.Start, End: b.End, Succs: b.Succs}
 		}
 		in.Funcs = append(in.Funcs, vf)
 	}

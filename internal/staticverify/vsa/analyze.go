@@ -2,7 +2,10 @@ package vsa
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"mavr/internal/avr"
 )
@@ -29,6 +32,11 @@ type Func struct {
 	// HasSPM excludes the function: self-modifying code invalidates
 	// the analysis' image assumptions.
 	HasSPM bool
+	// Code is the function's linear decode as CFG recovery computed
+	// it, indexed by word offset from Start (Words == 0 where no
+	// instruction starts). The analysis decodes any other word it
+	// visits from Img; nil is valid.
+	Code []avr.Instr
 }
 
 // Block is one basic block with its intra-function successors.
@@ -124,132 +132,209 @@ const (
 	siteProductCap = 256
 )
 
-// Analyze runs the value-set fixpoint over every function.
+// Analyze runs the value-set fixpoint over every function. The
+// per-function fixpoints are independent, so they run on
+// runtime.GOMAXPROCS(0) goroutines (see analyzeSharded); the Result is
+// the same at every shard count.
 func Analyze(in *Input) *Result {
-	ctx := &Ctx{
-		Img:         in.Img,
-		RegionStart: in.RegionStart,
-		RegionEnd:   in.RegionEnd,
-		Tables:      in.Tables,
-		reads:       make(map[uint32]bool),
-	}
+	return analyzeSharded(in, runtime.GOMAXPROCS(0))
+}
+
+// analyzeSharded runs Analyze on an explicit number of shards (tests
+// pin it). Shards claim functions from a shared counter, each with its
+// own Ctx and scratch state: the image, tables and patched set are
+// read-only, and everything a function's analysis writes — its read
+// set, findings and sites — is shard-local. Function results land in
+// their function-index slot and the per-shard read bitsets are
+// OR-merged, so neither the shard count nor the schedule can change the
+// Result.
+func analyzeSharded(in *Input, shards int) *Result {
+	shards = max(1, min(shards, len(in.Funcs)))
+	var patched bitset
 	if len(in.Patched) > 0 {
-		ctx.Patched = make(map[uint32]bool, 2*len(in.Patched))
+		patched = newBitset(len(in.Img))
 		for _, off := range in.Patched {
-			ctx.Patched[off] = true
-			ctx.Patched[off+1] = true
+			patched.set(off)
+			patched.set(off + 1)
 		}
 	}
+	funcs := make([]FuncResult, len(in.Funcs))
+	sites := make([][]Site, len(in.Funcs))
+	reads := make([]bitset, shards)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for sh := range reads {
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			a := &funcAnalyzer{ctx: &Ctx{
+				Img:         in.Img,
+				RegionStart: in.RegionStart,
+				RegionEnd:   in.RegionEnd,
+				Tables:      in.Tables,
+				patched:     patched,
+				reads:       newBitset(len(in.Img)),
+			}}
+			for fi := int(next.Add(1) - 1); fi < len(in.Funcs); fi = int(next.Add(1) - 1) {
+				f := &in.Funcs[fi]
+				if f.HasSPM || len(f.Blocks) == 0 {
+					funcs[fi] = FuncResult{Name: f.Name, Skipped: true}
+					continue
+				}
+				funcs[fi], sites[fi] = a.run(f, fi)
+			}
+			reads[sh] = a.ctx.reads
+		}(sh)
+	}
+	wg.Wait()
+
 	res := &Result{}
-	for fi := range in.Funcs {
-		f := &in.Funcs[fi]
-		if f.HasSPM || len(f.Blocks) == 0 {
-			res.Funcs = append(res.Funcs, FuncResult{Name: f.Name, Skipped: true})
-			continue
-		}
-		fa := &funcAnalyzer{ctx: ctx, f: f, fi: fi}
-		fr, sites := fa.run()
-		res.Funcs = append(res.Funcs, fr)
-		res.Sites = append(res.Sites, sites...)
+	if len(funcs) > 0 {
+		res.Funcs = funcs
 	}
-	res.Reads = coalesceReads(ctx.reads)
+	for _, s := range sites {
+		res.Sites = append(res.Sites, s...)
+	}
+	for _, r := range reads[1:] {
+		reads[0].or(r)
+	}
+	res.Reads = reads[0].ranges()
 	return res
 }
 
-// coalesceReads folds the recorded flash offsets into sorted ranges.
-func coalesceReads(reads map[uint32]bool) []Range {
-	if len(reads) == 0 {
-		return nil
+// bitset is a set of flash byte offsets below a fixed bound.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// set adds i; offsets past the bound are ignored.
+func (b bitset) set(i uint32) {
+	if w := int(i / 64); w < len(b) {
+		b[w] |= 1 << (i % 64)
 	}
-	offs := make([]uint32, 0, len(reads))
-	for off := range reads {
-		offs = append(offs, off)
+}
+
+func (b bitset) has(i uint32) bool {
+	w := int(i / 64)
+	return w < len(b) && b[w]&(1<<(i%64)) != 0
+}
+
+// or adds every member of o (same bound) to b.
+func (b bitset) or(o bitset) {
+	for i := range b {
+		b[i] |= o[i]
 	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+}
+
+// ranges folds the members into sorted, coalesced byte ranges (nil
+// when empty).
+func (b bitset) ranges() []Range {
 	var out []Range
-	for _, off := range offs {
-		if n := len(out); n > 0 && out[n-1].Off+out[n-1].Len == off {
-			out[n-1].Len++
-			continue
+	for wi, w := range b {
+		for w != 0 {
+			off := uint32(wi*64 + trailingZeros(w))
+			w &= w - 1
+			if n := len(out); n > 0 && out[n-1].Off+out[n-1].Len == off {
+				out[n-1].Len++
+				continue
+			}
+			out = append(out, Range{Off: off, Len: 1})
 		}
-		out = append(out, Range{Off: off, Len: 1})
 	}
 	return out
 }
 
+// funcAnalyzer runs one shard's functions, one at a time. Its buffers
+// are sized to the largest function seen and reused, so a block visit
+// copies a state instead of allocating one.
 type funcAnalyzer struct {
-	ctx *Ctx
-	f   *Func
-	fi  int
+	ctx    *Ctx
+	f      *Func
+	fi     int
+	startW uint32
 
-	states []*State // fixpoint in-state per block
-	visits []int
+	states  []State // fixpoint in-state per block
+	visits  []int
+	queued  []bool
+	queue   []int
+	scratch State
+	// blockAt maps a byte address minus blockLo to 1 + the index of the
+	// block starting there (0: none).
+	blockAt []int32
+	blockLo uint32
+
+	// Reporting-pass output.
+	sites           []Site
+	hasIndirectJump bool
 }
 
-func (a *funcAnalyzer) run() (FuncResult, []Site) {
-	n := len(a.f.Blocks)
-	a.states = make([]*State, n)
-	a.visits = make([]int, n)
-	idx := make(map[uint32]int, n)
-	for i, b := range a.f.Blocks {
-		a.states[i] = &State{Bot: true}
-		idx[b.Start] = i
+func (a *funcAnalyzer) run(f *Func, fi int) (FuncResult, []Site) {
+	a.f, a.fi, a.startW = f, fi, f.Start/2
+	n := len(f.Blocks)
+	if cap(a.states) < n {
+		a.states = make([]State, n)
+		a.visits = make([]int, n)
+		a.queued = make([]bool, n)
 	}
+	a.states, a.visits, a.queued = a.states[:n], a.visits[:n], a.queued[:n]
+	for i := range a.states {
+		a.states[i] = State{Bot: true}
+		a.visits[i] = 0
+		a.queued[i] = false
+	}
+	a.indexBlocks()
+	defer a.clearBlockIndex()
+
 	// The entry block starts the function; blocks only reachable
 	// through an indirect jump stay bottom and are skipped — the
 	// function is then reported unproven below.
 	entry := 0
-	for i, b := range a.f.Blocks {
-		if b.Start == a.f.Start {
+	for i, b := range f.Blocks {
+		if b.Start == f.Start {
 			entry = i
 			break
 		}
 	}
-	a.states[entry] = EntryState()
+	a.states[entry] = entryState()
 
-	queue := []int{entry}
-	queued := make([]bool, n)
-	queued[entry] = true
-	for len(queue) > 0 {
-		bi := queue[0]
-		queue = queue[1:]
-		queued[bi] = false
-		out := a.states[bi].Clone()
-		a.walk(bi, out, nil, nil)
-		for _, s := range a.f.Blocks[bi].Succs {
-			si, ok := idx[s]
-			if !ok {
+	out := &a.scratch
+	queue := append(a.queue[:0], entry)
+	a.queued[entry] = true
+	for h := 0; h < len(queue); h++ {
+		bi := queue[h]
+		a.queued[bi] = false
+		*out = a.states[bi]
+		a.walk(bi, out)
+		for _, s := range f.Blocks[bi].Succs {
+			si := a.blockIndex(s)
+			if si < 0 {
 				continue
 			}
 			a.visits[si]++
-			if a.states[si].Join(out, a.visits[si] > visitCap) && !queued[si] {
+			if a.states[si].Join(out, a.visits[si] > visitCap) && !a.queued[si] {
 				queue = append(queue, si)
-				queued[si] = true
+				a.queued[si] = true
 			}
 		}
 	}
+	a.queue = queue
 
 	// Reporting pass: every block once more from its fixed in-state,
 	// now collecting findings and site descriptors.
-	fr := FuncResult{Name: a.f.Name}
-	var sites []Site
-	hasIndirectJump := false
-	for bi := range a.f.Blocks {
+	c := a.ctx
+	c.report = true
+	a.sites, a.hasIndirectJump = nil, false
+	for bi := range f.Blocks {
 		if a.states[bi].Bot {
 			continue
 		}
-		st := a.states[bi].Clone()
-		emit := func(off uint32, kind, detail string) {
-			fr.Findings = append(fr.Findings, Finding{Off: off - a.f.Start, Kind: kind, Detail: detail})
-		}
-		siteSink := func(s Site) {
-			if s.Op == avr.OpIJMP || s.Op == avr.OpEIJMP {
-				hasIndirectJump = true
-			}
-			sites = append(sites, s)
-		}
-		a.walk(bi, st, emit, siteSink)
+		*out = a.states[bi]
+		a.walk(bi, out)
 	}
+	fr := FuncResult{Name: f.Name, Findings: c.findings}
+	sites := a.sites
+	c.report, c.findings, a.sites = false, nil, nil
+
 	sort.Slice(fr.Findings, func(i, j int) bool {
 		if fr.Findings[i].Off != fr.Findings[j].Off {
 			return fr.Findings[i].Off < fr.Findings[j].Off
@@ -259,14 +344,55 @@ func (a *funcAnalyzer) run() (FuncResult, []Site) {
 	fr.Findings = dedupFindings(fr.Findings)
 	sort.Slice(sites, func(i, j int) bool { return sites[i].Off < sites[j].Off })
 
-	fr.StackProven = len(fr.Findings) == 0 && !hasIndirectJump
-	if hasIndirectJump && len(fr.Findings) == 0 {
+	fr.StackProven = len(fr.Findings) == 0 && !a.hasIndirectJump
+	if a.hasIndirectJump && len(fr.Findings) == 0 {
 		fr.Findings = append(fr.Findings, Finding{
 			Kind:   KindStackUnproven,
 			Detail: "function exits through an indirect jump; per-function stack reasoning is incomplete",
 		})
 	}
 	return fr, sites
+}
+
+// indexBlocks fills blockAt for the current function. When two blocks
+// share a start the later one wins.
+func (a *funcAnalyzer) indexBlocks() {
+	lo, hi := a.f.Blocks[0].Start, a.f.Blocks[0].Start
+	for _, b := range a.f.Blocks {
+		lo, hi = min(lo, b.Start), max(hi, b.Start)
+	}
+	if n := int(hi-lo) + 1; len(a.blockAt) < n {
+		a.blockAt = make([]int32, n)
+	}
+	a.blockLo = lo
+	for i, b := range a.f.Blocks {
+		a.blockAt[b.Start-lo] = int32(i + 1)
+	}
+}
+
+// clearBlockIndex zeroes the entries indexBlocks wrote.
+func (a *funcAnalyzer) clearBlockIndex() {
+	for _, b := range a.f.Blocks {
+		a.blockAt[b.Start-a.blockLo] = 0
+	}
+}
+
+// blockIndex returns the index of the block starting at byte address
+// addr, or -1.
+func (a *funcAnalyzer) blockIndex(addr uint32) int {
+	if i := addr - a.blockLo; i < uint32(len(a.blockAt)) {
+		return int(a.blockAt[i]) - 1
+	}
+	return -1
+}
+
+// instrAt returns the instruction at word pc: from the function's
+// pre-decoded Code where it has one, decoded from the image otherwise.
+func (a *funcAnalyzer) instrAt(pc uint32) avr.Instr {
+	if i := pc - a.startW; i < uint32(len(a.f.Code)) && a.f.Code[i].Words != 0 {
+		return a.f.Code[i]
+	}
+	return avr.DecodeAt(a.ctx.Img, pc)
 }
 
 func dedupFindings(fs []Finding) []Finding {
@@ -279,46 +405,46 @@ func dedupFindings(fs []Finding) []Finding {
 	return out
 }
 
-// walk abstractly executes one block. emit/siteSink are nil during
-// fixpoint iteration and non-nil during the reporting pass.
-func (a *funcAnalyzer) walk(bi int, st *State, emit func(off uint32, kind, detail string), siteSink func(Site)) {
+// walk abstractly executes one block. In the reporting pass
+// (ctx.report) it also records findings and site descriptors.
+func (a *funcAnalyzer) walk(bi int, st *State) {
+	c := a.ctx
 	b := a.f.Blocks[bi]
 	pc := b.Start / 2
 	end := b.End / 2
 	for pc < end {
-		in := avr.DecodeAt(a.ctx.Img, pc)
-		if in.Words == 0 {
-			break
-		}
+		in := a.instrAt(pc)
 		addr := pc * 2
-		if emit != nil {
-			a.ctx.emit = func(kind, detail string) { emit(addr, kind, detail) }
-		} else {
-			a.ctx.emit = nil
-		}
+		c.off = addr - a.f.Start
 		switch in.Op {
 		case avr.OpICALL, avr.OpEICALL, avr.OpIJMP, avr.OpEIJMP:
-			if siteSink != nil {
-				siteSink(a.resolveSite(st, in, addr))
+			if c.report {
+				if in.Op == avr.OpIJMP || in.Op == avr.OpEIJMP {
+					a.hasIndirectJump = true
+				}
+				a.sites = append(a.sites, a.resolveSite(st, in, addr))
 			}
 			if in.Op == avr.OpICALL || in.Op == avr.OpEICALL {
-				a.ctx.Step(st, in)
+				c.Step(st, in)
 			}
 		case avr.OpRET, avr.OpRETI:
-			if emit != nil {
-				a.checkRet(st, addr, emit)
+			if c.report {
+				c.checkRet(st)
 			}
 		case avr.OpSUBI:
 			// Fused SUBI+SBCI on an SP-tagged pair: the pair moves by
 			// the exact signed 16-bit immediate, so the tag survives
 			// with an adjusted delta (frame allocate/release idiom).
-			next := avr.DecodeAt(a.ctx.Img, pc+1)
 			tag := st.Tags[in.D/2]
-			fused := tag.Ok && in.D%2 == 0 && next.Op == avr.OpSBCI && next.D == in.D+1 &&
-				pc+1 < end
-			a.ctx.Step(st, in)
+			fused := tag.Ok && in.D%2 == 0 && pc+1 < end
+			var next avr.Instr
 			if fused {
-				a.ctx.Step(st, next)
+				next = a.instrAt(pc + 1)
+				fused = next.Op == avr.OpSBCI && next.D == in.D+1
+			}
+			c.Step(st, in)
+			if fused {
+				c.Step(st, next)
 				imm := int32(int16(uint16(next.K)<<8 | uint16(in.K)))
 				tag.Delta = tag.Delta.Add(imm)
 				st.Tags[in.D/2] = tag
@@ -330,11 +456,10 @@ func (a *funcAnalyzer) walk(bi int, st *State, emit func(off uint32, kind, detai
 				pc += n
 				continue
 			}
-			a.ctx.Step(st, in)
+			c.Step(st, in)
 		}
 		pc += uint32(in.Words)
 	}
-	a.ctx.emit = nil
 }
 
 // tryWordPair recognizes the two-instruction adjacent-load idioms that
@@ -355,7 +480,7 @@ func (a *funcAnalyzer) tryWordPair(st *State, in avr.Instr, pc, end uint32) uint
 	if d%2 != 0 || pc+uint32(in.Words) >= end {
 		return 0
 	}
-	next := avr.DecodeAt(a.ctx.Img, pc+uint32(in.Words))
+	next := a.instrAt(pc + uint32(in.Words))
 	if next.D != d+1 || pc+uint32(in.Words)+uint32(next.Words) > end {
 		return 0
 	}
@@ -406,13 +531,13 @@ func (a *funcAnalyzer) tryWordPair(st *State, in avr.Instr, pc, end uint32) uint
 
 // checkRet verifies the stack height at a return: RET must see exactly
 // the entry height (the return address it pops is the caller's).
-func (a *funcAnalyzer) checkRet(st *State, addr uint32, emit func(off uint32, kind, detail string)) {
+func (c *Ctx) checkRet(st *State) {
 	switch {
 	case st.H.IsZero():
 	case st.H.Top:
-		emit(addr, KindStackUnproven, "stack height unknown at return (SP re-pointed or loop widened)")
+		c.finding(KindStackUnproven, "stack height unknown at return (SP re-pointed or loop widened)")
 	default:
-		emit(addr, KindRetImbalance,
+		c.finding(KindRetImbalance,
 			fmt.Sprintf("return with %s bytes left on the frame; RET will pop the wrong return address", heightStr(st.H)))
 	}
 }

@@ -70,6 +70,14 @@ func (s ByteSet) Intersect(o ByteSet) ByteSet {
 	return s
 }
 
+// Minus returns the members of s not in o.
+func (s ByteSet) Minus(o ByteSet) ByteSet {
+	for i := range s.bits {
+		s.bits[i] &^= o.bits[i]
+	}
+	return s
+}
+
 // Size returns the number of values in the set.
 func (s ByteSet) Size() int {
 	n := 0
@@ -96,20 +104,24 @@ func (s ByteSet) Equal(o ByteSet) bool {
 
 // Values returns the members in ascending order.
 func (s ByteSet) Values() []byte {
-	out := make([]byte, 0, s.Size())
+	return s.AppendValues(make([]byte, 0, s.Size()))
+}
+
+// AppendValues appends the members in ascending order to dst. With a
+// stack buffer (var buf [256]byte; s.AppendValues(buf[:0])) the
+// transfer functions enumerate a set without allocating.
+func (s ByteSet) AppendValues(dst []byte) []byte {
 	for i, w := range s.bits {
 		for w != 0 {
 			b := trailingZeros(w)
-			out = append(out, byte(i*64+b))
+			dst = append(dst, byte(i*64+b))
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }
 
-// Map1 applies f to every member. If the set is top and f is not known
-// to shrink it, the caller gets the exact image anyway (256 iterations
-// is cheap and often collapses: e.g. AND with a constant).
+// Map1 applies f to every member.
 func (s ByteSet) Map1(f func(byte) byte) ByteSet {
 	var out ByteSet
 	for i, w := range s.bits {
@@ -121,6 +133,98 @@ func (s ByteSet) Map1(f func(byte) byte) ByteSet {
 	}
 	return out
 }
+
+// Rotate returns {x+d mod 256 : x in s}.
+func (s ByteSet) Rotate(d byte) ByteSet {
+	q, r := int(d/64), uint(d%64)
+	var out ByteSet
+	for i, w := range s.bits {
+		out.bits[(i+q)%4] |= w << r
+		if r != 0 {
+			out.bits[(i+q+1)%4] |= w >> (64 - r)
+		}
+	}
+	return out
+}
+
+// SetBit returns {x | 1<<j : x in s}: members without bit j move up
+// by 1<<j.
+func (s ByteSet) SetBit(j int) ByteSet {
+	on, off := s.Intersect(bitSets[j]), s.Minus(bitSets[j])
+	return on.Union(off.Rotate(1 << j))
+}
+
+// ClearBit returns {x &^ 1<<j : x in s}.
+func (s ByteSet) ClearBit(j int) ByteSet {
+	on, off := s.Intersect(bitSets[j]), s.Minus(bitSets[j])
+	return off.Union(on.Rotate(-(byte(1) << j)))
+}
+
+// FlipBit returns {x ^ 1<<j : x in s}.
+func (s ByteSet) FlipBit(j int) ByteSet {
+	on, off := s.Intersect(bitSets[j]), s.Minus(bitSets[j])
+	return off.Rotate(1 << j).Union(on.Rotate(-(byte(1) << j)))
+}
+
+// Halve returns {x>>1 : x in s}: each value pair 2m, 2m+1 folds onto m.
+func (s ByteSet) Halve() ByteSet {
+	var out ByteSet
+	out.bits[0] = foldPairs(s.bits[0]) | foldPairs(s.bits[1])<<32
+	out.bits[1] = foldPairs(s.bits[2]) | foldPairs(s.bits[3])<<32
+	return out
+}
+
+// foldPairs ORs bits 2i and 2i+1 of w into bit i of the result.
+func foldPairs(w uint64) uint64 {
+	w = (w | w>>1) & 0x5555555555555555
+	w = (w | w>>1) & 0x3333333333333333
+	w = (w | w>>2) & 0x0F0F0F0F0F0F0F0F
+	w = (w | w>>4) & 0x00FF00FF00FF00FF
+	w = (w | w>>8) & 0x0000FFFF0000FFFF
+	w = (w | w>>16) & 0x00000000FFFFFFFF
+	return w
+}
+
+// below returns the values less than n (0 <= n <= 256).
+func below(n int) ByteSet {
+	var s ByteSet
+	for i := range s.bits {
+		switch lo := 64 * i; {
+		case n >= lo+64:
+			s.bits[i] = ^uint64(0)
+		case n > lo:
+			s.bits[i] = 1<<uint(n-lo) - 1
+		}
+	}
+	return s
+}
+
+// bitSets[b] holds every byte value with bit b set.
+var bitSets = func() (m [8]ByteSet) {
+	for v := 0; v < 256; v++ {
+		for b := 0; b < 8; b++ {
+			if v&(1<<b) != 0 {
+				m[b] = m[b].Add(byte(v))
+			}
+		}
+	}
+	return m
+}()
+
+// bitFlag returns the possibilities of bit b across the set.
+func bitFlag(s ByteSet, b int) Flag {
+	var f Flag
+	if !s.Intersect(bitSets[b]).IsEmpty() {
+		f |= FlagSet
+	}
+	if !s.Minus(bitSets[b]).IsEmpty() {
+		f |= FlagClear
+	}
+	return f
+}
+
+// signFlag returns the possibilities of the sign bit across the set.
+func signFlag(s ByteSet) Flag { return bitFlag(s, 7) }
 
 func popcount(w uint64) int      { return bits.OnesCount64(w) }
 func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"math/rand"
 	"testing"
 
 	"mavr/internal/avr"
@@ -190,5 +191,224 @@ func TestAbstractAddOverflow(t *testing.T) {
 	}
 	if !st.Flags[avr.FlagC].MaySet() {
 		t.Fatal("0x80+0x80 must be able to carry")
+	}
+}
+
+// The closed-form transfers must equal member-by-member enumeration:
+// logic ops with a constant against top, and SREG composed from the
+// flag lattice.
+func TestClosedFormsMatchEnumeration(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		for _, op := range []avr.Op{avr.OpAND, avr.OpANDI, avr.OpOR, avr.OpORI, avr.OpEOR} {
+			var want ByteSet
+			for x := 0; x < 256; x++ {
+				switch op {
+				case avr.OpAND, avr.OpANDI:
+					want = want.Add(byte(x) & byte(k))
+				case avr.OpOR, avr.OpORI:
+					want = want.Add(byte(x) | byte(k))
+				default:
+					want = want.Add(byte(x) ^ byte(k))
+				}
+			}
+			if got := absLogic(Top(), Const(byte(k)), op, false); !got.Equal(want) {
+				t.Fatalf("top %s 0x%02X = %v, want %v", op, k, got.Values(), want.Values())
+			}
+			if got := absLogic(Const(byte(k)), Top(), op, false); !got.Equal(want) {
+				t.Fatalf("0x%02X %s top = %v, want %v", k, op, got.Values(), want.Values())
+			}
+		}
+	}
+
+	flags := []Flag{0, FlagClear, FlagSet, FlagBoth}
+	var st State
+	for combo := 0; combo < 1<<16; combo += 7 { // a deterministic sample
+		for i := range st.Flags {
+			st.Flags[i] = flags[combo>>(2*i)&3]
+		}
+		var want ByteSet
+		for v := 0; v < 256; v++ {
+			ok := true
+			for i, f := range st.Flags {
+				if v&(1<<i) != 0 && !f.MaySet() || v&(1<<i) == 0 && !f.MayClear() {
+					ok = false
+				}
+			}
+			if ok {
+				want = want.Add(byte(v))
+			}
+		}
+		if got := sregSet(&st); !got.Equal(want) {
+			t.Fatalf("flags %v: SREG set %v, want %v", st.Flags, got.Values(), want.Values())
+		}
+	}
+
+	for s := 0; s < 256; s++ {
+		set := FromBytes(byte(s), byte(s*7), byte(s^0x80))
+		for b := 0; b < 8; b++ {
+			var want Flag
+			for _, v := range set.Values() {
+				want |= FlagOf(v&(1<<b) != 0)
+			}
+			if got := bitFlag(set, b); got != want {
+				t.Fatalf("bit %d of %v: %v, want %v", b, set.Values(), got, want)
+			}
+		}
+	}
+}
+
+// testSets is a deterministic spread of byte sets: empty, top,
+// singletons at the edges, and random sets of every density.
+func testSets() []ByteSet {
+	sets := []ByteSet{{}, Top(), Const(0), Const(1), Const(0x7F), Const(0x80), Const(0xFF)}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 40; n++ {
+		var s ByteSet
+		density := rng.Intn(256)
+		for v := 0; v < 256; v++ {
+			if rng.Intn(256) < density {
+				s = s.Add(byte(v))
+			}
+		}
+		sets = append(sets, s)
+	}
+	return sets
+}
+
+// The rotate and halve forms of constant add/sub and the shifts must
+// equal member-by-member enumeration.
+func TestShiftFormsMatchEnumeration(t *testing.T) {
+	cins := []Flag{0, FlagClear, FlagSet, FlagBoth}
+	for _, s := range testSets() {
+		for k := 0; k < 256; k++ {
+			for _, cin := range cins {
+				var wantAdd, wantSub ByteSet
+				var cfAdd, cfSub Flag
+				for _, x := range s.Values() {
+					for c := 0; c < 2; c++ {
+						if c == 0 && !cin.MayClear() || c == 1 && !cin.MaySet() {
+							continue
+						}
+						sum := int(x) + k + c
+						wantAdd = wantAdd.Add(byte(sum))
+						cfAdd |= FlagOf(sum > 0xFF)
+						wantSub = wantSub.Add(x - byte(k) - byte(c))
+						cfSub |= FlagOf(k+c > int(x))
+					}
+				}
+				if res, cf := absAdd(s, Const(byte(k)), cin, false); !res.Equal(wantAdd) || cf != cfAdd {
+					t.Fatalf("%v + 0x%02X (cin %d) = %v/%d, want %v/%d", s.Values(), k, cin, res.Values(), cf, wantAdd.Values(), cfAdd)
+				}
+				if res, cf := absAdd(Const(byte(k)), s, cin, false); !res.Equal(wantAdd) || cf != cfAdd {
+					t.Fatalf("0x%02X + %v (cin %d) = %v/%d, want %v/%d", k, s.Values(), cin, res.Values(), cf, wantAdd.Values(), cfAdd)
+				}
+				if res, cf := absSub(s, Const(byte(k)), cin, false); !res.Equal(wantSub) || cf != cfSub {
+					t.Fatalf("%v - 0x%02X (cin %d) = %v/%d, want %v/%d", s.Values(), k, cin, res.Values(), cf, wantSub.Values(), cfSub)
+				}
+			}
+		}
+
+		for _, op := range []avr.Op{avr.OpASR, avr.OpLSR, avr.OpROR} {
+			for _, c := range cins {
+				var want ByteSet
+				var cf Flag
+				for _, v := range s.Values() {
+					cf |= FlagOf(v&1 != 0)
+					switch {
+					case op == avr.OpASR:
+						want = want.Add(v>>1 | v&0x80)
+					case op == avr.OpLSR:
+						want = want.Add(v >> 1)
+					default:
+						if c.MayClear() {
+							want = want.Add(v >> 1)
+						}
+						if c.MaySet() {
+							want = want.Add(v>>1 | 0x80)
+						}
+					}
+				}
+				st := EntryState()
+				st.Regs[20].Set = s
+				st.Flags[avr.FlagC] = c
+				Step(st, avr.Instr{Op: op, D: 20}, nil)
+				if !st.Regs[20].Set.Equal(want) || st.Flags[avr.FlagC] != cf {
+					t.Fatalf("%s %v (C %d) = %v/%d, want %v/%d", op, s.Values(), c, st.Regs[20].Set.Values(), st.Flags[avr.FlagC], want.Values(), cf)
+				}
+			}
+		}
+	}
+}
+
+// Binary transfers over two sets must equal the capped enumeration of
+// the cross product (top above binCap), off and on the diagonal.
+func TestCrossProductsMatchEnumeration(t *testing.T) {
+	sets := testSets()
+	logic := []avr.Op{avr.OpAND, avr.OpOR, avr.OpEOR}
+	for i, a := range sets {
+		for j, b := range sets {
+			if (i+j)%5 != 0 {
+				continue
+			}
+			for _, op := range logic {
+				want := Top()
+				if a.Size()*b.Size() <= binCap {
+					want = ByteSet{}
+					for _, x := range a.Values() {
+						for _, y := range b.Values() {
+							switch op {
+							case avr.OpAND:
+								want = want.Add(x & y)
+							case avr.OpOR:
+								want = want.Add(x | y)
+							default:
+								want = want.Add(x ^ y)
+							}
+						}
+					}
+				}
+				if got := absLogic(a, b, op, false); !got.Equal(want) {
+					t.Fatalf("%v %s %v = %v, want %v", a.Values(), op, b.Values(), got.Values(), want.Values())
+				}
+			}
+			for _, cin := range []Flag{0, FlagClear, FlagSet, FlagBoth} {
+				for _, same := range []bool{false, true} {
+					if same && j != i {
+						continue
+					}
+					civ, nci := cinVals(cin)
+					wantAdd, wantSub := Top(), Top()
+					cfAdd, cfSub := FlagBoth, FlagBoth
+					n := b.Size()
+					if same {
+						n = 1
+					}
+					if a.Size()*n*nci <= binCap {
+						wantAdd, wantSub, cfAdd, cfSub = ByteSet{}, ByteSet{}, 0, 0
+						for _, x := range a.Values() {
+							ys := b.Values()
+							if same {
+								ys = []byte{x}
+							}
+							for _, y := range ys {
+								for _, c := range civ[:nci] {
+									s := int(x) + int(y) + int(c)
+									wantAdd = wantAdd.Add(byte(s))
+									cfAdd |= FlagOf(s > 0xFF)
+									wantSub = wantSub.Add(x - y - c)
+									cfSub |= FlagOf(int(y)+int(c) > int(x))
+								}
+							}
+						}
+					}
+					if res, cf := absAdd(a, b, cin, same); !res.Equal(wantAdd) || cf != cfAdd {
+						t.Fatalf("%v + %v (cin %d, same %v) = %v/%d, want %v/%d", a.Values(), b.Values(), cin, same, res.Values(), cf, wantAdd.Values(), cfAdd)
+					}
+					if res, cf := absSub(a, b, cin, same); !res.Equal(wantSub) || cf != cfSub {
+						t.Fatalf("%v - %v (cin %d, same %v) = %v/%d, want %v/%d", a.Values(), b.Values(), cin, same, res.Values(), cf, wantSub.Values(), cfSub)
+					}
+				}
+			}
+		}
 	}
 }

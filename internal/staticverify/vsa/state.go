@@ -29,6 +29,9 @@ func joinTabs(a, b []uint32) []uint32 {
 	if a == nil || b == nil {
 		return nil
 	}
+	if equalTabs(a, b) {
+		return a // lists are sorted and unique: the merge would copy a
+	}
 	out := make([]uint32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -146,7 +149,12 @@ type State struct {
 // EntryState is the abstract state at a function entry: nothing known
 // about registers or flags, stack height exactly zero.
 func EntryState() *State {
-	st := &State{EIND: Top(), RAMPZ: Top()}
+	st := entryState()
+	return &st
+}
+
+func entryState() State {
+	st := State{EIND: Top(), RAMPZ: Top()}
 	for i := range st.Regs {
 		st.Regs[i] = topVal()
 	}
@@ -289,8 +297,10 @@ func (st *State) pairEnum(lo, limit int) []uint16 {
 		return nil
 	}
 	out := make([]uint16, 0, nl*nh)
-	for _, h := range hiS.Values() {
-		for _, l := range loS.Values() {
+	var hbuf, lbuf [256]byte
+	lv := loS.AppendValues(lbuf[:0])
+	for _, h := range hiS.AppendValues(hbuf[:0]) {
+		for _, l := range lv {
 			out = append(out, uint16(h)<<8|uint16(l))
 		}
 	}

@@ -2,25 +2,31 @@ package vsa
 
 import "mavr/internal/avr"
 
-// Ctx is the read-only context abstract execution runs against: the
-// flash image, the validated pointer tables, and which flash bytes the
+// Ctx is the context abstract execution runs against: the flash
+// image, the validated pointer tables, and which flash bytes the
 // pointer patcher rewrites per permutation (their values must never be
-// baked into the analysis — they stay symbolic table provenance).
+// baked into the analysis — they stay symbolic table provenance). The
+// image, tables and patched set are shared read-only; the read set and
+// the finding sink are per shard, so one Ctx serves one goroutine.
 type Ctx struct {
 	Img []byte
 	// RegionStart/RegionEnd delimit the shuffleable code region whose
 	// bytes differ between permutations; reads from it are top.
 	RegionStart, RegionEnd uint32
 	Tables                 []Table
-	// Patched marks flash byte offsets rewritten per permutation.
-	Patched map[uint32]bool
+	// patched marks flash byte offsets rewritten per permutation.
+	patched bitset
 	// reads records flash offsets whose concrete bytes influenced the
 	// analysis (nil: don't record). The cached base path byte-compares
 	// these ranges before reusing a base analysis for another image.
-	reads map[uint32]bool
-	// emit receives structured findings during the reporting pass
-	// (nil during fixpoint iteration and fuzzing).
-	emit func(kind, detail string)
+	reads bitset
+	// report is set during the reporting pass, which appends structured
+	// findings at function-relative offset off (the instruction being
+	// stepped) to findings. Fixpoint iteration and fuzzing leave it
+	// unset.
+	report   bool
+	off      uint32
+	findings []Finding
 }
 
 // Step applies the abstract transfer function of one instruction to st
@@ -104,7 +110,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 		st.logicFlags(res)
 
 	case avr.OpCOM:
-		res := st.Regs[in.D].Set.Map1(func(v byte) byte { return ^v })
+		res := logicConst(st.Regs[in.D].Set, 0xFF, avr.OpEOR)
 		st.setReg(in.D, Val{Set: res})
 		st.logicFlags(res)
 		st.Flags[avr.FlagC] = FlagSet
@@ -113,14 +119,18 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 		st.setReg(in.D, Val{Set: res})
 		st.arithFlags(res, cf)
 	case avr.OpSWAP:
-		st.setReg(in.D, Val{Set: st.Regs[in.D].Set.Map1(func(v byte) byte { return v<<4 | v>>4 })})
+		v := st.Regs[in.D].Set
+		if !v.IsTop() { // a permutation of the byte values maps top to top
+			v = v.Map1(func(v byte) byte { return v<<4 | v>>4 })
+		}
+		st.setReg(in.D, Val{Set: v})
 	case avr.OpINC, avr.OpDEC:
 		overflowAt := byte(0x80)
 		d := byte(1)
 		if in.Op == avr.OpDEC {
 			overflowAt, d = 0x7F, 0xFF
 		}
-		res := st.Regs[in.D].Set.Map1(func(v byte) byte { return v + d })
+		res := st.Regs[in.D].Set.Rotate(d)
 		st.setReg(in.D, Val{Set: res})
 		var vf Flag
 		if res.Has(overflowAt) {
@@ -135,26 +145,24 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 		st.Flags[avr.FlagS] = FlagBoth
 
 	case avr.OpASR, avr.OpLSR, avr.OpROR:
+		// v>>1 lands in [0,128), so setting bit 7 on it adds 128.
+		v := st.Regs[in.D].Set
 		var res ByteSet
-		var cf Flag
-		for _, v := range st.Regs[in.D].Set.Values() {
-			cf |= FlagOf(v&1 != 0)
-			switch in.Op {
-			case avr.OpASR:
-				res = res.Add(v>>1 | v&0x80)
-			case avr.OpLSR:
-				res = res.Add(v >> 1)
-			case avr.OpROR:
-				if st.Flags[avr.FlagC].MayClear() {
-					res = res.Add(v >> 1)
-				}
-				if st.Flags[avr.FlagC].MaySet() {
-					res = res.Add(v>>1 | 0x80)
-				}
+		switch in.Op {
+		case avr.OpASR:
+			res = v.Intersect(below(128)).Halve().Union(v.Minus(below(128)).Halve().Rotate(128))
+		case avr.OpLSR:
+			res = v.Halve()
+		case avr.OpROR:
+			if st.Flags[avr.FlagC].MayClear() {
+				res = v.Halve()
+			}
+			if st.Flags[avr.FlagC].MaySet() {
+				res = res.Union(v.Halve().Rotate(128))
 			}
 		}
 		st.setReg(in.D, Val{Set: res})
-		st.Flags[avr.FlagC] = cf
+		st.Flags[avr.FlagC] = bitFlag(v, 0)
 		st.Flags[avr.FlagZ] = zFromRes(res)
 		st.Flags[avr.FlagN] = signFlag(res)
 		st.Flags[avr.FlagV] = FlagBoth
@@ -176,13 +184,11 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 	case avr.OpBLD:
 		t := st.Flags[avr.FlagT]
 		var res ByteSet
-		for _, v := range st.Regs[in.D].Set.Values() {
-			if t.MaySet() {
-				res = res.Add(v | 1<<in.B)
-			}
-			if t.MayClear() {
-				res = res.Add(v &^ (1 << in.B))
-			}
+		if t.MaySet() {
+			res = st.Regs[in.D].Set.SetBit(in.B)
+		}
+		if t.MayClear() {
+			res = res.Union(st.Regs[in.D].Set.ClearBit(in.B))
 		}
 		st.setReg(in.D, Val{Set: res})
 	case avr.OpBST:
@@ -267,8 +273,8 @@ func (st *State) clobberCall() {
 }
 
 func (c *Ctx) finding(kind, detail string) {
-	if c.emit != nil {
-		c.emit(kind, detail)
+	if c.report {
+		c.findings = append(c.findings, Finding{Off: c.off, Kind: kind, Detail: detail})
 	}
 }
 
@@ -371,7 +377,8 @@ func (c *Ctx) stepELPM(st *State, in avr.Instr) {
 	var addrs32 []uint32
 	z := st.pairAddrs(avr.RegZL)
 	if z != nil && !st.RAMPZ.IsTop() && st.RAMPZ.Size()*len(z) <= addrCap {
-		for _, hi := range st.RAMPZ.Values() {
+		var buf [256]byte
+		for _, hi := range st.RAMPZ.AppendValues(buf[:0]) {
 			for _, a := range z {
 				addrs32 = append(addrs32, uint32(hi)<<16|uint32(a))
 			}
@@ -675,7 +682,7 @@ func (c *Ctx) flashLoad(st *State, d int, addrs []uint16) {
 // base path can prove two images agree on every byte the analysis
 // consumed.
 func (c *Ctx) flashByte(off uint32) ByteSet {
-	if c.Patched != nil && c.Patched[off] {
+	if c.patched.has(off) {
 		return Top()
 	}
 	if off >= c.RegionStart && off < c.RegionEnd {
@@ -685,7 +692,7 @@ func (c *Ctx) flashByte(off uint32) ByteSet {
 		return Top()
 	}
 	if c.reads != nil {
-		c.reads[off] = true
+		c.reads.set(off)
 	}
 	return Const(c.Img[off])
 }
@@ -722,117 +729,137 @@ func dedupU32(xs []uint32) []uint32 {
 
 // --- arithmetic cores ---
 
-func cinVals(f Flag) []byte {
+func cinVals(f Flag) (vals [2]byte, n int) {
 	switch f {
 	case FlagClear:
-		return []byte{0}
+		return [2]byte{0}, 1
 	case FlagSet:
-		return []byte{1}
+		return [2]byte{1}, 1
 	case FlagBoth:
-		return []byte{0, 1}
+		return [2]byte{0, 1}, 2
 	}
-	return nil
+	return vals, 0
 }
 
-// absAdd enumerates x+y+cin over the operand cross product (or the
+// absAdd computes x+y+cin over the operand cross product (or the
 // diagonal when both operands are the same register), returning the
 // result set and the precise carry possibilities.
 func absAdd(a, b ByteSet, cin Flag, same bool) (ByteSet, Flag) {
-	cis := cinVals(cin)
-	av := a.Values()
-	bv := b.Values()
-	n := len(bv)
+	return addSub(a, b, cin, same, false)
+}
+
+// absSub computes x-y-cin, returning the result set and the precise
+// borrow possibilities.
+func absSub(a, b ByteSet, cin Flag, same bool) (ByteSet, Flag) {
+	return addSub(a, b, cin, same, true)
+}
+
+// addSub is absAdd, or absSub when sub is set. A cross product above
+// binCap gives top. Off the diagonal it takes one member y of an
+// operand at a time: adding (subtracting) d = y+cin modulo 256 rotates
+// the other operand's set, and exactly its members x with x+d > 255 (x
+// < d) carry (borrow), so the cost is set operations per member, not
+// an enumeration of the product.
+func addSub(a, b ByteSet, cin Flag, same, sub bool) (ByteSet, Flag) {
+	civ, nci := cinVals(cin)
+	na, nb := a.Size(), b.Size()
 	if same {
-		n = 1
+		nb = 1
 	}
-	if len(av) == 0 || len(bv) == 0 || len(cis) == 0 {
+	if na == 0 || nb == 0 || nci == 0 {
 		return ByteSet{}, 0
 	}
-	if len(av)*n*len(cis) > binCap {
+	if na*nb*nci > binCap {
 		return Top(), FlagBoth
 	}
 	var res ByteSet
 	var cf Flag
-	for _, x := range av {
-		ys := bv
-		if same {
-			ys = []byte{x}
+	var buf [256]byte
+	switch {
+	case same && sub: // x - x - c = -c, borrowing exactly when c = 1
+		for _, c := range civ[:nci] {
+			res = res.Add(-c)
+			cf |= FlagOf(c > 0)
 		}
-		for _, y := range ys {
-			for _, ci := range cis {
-				s := int(x) + int(y) + int(ci)
+		return res, cf
+	case same:
+		for _, x := range a.AppendValues(buf[:0]) {
+			for _, c := range civ[:nci] {
+				s := 2*int(x) + int(c)
 				res = res.Add(byte(s))
 				cf |= FlagOf(s > 0xFF)
 			}
 		}
+		return res, cf
 	}
-	return res, cf
-}
-
-// absSub enumerates x-y-cin, returning the result set and the precise
-// borrow possibilities.
-func absSub(a, b ByteSet, cin Flag, same bool) (ByteSet, Flag) {
-	cis := cinVals(cin)
-	av := a.Values()
-	bv := b.Values()
-	n := len(bv)
-	if same {
-		n = 1
+	if !sub && nb > na {
+		a, b = b, a
 	}
-	if len(av) == 0 || len(bv) == 0 || len(cis) == 0 {
-		return ByteSet{}, 0
-	}
-	if len(av)*n*len(cis) > binCap {
-		return Top(), FlagBoth
-	}
-	var res ByteSet
-	var cf Flag
-	for _, x := range av {
-		ys := bv
-		if same {
-			ys = []byte{x}
-		}
-		for _, y := range ys {
-			for _, ci := range cis {
-				res = res.Add(x - y - ci)
-				cf |= FlagOf(int(y)+int(ci) > int(x))
+	for _, y := range b.AppendValues(buf[:0]) {
+		for _, c := range civ[:nci] {
+			d := int(y) + int(c)
+			var carry ByteSet
+			if sub {
+				res = res.Union(a.Rotate(byte(-d)))
+				carry = a.Intersect(below(d))
+			} else {
+				res = res.Union(a.Rotate(byte(d)))
+				carry = a.Minus(below(256 - d))
+			}
+			if !carry.IsEmpty() {
+				cf |= FlagSet
+			}
+			if !a.Minus(carry).IsEmpty() {
+				cf |= FlagClear
 			}
 		}
 	}
 	return res, cf
 }
 
+// absLogic computes AND/OR/EOR over the operand cross product (top
+// above binCap), one member of the smaller operand at a time. The
+// same-register forms are closed: x&x = x|x = x and x^x = 0.
 func absLogic(a, b ByteSet, op avr.Op, same bool) ByteSet {
-	av := a.Values()
-	bv := b.Values()
-	n := len(bv)
-	if same {
-		n = 1
+	if same && !a.IsEmpty() {
+		if op == avr.OpEOR {
+			return Const(0)
+		}
+		return a
 	}
-	if len(av) == 0 || len(bv) == 0 {
+	na, nb := a.Size(), b.Size()
+	if na == 0 || nb == 0 {
 		return ByteSet{}
 	}
-	if len(av)*n > binCap {
+	if na*nb > binCap {
 		return Top()
 	}
+	if nb > na {
+		a, b = b, a
+	}
 	var res ByteSet
-	for _, x := range av {
-		ys := bv
-		if same {
-			ys = []byte{x}
-		}
-		for _, y := range ys {
-			switch op {
-			case avr.OpAND, avr.OpANDI:
-				res = res.Add(x & y)
-			case avr.OpOR, avr.OpORI:
-				res = res.Add(x | y)
-			case avr.OpEOR:
-				res = res.Add(x ^ y)
-			}
-		}
+	var buf [256]byte
+	for _, k := range b.AppendValues(buf[:0]) {
+		res = res.Union(logicConst(a, k, op))
 	}
 	return res
+}
+
+// logicConst returns {x op k : x in s} one bit of k at a time: AND
+// clears the bits k lacks, OR sets the bits it has, EOR flips them.
+func logicConst(s ByteSet, k byte, op avr.Op) ByteSet {
+	for j := 0; j < 8; j++ {
+		has := k&(1<<j) != 0
+		switch {
+		case (op == avr.OpAND || op == avr.OpANDI) && !has:
+			s = s.ClearBit(j)
+		case (op == avr.OpOR || op == avr.OpORI) && has:
+			s = s.SetBit(j)
+		case op == avr.OpEOR && has:
+			s = s.FlipBit(j)
+		}
+	}
+	return s
 }
 
 // arithFlags applies the ADD/SUB-family flag writes: precise C and Z,
@@ -880,49 +907,17 @@ func zFromRes(res ByteSet) Flag {
 	return f
 }
 
-func signFlag(res ByteSet) Flag {
-	if res.IsTop() {
-		return FlagBoth
-	}
-	var f Flag
-	for _, v := range res.Values() {
-		f |= FlagOf(v&0x80 != 0)
-		if f == FlagBoth {
-			break
-		}
-	}
-	return f
-}
-
-// bitFlag returns the possibilities of bit b across the set.
-func bitFlag(s ByteSet, b int) Flag {
-	if s.IsTop() {
-		return FlagBoth
-	}
-	var f Flag
-	for _, v := range s.Values() {
-		f |= FlagOf(v&(1<<b) != 0)
-		if f == FlagBoth {
-			break
-		}
-	}
-	return f
-}
-
-// sregSet builds the abstract SREG byte from the flag lattice.
+// sregSet builds the abstract SREG byte from the flag lattice: the
+// bytes whose every bit i is a value flag i allows.
 func sregSet(st *State) ByteSet {
-	s := FromBytes(0)
-	for i := 0; i < 8; i++ {
-		f := st.Flags[i]
-		var next ByteSet
-		if f.MayClear() {
-			next = s
+	s := Top()
+	for i, f := range st.Flags {
+		if !f.MaySet() {
+			s = s.Minus(bitSets[i])
 		}
-		if f.MaySet() {
-			bit := byte(1 << i)
-			next = next.Union(s.Map1(func(b byte) byte { return b | bit }))
+		if !f.MayClear() {
+			s = s.Intersect(bitSets[i])
 		}
-		s = next
 	}
 	return s
 }
