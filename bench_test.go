@@ -169,8 +169,8 @@ func BenchmarkBruteForce(b *testing.B) {
 			// how many workers run the trials.
 			var fixed, rer core.BruteForceResult
 			for i := 0; i < b.N; i++ {
-				fixed = core.SimulateBruteForceFixedParallel(1, n, 500, 0)
-				rer = core.SimulateBruteForceRerandomizedParallel(1, n, 500, 0)
+				fixed = core.SimulateBruteForceFixed(1, n, 500, 0)
+				rer = core.SimulateBruteForceRerandomized(1, n, 500, 0)
 			}
 			b.ReportMetric(fixed.MeanAttempts, "fixed_attempts")
 			b.ReportMetric(rer.MeanAttempts, "mavr_attempts")

@@ -4,24 +4,20 @@
 //
 // Usage:
 //
-//	mavr-bench [-only table1,table2,table3,fig1,...,effectiveness,entropy,bruteforce]
-//	mavr-bench -perf   # substrate micro-benchmarks in benchstat format
+//	mavr-bench [-only table1,table2,table3,fig1,...,effectiveness,entropy,bruteforce,synthesis]
+//
+// Timing benchmarks live in the packages' _test.go files; see
+// benchmarks/baseline.txt for the command that regenerates them.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"testing"
 	"time"
 
-	"mavr/internal/armory"
 	"mavr/internal/asm"
 	"mavr/internal/attack"
 	"mavr/internal/avr"
@@ -31,9 +27,6 @@ import (
 	"mavr/internal/gadget"
 	"mavr/internal/gcs"
 	"mavr/internal/mavlink"
-	"mavr/internal/netlink"
-	"mavr/internal/scenario"
-	"mavr/internal/staticverify"
 )
 
 func main() {
@@ -53,7 +46,6 @@ var paperTables = map[string][3]int{
 
 func run() error {
 	only := flag.String("only", "", "comma-separated subset of experiments")
-	perfMode := flag.Bool("perf", false, "run substrate micro-benchmarks and print benchstat-format lines")
 	flag.Parse()
 
 	type step struct {
@@ -68,6 +60,7 @@ func run() error {
 		{"matrix", matrix},
 		{"entropy", entropy},
 		{"bruteforce", bruteforce},
+		{"synthesis", synthesis},
 		{"fig1", fig1},
 		{"fig2", fig2},
 		{"fig3", fig3},
@@ -85,9 +78,6 @@ func run() error {
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
-	if *perfMode {
-		return perf()
-	}
 	for _, s := range steps {
 		if !sel(s.name) {
 			continue
@@ -113,340 +103,6 @@ func parseOnly(only string, valid []string) (map[string]bool, error) {
 		want[s] = true
 	}
 	return want, nil
-}
-
-// perf runs the substrate micro-benchmarks that gate the emulator's
-// performance work and prints them as benchstat-compatible lines, so a
-// checked-in baseline (benchmarks/baseline.txt) can be compared against
-// a working tree with `mavr-bench -perf > new.txt && benchstat
-// benchmarks/baseline.txt new.txt`.
-func perf() error {
-	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
-	if err != nil {
-		return err
-	}
-	plane, err := firmware.Generate(firmware.Arduplane(), firmware.ModeMAVR)
-	if err != nil {
-		return err
-	}
-	sim, err := attack.NewSim(img.Flash)
-	if err != nil {
-		return err
-	}
-	planePre, err := core.Preprocess(plane.ELF)
-	if err != nil {
-		return err
-	}
-	planeRnd, err := core.Randomize(planePre, core.Permutation(rand.New(rand.NewSource(1)), len(planePre.Blocks)))
-	if err != nil {
-		return err
-	}
-
-	benches := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"CPUExecution", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if f := sim.Run(10_000); f != nil {
-					b.Fatal(f)
-				}
-			}
-		}},
-		{"GadgetScanArduplane", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gadget.Scan(plane.Flash, 24)
-			}
-		}},
-		{"AttackSynthesize", func(b *testing.B) {
-			// Full two-phase chain synthesis (landing + stealth) from a
-			// cold gadget scan of the test application — the
-			// attacker-side cost a generative scenario pays for each
-			// synth injection.
-			for i := 0; i < b.N; i++ {
-				s, err := attack.Synthesize(img.ELF, attack.SynthOptions{Stealth: true, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !s.Found {
-					b.Fatal("synthesis found no chain")
-				}
-			}
-		}},
-		{"BruteForceN3", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.SimulateBruteForceFixedParallel(1, 3, 500, 0)
-				core.SimulateBruteForceRerandomizedParallel(1, 3, 500, 0)
-			}
-		}},
-		{"BruteForceN5", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.SimulateBruteForceFixedParallel(1, 5, 500, 0)
-				core.SimulateBruteForceRerandomizedParallel(1, 5, 500, 0)
-			}
-		}},
-		{"StaticVerify", func(b *testing.B) {
-			// Full verification (CFG + diff, no gadget audit) of an
-			// ArduPlane-scale randomization — the pre-flash gate the
-			// master runs on every re-randomization.
-			for i := 0; i < b.N; i++ {
-				rep := staticverify.Verify(planePre, planeRnd, staticverify.Options{})
-				if !rep.OK() {
-					b.Fatal("verification failed")
-				}
-			}
-		}},
-		{"StaticVerifyVSA", func(b *testing.B) {
-			// StaticVerify plus the value-set analysis: abstract
-			// interpretation of every recovered function, indirect-site
-			// resolution and stack-discipline proofs on an
-			// ArduPlane-scale image — the armory's per-base analysis
-			// cost before translation amortizes it across the fleet.
-			for i := 0; i < b.N; i++ {
-				rep := staticverify.Verify(planePre, planeRnd, staticverify.Options{VSA: true})
-				if !rep.OK() {
-					b.Fatal("verification failed")
-				}
-			}
-		}},
-		{"StaticVerifyCached", func(b *testing.B) {
-			// Same verification as StaticVerify, through a reusable
-			// staticverify.Base handle: the CFG recovery is paid once
-			// outside the loop, each iteration runs the cached lockstep
-			// diff — the armory's per-artifact cost on a cache hit.
-			base := staticverify.NewBase(planePre, staticverify.Options{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := base.Verify(planeRnd)
-				if !rep.OK() {
-					b.Fatal("verification failed")
-				}
-			}
-		}},
-		{"ArmoryRandomizeCold", func(b *testing.B) {
-			// Full armory pipeline with an empty cache each iteration:
-			// parse + preprocess + CFG recovery + permute + patch +
-			// verify + sign for one ArduPlane-scale image.
-			raw, err := plane.ELF.Marshal()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := armory.New(armory.Config{Workers: 1, Opts: &staticverify.Options{}})
-				if _, err := s.Randomize(armory.Request{Image: raw, Vehicle: "bench", Epoch: uint64(i)}); err != nil {
-					b.Fatal(err)
-				}
-				s.Close()
-			}
-		}},
-		{"ArmoryRandomizeCached", func(b *testing.B) {
-			// Steady-state armory pipeline: the base is cached, each
-			// iteration provisions a distinct vehicle off the shared
-			// preprocessing — the per-artifact cost of fleet batches.
-			raw, err := plane.ELF.Marshal()
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := armory.New(armory.Config{Workers: 1, Opts: &staticverify.Options{}})
-			defer s.Close()
-			if _, err := s.Randomize(armory.Request{Image: raw, Vehicle: "warmup", Epoch: 0}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Randomize(armory.Request{Image: raw, Vehicle: fmt.Sprintf("bench-%d", i), Epoch: 0}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"Decode", func(b *testing.B) {
-			words := uint32(len(img.Flash) / 2)
-			for i := 0; i < b.N; i++ {
-				avr.DecodeAt(img.Flash, uint32(i)%words)
-			}
-		}},
-		{"ScenarioReplay", benchScenarioReplay},
-		{"FrameEncode", benchFrameEncode},
-		{"FrameParse", benchFrameParse},
-		{"NetlinkRoundTrip", benchNetlinkRoundTrip},
-	}
-	fmt.Println("goos: linux")
-	fmt.Println("goarch: amd64")
-	fmt.Println("pkg: mavr/cmd/mavr-bench")
-	for _, bench := range benches {
-		fn := bench.fn
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		fmt.Printf("Benchmark%s \t%8d\t%12.1f ns/op\t%8d B/op\t%8d allocs/op\n",
-			bench.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
-			r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-	// Not benchstat input, hence the comment prefix: how much of the
-	// CPUExecution workload the block engine absorbed vs interpreted.
-	st := sim.CPU.TranslationStats()
-	fmt.Printf("# avr block engine: translated=%d invalidated=%d execs=%d bails=%d interp-steps=%d\n",
-		st.Translated, st.Invalidated, st.Execs, st.Bails, st.InterpSteps)
-
-	// Armory batch throughput: a fleet-provisioning burst (one base,
-	// distinct vehicles, all worker slots busy). Wall-clock measured,
-	// comment-prefixed like the block-engine line.
-	if err := perfArmoryBatch(plane); err != nil {
-		return err
-	}
-	// Attack-synthesis cost curve: chain search attempts against
-	// successive re-randomization epochs — the measured form of the
-	// paper's n! brute-force argument. Epoch 0 is the binary the shapes
-	// came from; later epochs replay the stale candidate set (plus
-	// blind probes) against fresh permutations and exhaust the budget.
-	pts, err := attack.SynthesisCostCurve(firmware.TestApp(), 3, 24, 7)
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		fmt.Printf("# synthesis cost: epoch=%d attempts=%d blind=%d found=%v stealthy=%v\n",
-			p.Epoch, p.Attempts, p.Blind, p.Found, p.Stealthy)
-	}
-	return nil
-}
-
-// perfArmoryBatch measures the armory's steady-state batch rate:
-// ArduPlane-scale images for 256 distinct vehicles through a
-// NumCPU-worker pool off one cached base.
-func perfArmoryBatch(plane *firmware.Image) error {
-	raw, err := plane.ELF.Marshal()
-	if err != nil {
-		return err
-	}
-	workers := runtime.NumCPU()
-	s := armory.New(armory.Config{Workers: workers, Opts: &staticverify.Options{}})
-	defer s.Close()
-	if _, err := s.Randomize(armory.Request{Image: raw, Vehicle: "warmup", Epoch: 0}); err != nil {
-		return err
-	}
-	const batch = 256
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, batch)
-	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Randomize(armory.Request{Image: raw, Vehicle: fmt.Sprintf("batch-%d", i), Epoch: 0})
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("# armory batch: %d arduplane images, %d workers: %.1f images/sec (%v total)\n",
-		batch, workers, float64(batch)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// benchScenarioReplay measures one full deterministic replay of the
-// v1-crash scenario (1.5s of simulated flight, firmware generation,
-// attack synthesis and trace emission) — the unit of work the golden
-// conformance gate performs per scenario.
-func benchScenarioReplay(b *testing.B) {
-	spec, err := scenario.Lookup("v1-crash")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := scenario.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Records) == 0 || res.Records[len(res.Records)-1].Kind != "verdict" {
-			b.Fatal("replay produced no verdict")
-		}
-	}
-}
-
-func benchHeartbeatFrame() *mavlink.Frame {
-	hb := &mavlink.Heartbeat{Type: 1, Autopilot: 3, SystemStatus: mavlink.StateActive, MavlinkVersion: 3}
-	return &mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, SysID: 1, CompID: 1, Payload: hb.Marshal()}
-}
-
-func benchFrameEncode(b *testing.B) {
-	f := benchHeartbeatFrame()
-	buf := make([]byte, 0, 64)
-	for i := 0; i < b.N; i++ {
-		out, err := f.AppendMarshal(buf[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = out
-	}
-}
-
-func benchFrameParse(b *testing.B) {
-	frames := make([]*mavlink.Frame, 16)
-	for i := range frames {
-		f := benchHeartbeatFrame()
-		f.Seq = byte(i)
-		frames[i] = f
-	}
-	wire, err := mavlink.MarshalBatch(frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var p mavlink.Parser
-	b.SetBytes(int64(len(wire)))
-	for i := 0; i < b.N; i++ {
-		p.FeedBytes(wire)
-	}
-	if p.Stats().Frames == 0 {
-		b.Fatal("parser produced no frames")
-	}
-}
-
-// benchNetlinkRoundTrip measures one encode → UDP loopback send →
-// receive → decode cycle of the fleet transport, mirroring
-// internal/netlink's BenchmarkNetlinkRoundTrip.
-func benchNetlinkRoundTrip(b *testing.B) {
-	echoConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer echoConn.Close()
-	go func() {
-		buf := make([]byte, 1<<16)
-		for {
-			n, addr, err := echoConn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			echoConn.WriteToUDP(buf[:n], addr)
-		}
-	}()
-	conn, err := net.DialUDP("udp", nil, echoConn.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-
-	payload := make([]byte, 256)
-	buf := make([]byte, 1<<16)
-	for i := 0; i < b.N; i++ {
-		pkt := netlink.Encode(netlink.Header{Type: netlink.PacketData, SysID: 1, Seq: uint32(i)}, payload)
-		if _, err := conn.Write(pkt); err != nil {
-			b.Fatal(err)
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := netlink.Decode(buf[:n]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func genAll() ([]*firmware.Image, error) {
@@ -707,10 +363,30 @@ func bruteforce() error {
 	for _, n := range []int{3, 4, 5} {
 		// Worker-pool sweeps; deterministic for the fixed seed regardless
 		// of worker count.
-		f := core.SimulateBruteForceFixedParallel(1, n, 4000, 0)
-		r := core.SimulateBruteForceRerandomizedParallel(1, n, 4000, 0)
+		f := core.SimulateBruteForceFixed(1, n, 4000, 0)
+		r := core.SimulateBruteForceRerandomized(1, n, 4000, 0)
 		fmt.Printf("  %d    %7.1f (%7.1f)           %7.1f (%7.1f)\n",
 			n, f.MeanAttempts, f.ModelAttempts, r.MeanAttempts, r.ModelAttempts)
+	}
+	fmt.Println()
+	return nil
+}
+
+// synthesis prints the attack-synthesis cost curve: chain search
+// attempts against successive re-randomization epochs — the measured
+// form of the paper's n! brute-force argument. Epoch 0 is the binary
+// the shapes came from; later epochs replay the stale candidate set
+// (plus blind probes) against fresh permutations and exhaust the
+// budget.
+func synthesis() error {
+	fmt.Println("SYNTHESIS COST (§V-D measured): chain search vs re-randomization epoch, budget 24")
+	pts, err := attack.SynthesisCostCurve(firmware.TestApp(), 3, 24, 7)
+	if err != nil {
+		return err
+	}
+	for _, p := range pts {
+		fmt.Printf("  epoch=%d attempts=%d blind=%d found=%v stealthy=%v\n",
+			p.Epoch, p.Attempts, p.Blind, p.Found, p.Stealthy)
 	}
 	fmt.Println()
 	return nil

@@ -106,8 +106,8 @@ func run() error {
 	}
 	fmt.Printf("  layout identical across reflashes: %v (failed attempts leak durable information)\n", same)
 	fmt.Printf("  no readout fuse: debugger dump succeeded (%d bytes)\n", len(x))
-	fixed := core.SimulateBruteForceFixed(rng, 4, 2000)
-	rer := core.SimulateBruteForceRerandomized(rng, 4, 2000)
+	fixed := core.SimulateBruteForceFixed(1, 4, 2000, 0)
+	rer := core.SimulateBruteForceRerandomized(1, 4, 2000, 0)
 	fmt.Printf("  brute force at n=4: fixed layout %.1f attempts vs MAVR %.1f\n\n",
 		fixed.MeanAttempts, rer.MeanAttempts)
 

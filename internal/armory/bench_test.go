@@ -1,0 +1,57 @@
+package armory
+
+import (
+	"fmt"
+	"testing"
+
+	"mavr/internal/firmware"
+	"mavr/internal/staticverify"
+)
+
+func benchPlaneELF(b *testing.B) []byte {
+	b.Helper()
+	img, err := firmware.Generate(firmware.Arduplane(), firmware.ModeMAVR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := img.ELF.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkArmoryRandomizeCold is the full pipeline with an empty cache
+// each iteration: parse + preprocess + CFG recovery + permute + patch +
+// verify + sign for one ArduPlane-scale image.
+func BenchmarkArmoryRandomizeCold(b *testing.B) {
+	raw := benchPlaneELF(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(Config{Workers: 1, Opts: &staticverify.Options{}})
+		if _, err := s.Randomize(Request{Image: raw, Vehicle: "bench", Epoch: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkArmoryRandomizeCached is the steady state: the base is
+// cached and each iteration provisions a distinct vehicle off the
+// shared preprocessing — the per-artifact cost of fleet batches.
+func BenchmarkArmoryRandomizeCached(b *testing.B) {
+	raw := benchPlaneELF(b)
+	s := New(Config{Workers: 1, Opts: &staticverify.Options{}})
+	defer s.Close()
+	if _, err := s.Randomize(Request{Image: raw, Vehicle: "warmup", Epoch: 0}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Randomize(Request{Image: raw, Vehicle: fmt.Sprintf("bench-%d", i), Epoch: 0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

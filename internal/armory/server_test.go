@@ -4,6 +4,7 @@
 package armory
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mavr/internal/core"
 )
 
 // TestServerRoundTrip exercises the HTTP surface end to end through the
@@ -157,5 +160,38 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 	}
 	if err := tamper(func(a *Artifact) {}); err != nil {
 		t.Fatalf("untampered response rejected: %v", err)
+	}
+}
+
+// TestServerRejectsMalformedLayout sends prepended images whose headers
+// lie about the image under them — a function pointer past its end, a
+// block extending past it. Both used to panic the randomizing worker
+// and with it the whole process; now they are 422s and the service
+// keeps serving.
+func TestServerRejectsMalformedLayout(t *testing.T) {
+	elf, _ := testImage()
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	c := NewClient(srv.URL, DefaultSecret)
+	c.HTTPClient = srv.Client()
+
+	img := make([]byte, 16)
+	for i, p := range []*core.Preprocessed{
+		{Image: img, Blocks: []core.Block{{Name: "f", Start: 8, Size: 8}}, RegionStart: 8, RegionEnd: 16, PtrOffsets: []uint32{0x40}},
+		{Image: img, Blocks: []core.Block{{Name: "f", Start: 8, Size: 0x38}}, RegionStart: 8, RegionEnd: 0x40},
+	} {
+		var body bytes.Buffer
+		if _, err := p.WriteTo(&body); err != nil {
+			t.Fatal(err)
+		}
+		var re *RequestError
+		if _, err := c.Randomize(body.Bytes(), "uav-bad", uint64(i)); !errors.As(err, &re) || re.Status != 422 {
+			t.Fatalf("malformed image %d: %v, want RequestError 422", i, err)
+		}
+	}
+	if _, err := c.Randomize(elf, "uav-1", 0); err != nil {
+		t.Fatalf("good request after malformed ones: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"mavr/internal/avr"
 	"mavr/internal/core"
+	"mavr/internal/detrand"
 	"mavr/internal/elfobj"
 	"mavr/internal/firmware"
 	"mavr/internal/gadget"
@@ -299,15 +300,10 @@ func orderWriters(ws []*WriterShape, seed int64) {
 	})
 }
 
-// mix64 is a SplitMix64 finalizer over (seed, v) — the deterministic
+// mix64 is the SplitMix64 finalizer over (seed, v) — the deterministic
 // tiebreak that makes candidate order a pure function of the seed.
 func mix64(seed int64, v uint64) uint64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + v
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ x>>31
+	return detrand.Mix(uint64(seed)*detrand.Gamma + v)
 }
 
 func hasReg(s []int, r int) bool {

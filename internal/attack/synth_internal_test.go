@@ -140,3 +140,35 @@ func TestWriterCandidatesRejectsDegenerateRuns(t *testing.T) {
 		t.Errorf("healthy run not composed: %+v", ws)
 	}
 }
+
+// Known answers recorded before the candidate-order hash moved onto
+// internal/detrand: the seed-1 tiebreak values, the resulting order of
+// eight otherwise-equal writers, and the writer ranked first on the
+// test application.
+func TestCandidateOrderFrozen(t *testing.T) {
+	var mix [4]uint64
+	for i := range mix {
+		mix[i] = mix64(1, uint64(i+1))
+	}
+	if w := [4]uint64{0x910a2dec89025cc1, 0x975835de1c9756ce, 0x1d0b14e4db018fed, 0x6e73e372e2338aca}; mix != w {
+		t.Errorf("mix64(1, 1..4) = %#x, want %#x", mix, w)
+	}
+	var ws []*WriterShape
+	for i := uint32(1); i <= 8; i++ {
+		ws = append(ws, &WriterShape{Fused: true, StoreAddr: 0x100 * i})
+	}
+	orderWriters(ws, 1)
+	var order [8]uint32
+	for i, w := range ws {
+		order[i] = w.StoreAddr
+	}
+	if w := [8]uint32{0x600, 0x800, 0x400, 0x100, 0x700, 0x300, 0x500, 0x200}; order != w {
+		t.Errorf("seed-1 order = %#x, want %#x", order, w)
+	}
+	img := testImage(t)
+	real := writerCandidates(gadget.Scan(img.ELF.Text, 24))
+	orderWriters(real, 1)
+	if len(real) != 1 || real[0].StoreAddr != 0xb4c {
+		t.Errorf("testapp candidates: %+v; want one at 0xb4c", real)
+	}
+}

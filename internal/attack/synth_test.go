@@ -206,3 +206,25 @@ func TestChainEdgeCases(t *testing.T) {
 		t.Errorf("oversized V2 chain error = %v, want ErrPayloadTooLong", err)
 	}
 }
+
+// BenchmarkAttackSynthesize is the full two-phase chain synthesis
+// (landing + stealth) from a cold gadget scan of the test application —
+// the attacker-side cost a generative scenario pays for each synth
+// injection.
+func BenchmarkAttackSynthesize(b *testing.B) {
+	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := attack.Synthesize(img.ELF, attack.SynthOptions{Stealth: true, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !s.Found {
+			b.Fatal("synthesis found no chain")
+		}
+	}
+}

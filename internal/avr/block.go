@@ -59,8 +59,8 @@ const (
 // forces every CPU created afterwards to use the plain interpreter.
 var forceInterpEnv = os.Getenv("MAVR_AVR_INTERP") == "1"
 
-// BlockStats counts block-engine activity for perf tooling
-// (mavr-bench -perf prints them next to the benchmark lines).
+// BlockStats counts block-engine activity for perf tooling (the
+// mavrbench avr.* per-layer metrics).
 type BlockStats struct {
 	Translated  uint64 // blocks translated (including retranslations)
 	Invalidated uint64 // stale cached blocks dropped on entry

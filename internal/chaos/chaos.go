@@ -17,7 +17,11 @@
 // vettool's enforced set.
 package chaos
 
-import "time"
+import (
+	"time"
+
+	"mavr/internal/detrand"
+)
 
 // Dir names a link direction relative to the vehicle: Down is
 // vehicle→ground (telemetry), Up is ground→vehicle (commands).
@@ -159,8 +163,8 @@ func (c Config) partitionWindow() uint64 {
 // key mixes (seed, domain, entity, tick) into one well-distributed
 // 64-bit hash — the per-decision randomness source.
 func (c Config) key(domain string, entity uint64, tick uint64) uint64 {
-	return splitmix64(uint64(c.Seed)) ^ fnv64(domain) ^
-		splitmix64(entity*0xA24BAED4963EE407+1) ^ (tick * 0x9E3779B97F4A7C15)
+	return detrand.Hash(uint64(c.Seed)) ^ detrand.FNV64(domain) ^
+		detrand.Hash(entity*0xA24BAED4963EE407+1) ^ (tick * detrand.Gamma)
 }
 
 // BoardFate returns board sysID's fate at tick. Callers are expected
@@ -171,13 +175,13 @@ func (c Config) BoardFate(sysID byte, tick uint64) BoardFault {
 		return BoardFault{}
 	}
 	k := c.key("board", uint64(sysID), tick)
-	if c.PanicRate > 0 && unit(splitmix64(k+1)) < c.PanicRate {
+	if c.PanicRate > 0 && detrand.Unit(detrand.Hash(k+1)) < c.PanicRate {
 		return BoardFault{Kind: FaultPanic}
 	}
-	if c.HangRate > 0 && unit(splitmix64(k+2)) < c.HangRate {
+	if c.HangRate > 0 && detrand.Unit(detrand.Hash(k+2)) < c.HangRate {
 		return BoardFault{Kind: FaultHang, Ticks: c.hangTicks()}
 	}
-	if c.StallRate > 0 && unit(splitmix64(k+3)) < c.StallRate {
+	if c.StallRate > 0 && detrand.Unit(detrand.Hash(k+3)) < c.StallRate {
 		return BoardFault{Kind: FaultStall, Ticks: c.stallTicks()}
 	}
 	return BoardFault{}
@@ -197,7 +201,7 @@ func (c Config) Partitioned(dir Dir, sysID byte, seq uint32) bool {
 	}
 	w := uint64(seq) / c.partitionWindow()
 	k := c.key("partition/"+dir.String(), uint64(sysID), w)
-	return unit(splitmix64(k+4)) < rate
+	return detrand.Unit(detrand.Hash(k+4)) < rate
 }
 
 // Corrupt returns the scheduled damage for the datagram with sequence
@@ -207,14 +211,14 @@ func (c Config) Corrupt(dir Dir, sysID byte, seq uint32) (Corruption, bool) {
 		return Corruption{}, false
 	}
 	k := c.key("corrupt/"+dir.String(), uint64(sysID), uint64(seq))
-	if unit(splitmix64(k+5)) >= c.CorruptRate {
+	if detrand.Unit(detrand.Hash(k+5)) >= c.CorruptRate {
 		return Corruption{}, false
 	}
-	x := byte(splitmix64(k + 6))
+	x := byte(detrand.Hash(k + 6))
 	if x == 0 {
 		x = 0xFF
 	}
-	return Corruption{Offset: splitmix64(k + 7), XOR: x}, true
+	return Corruption{Offset: detrand.Hash(k + 7), XOR: x}, true
 }
 
 // Churn reports whether soak station should tear down and rejoin its
@@ -224,7 +228,7 @@ func (c Config) Churn(station uint64, tick uint64) bool {
 		return false
 	}
 	k := c.key("churn", station, tick)
-	return unit(splitmix64(k+8)) < c.ChurnRate
+	return detrand.Unit(detrand.Hash(k+8)) < c.ChurnRate
 }
 
 // Backoff returns a supervisor's restart delay for entity's attempt-th
@@ -246,31 +250,8 @@ func Backoff(seed int64, entity uint64, attempt int, base, ceil time.Duration) t
 	if d > ceil {
 		d = ceil
 	}
-	k := splitmix64(uint64(seed)) ^ fnv64("backoff") ^
-		splitmix64(entity+1) ^ splitmix64(uint64(attempt)+0x9E37)
+	k := detrand.Hash(uint64(seed)) ^ detrand.FNV64("backoff") ^
+		detrand.Hash(entity+1) ^ detrand.Hash(uint64(attempt)+0x9E37)
 	half := d / 2
-	return half + time.Duration(unit(splitmix64(k))*float64(half))
-}
-
-// splitmix64 is the SplitMix64 finalizer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// fnv64 hashes a domain name (FNV-1a).
-func fnv64(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// unit maps a hash to [0, 1).
-func unit(x uint64) float64 {
-	return float64(x>>11) / (1 << 53)
+	return half + time.Duration(detrand.Unit(detrand.Hash(k))*float64(half))
 }

@@ -256,13 +256,12 @@ func TestExpectedAttemptsModels(t *testing.T) {
 }
 
 func TestBruteForceSimulationMatchesModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fixed := core.SimulateBruteForceFixed(rng, 4, 4000)
+	fixed := core.SimulateBruteForceFixed(11, 4, 4000, 1)
 	if rel := math.Abs(fixed.MeanAttempts-fixed.ModelAttempts) / fixed.ModelAttempts; rel > 0.06 {
 		t.Errorf("fixed brute force mean %.2f vs model %.2f (rel err %.3f)",
 			fixed.MeanAttempts, fixed.ModelAttempts, rel)
 	}
-	rer := core.SimulateBruteForceRerandomized(rng, 4, 4000)
+	rer := core.SimulateBruteForceRerandomized(11, 4, 4000, 1)
 	if rel := math.Abs(rer.MeanAttempts-rer.ModelAttempts) / rer.ModelAttempts; rel > 0.08 {
 		t.Errorf("re-randomized brute force mean %.2f vs model %.2f (rel err %.3f)",
 			rer.MeanAttempts, rer.ModelAttempts, rel)

@@ -90,12 +90,6 @@ func Preprocess(elf *elfobj.File) (*Preprocessed, error) {
 	sort.Slice(p.Blocks, func(i, j int) bool { return p.Blocks[i].Start < p.Blocks[j].Start })
 	p.RegionStart = p.Blocks[0].Start
 	p.RegionEnd = p.Blocks[len(p.Blocks)-1].End()
-	for i := 1; i < len(p.Blocks); i++ {
-		if p.Blocks[i].Start != p.Blocks[i-1].End() {
-			return nil, fmt.Errorf("%w: gap between %q and %q at 0x%X",
-				ErrNotTiling, p.Blocks[i-1].Name, p.Blocks[i].Name, p.Blocks[i-1].End())
-		}
-	}
 
 	// Scan the .data load image for function pointers (vtables, dispatch
 	// arrays) that must be patched when their targets move (paper
@@ -156,7 +150,49 @@ func Preprocess(elf *elfobj.File) (*Preprocessed, error) {
 		}
 	}
 	sort.Slice(p.PtrTables, func(i, j int) bool { return p.PtrTables[i].DataAddr < p.PtrTables[j].DataAddr })
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// validate checks the invariants StreamRandomize relies on: the blocks
+// are sorted and tile [RegionStart, RegionEnd), the region lies inside
+// the image, and every function pointer and pointer table lies in the
+// fixed bytes at or above RegionEnd. Both parsers call it, so a
+// malformed upload is rejected when it is loaded, and StreamRandomize
+// calls it again for handles built by hand.
+func (p *Preprocessed) validate() error {
+	end := uint64(p.RegionStart)
+	for i, b := range p.Blocks {
+		if uint64(b.Start) != end {
+			prev := "the region start"
+			if i > 0 {
+				prev = strconv.Quote(p.Blocks[i-1].Name)
+			}
+			return fmt.Errorf("%w: %q starts at 0x%X, not at the end of %s (0x%X)",
+				ErrNotTiling, b.Name, b.Start, prev, end)
+		}
+		end += uint64(b.Size)
+	}
+	if end != uint64(p.RegionEnd) {
+		return fmt.Errorf("%w: blocks end at 0x%X, region at 0x%X", ErrNotTiling, end, p.RegionEnd)
+	}
+	size := uint64(len(p.Image))
+	if uint64(p.RegionEnd) > size {
+		return fmt.Errorf("core: function region ends at 0x%X past the %d-byte image", p.RegionEnd, size)
+	}
+	for _, off := range p.PtrOffsets {
+		if off < p.RegionEnd || uint64(off)+2 > size {
+			return fmt.Errorf("core: function pointer at 0x%X outside [0x%X, 0x%X)", off, p.RegionEnd, size)
+		}
+	}
+	for _, t := range p.PtrTables {
+		if t.FlashOff < p.RegionEnd || uint64(t.FlashOff)+2*uint64(t.Words) > size {
+			return fmt.Errorf("core: pointer table %q outside [0x%X, 0x%X)", t.Name, p.RegionEnd, size)
+		}
+	}
+	return nil
 }
 
 // BlockIndex returns the index of the block containing byte address
@@ -303,5 +339,8 @@ func ReadPreprocessed(r io.Reader) (*Preprocessed, error) {
 		return nil, err
 	}
 	p.Image = img
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadPrepended, err)
+	}
 	return p, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 
@@ -45,40 +47,57 @@ type Randomized struct {
 
 // Randomize produces a new flash image with the function blocks
 // arranged according to perm, all encoded control transfers and
-// function pointers patched (paper §V-B2/B3, §VI-B3).
+// function pointers patched (paper §V-B2/B3, §VI-B3). It is
+// StreamRandomize writing into a buffer the size of the image.
 func Randomize(p *Preprocessed, perm []int) (*Randomized, error) {
+	out := bytes.NewBuffer(make([]byte, 0, len(p.Image)))
+	r, err := StreamRandomize(p, perm, out)
+	if err != nil {
+		return nil, err
+	}
+	r.Image = out.Bytes()
+	return r, nil
+}
+
+// StreamRandomize emits the randomized image (Randomized.Image stays
+// nil) incrementally to w, holding one reused scratch buffer (sized for
+// the largest block, or the fixed head or tail if larger) plus the
+// old→new address map in memory — the paper's §VI-B3
+// requirement: "each function can be processed in a streaming fashion,
+// eliminating the need to fit the entire application into volatile
+// memory".
+//
+// The output order is physical: the fixed low-flash region (vectors and
+// dispatch stubs), then each block at its new home in new-layout order,
+// then the bytes above the function region (the .data load image with
+// pointers patched, constants, calibration table).
+func StreamRandomize(p *Preprocessed, perm []int, w io.Writer) (*Randomized, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	n := len(p.Blocks)
 	if len(perm) != n {
 		return nil, ErrBadPermutation
 	}
-	seen := make([]bool, n)
-	for _, i := range perm {
-		if i < 0 || i >= n || seen[i] {
-			return nil, ErrBadPermutation
-		}
-		seen[i] = true
-	}
-
 	r := &Randomized{
 		Perm:     append([]int(nil), perm...),
 		NewStart: make([]uint32, n),
 	}
+	// NewStart doubles as the seen-set while perm is checked.
+	const unplaced = ^uint32(0)
+	for i := range r.NewStart {
+		r.NewStart[i] = unplaced
+	}
 	cursor := p.RegionStart
+	scratchLen := max(p.RegionStart, uint32(len(p.Image))-p.RegionEnd)
 	for _, orig := range perm {
+		if orig < 0 || orig >= n || r.NewStart[orig] != unplaced {
+			return nil, ErrBadPermutation
+		}
 		r.NewStart[orig] = cursor
 		cursor += p.Blocks[orig].Size
+		scratchLen = max(scratchLen, p.Blocks[orig].Size)
 	}
-	if cursor != p.RegionEnd {
-		return nil, ErrNotTiling
-	}
-
-	// Lay out the new image: fixed regions copied verbatim, blocks
-	// moved to their new homes.
-	img := append([]byte(nil), p.Image...)
-	for orig, b := range p.Blocks {
-		copy(img[r.NewStart[orig]:], p.Image[b.Start:b.End()])
-	}
-
 	remap := func(old uint32) uint32 {
 		i := p.BlockIndex(old)
 		if i < 0 {
@@ -87,33 +106,48 @@ func Randomize(p *Preprocessed, perm []int) (*Randomized, error) {
 		return r.NewStart[i] + (old - p.Blocks[i].Start)
 	}
 
-	// Patch the fixed low-flash code (interrupt vectors and dispatch
-	// stubs), then every relocated block.
-	if err := patchCode(img[:p.RegionStart], 0, 0, p.RegionStart, remap, r); err != nil {
+	// 1. Fixed low-flash code, patched in the scratch buffer.
+	scratch := make([]byte, 0, scratchLen)
+	head := append(scratch, p.Image[:p.RegionStart]...)
+	if err := patchCode(head, 0, 0, p.RegionStart, remap, r); err != nil {
 		return nil, err
 	}
-	for orig, b := range p.Blocks {
-		buf := img[r.NewStart[orig] : r.NewStart[orig]+b.Size]
+	if _, err := w.Write(head); err != nil {
+		return nil, err
+	}
+
+	// 2. Each block: read from the (external-flash) image, patched in
+	// the scratch buffer, streamed out at its new position.
+	for _, orig := range perm {
+		b := p.Blocks[orig]
+		buf := append(scratch, p.Image[b.Start:b.End()]...)
 		if err := patchCode(buf, r.NewStart[orig], b.Start, b.End(), remap, r); err != nil {
 			return nil, fmt.Errorf("block %q: %w", b.Name, err)
 		}
+		if _, err := w.Write(buf); err != nil {
+			return nil, err
+		}
 	}
 
-	// Patch data-section function pointers (16-bit word addresses).
+	// 3. Everything above the region, with data-section function
+	// pointers (16-bit word addresses) patched on the way out.
+	tail := append(scratch, p.Image[p.RegionEnd:]...)
 	for _, off := range p.PtrOffsets {
-		w := uint32(img[off]) | uint32(img[off+1])<<8
-		nw := remap(w*2) / 2
+		i := off - p.RegionEnd
+		v := uint32(tail[i]) | uint32(tail[i+1])<<8
+		nw := remap(v*2) / 2
 		if nw > 0xFFFF {
 			return nil, fmt.Errorf("%w: 0x%X", ErrPointerOverflow, nw*2)
 		}
-		if nw != w {
-			img[off] = byte(nw)
-			img[off+1] = byte(nw >> 8)
+		if nw != v {
+			tail[i] = byte(nw)
+			tail[i+1] = byte(nw >> 8)
 			r.PatchedPointers++
 		}
 	}
-
-	r.Image = img
+	if _, err := w.Write(tail); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -162,7 +196,7 @@ func patchCode(buf []byte, newBase, oldStart, oldEnd uint32, remap func(uint32) 
 	oldBaseW := oldStart / 2
 	for pc := uint32(0); pc < endW; {
 		in := avr.DecodeAt(buf, pc)
-		if in.Op == avr.OpInvalid {
+		if in.Op == avr.OpInvalid || pc+uint32(in.Words) > endW {
 			return fmt.Errorf("%w: invalid opcode at byte 0x%X", ErrInstrStreamDesync, (baseW+pc)*2)
 		}
 		oldPC := oldBaseW + pc

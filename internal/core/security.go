@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/big"
-	"math/rand"
 )
 
 // EntropyBits returns log2(n!) — the randomization entropy of shuffling
@@ -42,60 +41,6 @@ type BruteForceResult struct {
 	Trials        int
 	MeanAttempts  float64
 	ModelAttempts float64
-}
-
-// SimulateBruteForceFixed measures the average number of guesses an
-// attacker needs against a fixed permutation when each failed guess is
-// eliminated (the software-only deployment of §VIII-A). The result
-// converges to (n!+1)/2.
-func SimulateBruteForceFixed(rng *rand.Rand, n, trials int) BruteForceResult {
-	nPerm := factInt(n)
-	var total float64
-	for t := 0; t < trials; t++ {
-		secret := rng.Intn(int(nPerm))
-		// Attacker enumerates candidate permutations in random order
-		// without repetition.
-		order := rng.Perm(int(nPerm))
-		for i, guess := range order {
-			if guess == secret {
-				total += float64(i + 1)
-				break
-			}
-		}
-	}
-	model, _ := ExpectedAttemptsFixed(n).Float64()
-	return BruteForceResult{
-		N: n, Permutations: nPerm, Trials: trials,
-		MeanAttempts:  total / float64(trials),
-		ModelAttempts: model,
-	}
-}
-
-// SimulateBruteForceRerandomized measures the average guesses against
-// MAVR: after every failed attempt the master processor re-randomizes,
-// so previous failures carry no information. The result converges to
-// n!.
-func SimulateBruteForceRerandomized(rng *rand.Rand, n, trials int) BruteForceResult {
-	nPerm := factInt(n)
-	var total float64
-	for t := 0; t < trials; t++ {
-		attempts := 0
-		for {
-			attempts++
-			secret := rng.Intn(int(nPerm)) // fresh permutation each attempt
-			guess := rng.Intn(int(nPerm))
-			if guess == secret {
-				break
-			}
-		}
-		total += float64(attempts)
-	}
-	model, _ := ExpectedAttemptsRerandomized(n).Float64()
-	return BruteForceResult{
-		N: n, Permutations: nPerm, Trials: trials,
-		MeanAttempts:  total / float64(trials),
-		ModelAttempts: model,
-	}
 }
 
 // PaddingEntropyBits returns the additional entropy from inserting

@@ -9,9 +9,9 @@ import (
 	"mavr/internal/firmware"
 )
 
-// StreamRandomize must produce byte-identical output to Randomize for
-// any permutation — the streaming master and the host-side reference
-// implement the same transformation.
+// StreamRandomize must stream exactly the image Randomize returns for
+// any permutation — the streaming master and the host-side tools share
+// one patching path, and Randomize only adds the output buffer.
 func TestStreamRandomizeMatchesRandomize(t *testing.T) {
 	img := genImage(t, firmware.ModeMAVR)
 	p := preprocess(t, img)

@@ -41,6 +41,7 @@ func DeterministicImportPath(path string) bool {
 		"mavr/internal/gadget",
 		"mavr/internal/firmware",
 		"mavr/internal/core",
+		"mavr/internal/detrand",
 		"mavr/internal/scenario",
 		"mavr/internal/scengen",
 		"mavr/internal/chaos",

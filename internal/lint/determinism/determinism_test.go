@@ -302,7 +302,7 @@ func f(m map[int]int) int64 {
 
 // The package set under enforcement matches the deterministic layers.
 func TestDeterministicImportPaths(t *testing.T) {
-	for _, p := range []string{"mavr/internal/netlink", "mavr/internal/gadget", "mavr/internal/firmware", "mavr/internal/core", "mavr/internal/staticverify", "mavr/internal/staticverify/vsa", "mavr/internal/armory", "mavr/internal/scenario", "mavr/internal/scengen", "mavr/internal/chaos"} {
+	for _, p := range []string{"mavr/internal/netlink", "mavr/internal/gadget", "mavr/internal/firmware", "mavr/internal/core", "mavr/internal/detrand", "mavr/internal/staticverify", "mavr/internal/staticverify/vsa", "mavr/internal/armory", "mavr/internal/scenario", "mavr/internal/scengen", "mavr/internal/chaos"} {
 		if !DeterministicImportPath(p) {
 			t.Errorf("%s not enforced", p)
 		}

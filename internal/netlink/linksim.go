@@ -1,6 +1,10 @@
 package netlink
 
-import "time"
+import (
+	"time"
+
+	"mavr/internal/detrand"
+)
 
 // SimConfig describes the impairments of a simulated radio link. The
 // zero value is a perfect link.
@@ -46,41 +50,17 @@ func (c SimConfig) Fate(link string, seq uint32) Fate {
 	if !c.Active() {
 		return Fate{Copies: 1}
 	}
-	base := splitmix64(uint64(c.Seed)) ^ fnv64(link) ^ (uint64(seq) * 0x9E3779B97F4A7C15)
-	if c.DropRate > 0 && unit(splitmix64(base+1)) < c.DropRate {
+	base := detrand.Hash(uint64(c.Seed)) ^ detrand.FNV64(link) ^ (uint64(seq) * detrand.Gamma)
+	if c.DropRate > 0 && detrand.Unit(detrand.Hash(base+1)) < c.DropRate {
 		return Fate{Drop: true}
 	}
 	f := Fate{Copies: 1}
-	if c.DupRate > 0 && unit(splitmix64(base+2)) < c.DupRate {
+	if c.DupRate > 0 && detrand.Unit(detrand.Hash(base+2)) < c.DupRate {
 		f.Copies = 2
 	}
 	f.Delay = c.Latency
 	if c.Jitter > 0 {
-		f.Delay += time.Duration(unit(splitmix64(base+3)) * float64(c.Jitter))
+		f.Delay += time.Duration(detrand.Unit(detrand.Hash(base+3)) * float64(c.Jitter))
 	}
 	return f
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed
-// hash of the per-datagram key.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// fnv64 hashes the link name (FNV-1a).
-func fnv64(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// unit maps a hash to [0, 1).
-func unit(x uint64) float64 {
-	return float64(x>>11) / (1 << 53)
 }

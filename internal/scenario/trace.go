@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"mavr/internal/detrand"
 )
 
 // Record is one canonical trace line. Field order (= JSON key order) is
@@ -153,10 +155,5 @@ func TraceDigest(recs []Record) string {
 // fnvDigest is the FNV-1a 64-bit hash of b, hex-encoded — the payload
 // fingerprint embedded in inject records.
 func fnvDigest(b []byte) string {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", detrand.FNV64(b))
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"mavr/internal/detrand"
 	"mavr/internal/firmware"
 	"mavr/internal/scenario"
 )
@@ -30,24 +31,11 @@ import (
 // source. It is deliberately not math/rand: the stream's output for a
 // seed is frozen by the sampling tests, so generated Specs can never
 // drift underneath the CI sweep.
-type Stream struct {
-	state uint64
-}
+type Stream struct{ detrand.Stream }
 
 // NewStream returns the deterministic draw stream for seed.
 func NewStream(seed int64) *Stream {
-	return &Stream{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x5EED5CE4A1105EED}
-}
-
-// Uint64 returns the next 64-bit draw (SplitMix64).
-func (s *Stream) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	x := s.state
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ x>>31
+	return &Stream{detrand.NewStream(uint64(seed)*detrand.Gamma + 0x5EED5CE4A1105EED)}
 }
 
 // Intn returns a draw in [0, n).
