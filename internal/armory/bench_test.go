@@ -55,3 +55,22 @@ func BenchmarkArmoryRandomizeCached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkArmoryRandomizeDefault is ArmoryRandomizeCached under the
+// service's own options (nil Opts: gadget audit and VSA), the
+// configuration mavr-armory serves with.
+func BenchmarkArmoryRandomizeDefault(b *testing.B) {
+	raw := benchPlaneELF(b)
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	if _, err := s.Randomize(Request{Image: raw, Vehicle: "warmup", Epoch: 0}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Randomize(Request{Image: raw, Vehicle: fmt.Sprintf("bench-%d", i), Epoch: 0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

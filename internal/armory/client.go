@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 )
 
@@ -32,13 +33,15 @@ func (c *Client) http() *http.Client {
 }
 
 // Randomize submits a base image for one (vehicle, epoch) and returns
-// the signed artifact. The artifact digest is recomputed locally and,
-// when the client has a secret, the signature is verified — a
-// compromised or misconfigured armory cannot hand back bytes it did not
-// sign for.
+// the signed artifact. The vehicle ID is an opaque string, escaped into
+// the query. The artifact digest is recomputed locally, the artifact
+// must name the requested vehicle and epoch and, when the client has a
+// secret, the signature is verified — a compromised or misconfigured
+// armory cannot hand back bytes it did not sign for, or another
+// holder's artifact.
 func (c *Client) Randomize(image []byte, vehicle string, epoch uint64) (*Artifact, error) {
-	url := c.URL + "/randomize?vehicle=" + vehicle + "&epoch=" + strconv.FormatUint(epoch, 10)
-	resp, err := c.http().Post(url, "application/octet-stream", bytes.NewReader(image))
+	q := url.Values{"vehicle": {vehicle}, "epoch": {strconv.FormatUint(epoch, 10)}}
+	resp, err := c.http().Post(c.URL+"/randomize?"+q.Encode(), "application/octet-stream", bytes.NewReader(image))
 	if err != nil {
 		return nil, fmt.Errorf("armory: %w", err)
 	}
@@ -60,6 +63,10 @@ func (c *Client) Randomize(image []byte, vehicle string, epoch uint64) (*Artifac
 	}
 	if got := Digest(art.Image); got != art.ArtifactDigest {
 		return nil, fmt.Errorf("armory: artifact digest mismatch: claimed %s, got %s", art.ArtifactDigest, got)
+	}
+	if art.Vehicle != vehicle || art.Epoch != epoch {
+		return nil, fmt.Errorf("armory: artifact issued to vehicle %q epoch %d, requested %q epoch %d",
+			art.Vehicle, art.Epoch, vehicle, epoch)
 	}
 	if c.Secret != nil && !VerifySignature(c.Secret, art.BaseDigest, art.PermDigest, art.ArtifactDigest, art.Signature) {
 		return nil, fmt.Errorf("armory: artifact signature verification failed")

@@ -1,6 +1,7 @@
-//mavr:wallclock
 // (httptest servers manage their own deadlines; the armory logic under
 // test stays deterministic.)
+//
+//mavr:wallclock
 package armory
 
 import (
@@ -158,8 +159,45 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 	if err := tamper(func(a *Artifact) { a.Signature = strings.Repeat("0", len(a.Signature)) }); err == nil || !strings.Contains(err.Error(), "signature") {
 		t.Fatalf("tampered signature: %v, want signature failure", err)
 	}
+	// The signature does not cover the holder: only the client's check
+	// keeps another vehicle's artifact from being flashed.
+	if err := tamper(func(a *Artifact) { a.Vehicle = "uav-2" }); err == nil || !strings.Contains(err.Error(), "vehicle") {
+		t.Fatalf("artifact for another vehicle: %v, want holder mismatch", err)
+	}
+	if err := tamper(func(a *Artifact) { a.Epoch++ }); err == nil || !strings.Contains(err.Error(), "epoch") {
+		t.Fatalf("artifact for another epoch: %v, want holder mismatch", err)
+	}
 	if err := tamper(func(a *Artifact) {}); err != nil {
 		t.Fatalf("untampered response rejected: %v", err)
+	}
+}
+
+// TestClientEscapesVehicleIDs sends vehicle IDs holding query syntax
+// through the client and the handler. Each must reach the ledger as
+// exactly that vehicle at exactly the requested epoch, so no two IDs
+// share a holder or a permutation.
+func TestClientEscapesVehicleIDs(t *testing.T) {
+	elf, _ := testImage()
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	c := NewClient(srv.URL, DefaultSecret)
+	c.HTTPClient = srv.Client()
+
+	holders := make(map[string]string) // perm digest -> vehicle
+	for _, id := range []string{"uav", "uav#7", "uav#8", "a", "a&epoch=9", "x y", "x+y", "100%", "fleet 3"} {
+		art, err := c.Randomize(elf, id, 1)
+		if err != nil {
+			t.Fatalf("vehicle %q: %v", id, err)
+		}
+		if art.Vehicle != id || art.Epoch != 1 || art.Reissued {
+			t.Errorf("vehicle %q epoch 1: issued to %q epoch %d (reissued %v)", id, art.Vehicle, art.Epoch, art.Reissued)
+		}
+		if prev, ok := holders[art.PermDigest]; ok {
+			t.Errorf("vehicles %q and %q share a permutation", prev, id)
+		}
+		holders[art.PermDigest] = id
 	}
 }
 

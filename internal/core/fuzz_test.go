@@ -43,7 +43,8 @@ func TestLoadImageRejectsMalformedLayout(t *testing.T) {
 
 // FuzzLoadImage fuzzes the parse→randomize boundary: any input
 // LoadImage accepts must randomize, under the identity and a seeded
-// permutation, without panicking.
+// permutation, without panicking and exactly as the reference walk
+// does.
 func FuzzLoadImage(f *testing.F) {
 	for _, spec := range append([]firmware.AppSpec{firmware.TestApp()}, firmware.Profiles()...) {
 		img, err := firmware.Generate(spec, firmware.ModeMAVR)
@@ -69,12 +70,8 @@ func FuzzLoadImage(f *testing.F) {
 			return
 		}
 		n := len(p.Blocks)
-		identity := make([]int, n)
-		for i := range identity {
-			identity[i] = i
-		}
-		core.Randomize(p, identity)
-		core.Randomize(p, core.Permutation(rand.New(rand.NewSource(int64(len(data)))), n))
+		checkReference(t, p, identity(n))
+		checkReference(t, p, core.Permutation(rand.New(rand.NewSource(int64(len(data)))), n))
 	})
 }
 
@@ -113,8 +110,9 @@ func TestLoadImageMutatedHeaders(t *testing.T) {
 		}
 		accepted++
 		// An accepted layout may still fail patching (a moved block
-		// boundary splits an instruction), but only with an error.
-		core.Randomize(m, core.Permutation(rng, len(m.Blocks)))
+		// boundary splits an instruction), but only with an error, and
+		// only with the reference walk's.
+		checkReference(t, m, core.Permutation(rng, len(m.Blocks)))
 	}
 	if accepted == 0 {
 		t.Error("no mutated header was accepted; the test exercises nothing past the parser")

@@ -66,6 +66,10 @@ type Preprocessed struct {
 	// PtrTables records the validated pointer tables the PtrOffsets
 	// were found in, sorted by DataAddr.
 	PtrTables []PtrTable
+
+	// relocs is the relocation table Preprocess and ReadPreprocessed
+	// build for StreamRandomize (nil on a handle built by hand).
+	relocs *relocTable
 }
 
 // Preprocessing errors.
@@ -153,6 +157,7 @@ func Preprocess(elf *elfobj.File) (*Preprocessed, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	p.cacheRelocs()
 	return p, nil
 }
 
@@ -342,5 +347,6 @@ func ReadPreprocessed(r io.Reader) (*Preprocessed, error) {
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadPrepended, err)
 	}
+	p.cacheRelocs()
 	return p, nil
 }

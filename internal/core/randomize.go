@@ -67,6 +67,12 @@ func Randomize(p *Preprocessed, perm []int) (*Randomized, error) {
 // eliminating the need to fit the entire application into volatile
 // memory".
 //
+// Each buffer is copied and only the sites the handle's relocation
+// table lists for it are rewritten; the table is built once per handle
+// by Preprocess or ReadPreprocessed. A handle whose image or blocks
+// changed since then (or one built by hand) gets a table of its current
+// contents, built for this call.
+//
 // The output order is physical: the fixed low-flash region (vectors and
 // dispatch stubs), then each block at its new home in new-layout order,
 // then the bytes above the function region (the .data load image with
@@ -105,11 +111,12 @@ func StreamRandomize(p *Preprocessed, perm []int, w io.Writer) (*Randomized, err
 		}
 		return r.NewStart[i] + (old - p.Blocks[i].Start)
 	}
+	relocs := p.relocsFor()
 
 	// 1. Fixed low-flash code, patched in the scratch buffer.
 	scratch := make([]byte, 0, scratchLen)
 	head := append(scratch, p.Image[:p.RegionStart]...)
-	if err := patchCode(head, 0, 0, p.RegionStart, remap, r); err != nil {
+	if err := relocs.patch(head, 0, 0, p, r); err != nil {
 		return nil, err
 	}
 	if _, err := w.Write(head); err != nil {
@@ -121,7 +128,7 @@ func StreamRandomize(p *Preprocessed, perm []int, w io.Writer) (*Randomized, err
 	for _, orig := range perm {
 		b := p.Blocks[orig]
 		buf := append(scratch, p.Image[b.Start:b.End()]...)
-		if err := patchCode(buf, r.NewStart[orig], b.Start, b.End(), remap, r); err != nil {
+		if err := relocs.patch(buf, orig+1, r.NewStart[orig], p, r); err != nil {
 			return nil, fmt.Errorf("block %q: %w", b.Name, err)
 		}
 		if _, err := w.Write(buf); err != nil {
@@ -178,72 +185,6 @@ func (r *Randomized) Symbols(p *Preprocessed) []elfobj.Symbol {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
-}
-
-// patchCode walks the instruction stream of one relocated (or fixed)
-// code buffer, rewriting the flash targets of jmp/call and re-encoding
-// rjmp/rcall and conditional branches whose absolute targets moved
-// relative to the instruction. Intra-buffer relative transfers move
-// with the block and need no change.
-//
-// buf holds the code that will live at byte address newBase in the
-// output image and lived at [oldStart, oldEnd) in the original. The
-// buffer-local formulation is what lets the master processor patch one
-// block at a time while streaming (§VI-B3).
-func patchCode(buf []byte, newBase, oldStart, oldEnd uint32, remap func(uint32) uint32, r *Randomized) error {
-	endW := uint32(len(buf) / 2)
-	baseW := newBase / 2
-	oldBaseW := oldStart / 2
-	for pc := uint32(0); pc < endW; {
-		in := avr.DecodeAt(buf, pc)
-		if in.Op == avr.OpInvalid || pc+uint32(in.Words) > endW {
-			return fmt.Errorf("%w: invalid opcode at byte 0x%X", ErrInstrStreamDesync, (baseW+pc)*2)
-		}
-		oldPC := oldBaseW + pc
-		switch in.Op {
-		case avr.OpJMP, avr.OpCALL:
-			oldT := in.Target * 2
-			newT := remap(oldT)
-			if newT != oldT {
-				encodeLong(buf, pc, in.Op, newT/2)
-				r.PatchedTransfers++
-			}
-		case avr.OpRJMP, avr.OpRCALL:
-			oldT := uint32(int64(oldPC)+1+int64(in.K)) * 2
-			if oldT < oldStart || oldT >= oldEnd {
-				newT := remap(oldT)
-				k := int64(newT/2) - int64(baseW+pc) - 1
-				if k < -2048 || k > 2047 {
-					return fmt.Errorf("%w: at byte 0x%X", ErrRelativeRange, (baseW+pc)*2)
-				}
-				base := uint16(0xC000)
-				if in.Op == avr.OpRCALL {
-					base = 0xD000
-				}
-				putWord(buf, pc, base|uint16(k)&0x0FFF)
-				if k != int64(in.K) {
-					r.PatchedTransfers++
-				}
-			}
-		case avr.OpBRBS, avr.OpBRBC:
-			oldT := uint32(int64(oldPC)+1+int64(in.K)) * 2
-			if oldT < oldStart || oldT >= oldEnd {
-				newT := remap(oldT)
-				k := int64(newT/2) - int64(baseW+pc) - 1
-				if k < -64 || k > 63 {
-					return fmt.Errorf("%w: at byte 0x%X", ErrBranchRange, (baseW+pc)*2)
-				}
-				w := wordOf(buf, pc)
-				w = w&^uint16(0x7F<<3) | (uint16(k)&0x7F)<<3
-				putWord(buf, pc, w)
-				if k != int64(in.K) {
-					r.PatchedTransfers++
-				}
-			}
-		}
-		pc += uint32(in.Words)
-	}
-	return nil
 }
 
 func encodeLong(img []byte, pc uint32, op avr.Op, target uint32) {

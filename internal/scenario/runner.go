@@ -99,12 +99,12 @@ func Run(spec Spec) (*Result, error) {
 	}
 	counters := func() Counters {
 		c := Counters{
-			Pulses:      r.Mon.Pulses,
-			SeqGaps:     r.Mon.SeqGaps,
-			LinkGaps:    r.Mon.LinkGaps,
-			Garbage:     r.Mon.Garbage,
-			Heartbeats:  r.Mon.Heartbeats,
-			FrameErrors: r.Mon.HeartbeatErrors,
+			Pulses:         r.Mon.Pulses,
+			SeqGaps:        r.Mon.SeqGaps,
+			LinkGaps:       r.Mon.LinkGaps,
+			Garbage:        r.Mon.Garbage,
+			Heartbeats:     r.Mon.Heartbeats,
+			FrameErrors:    r.Mon.HeartbeatErrors,
 			RawIMUs:        r.Mon.RawIMUs,
 			ParamEchoes:    r.Mon.ParamEchoes,
 			MaxSilence:     int64(r.Mon.MaxSilence),

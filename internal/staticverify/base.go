@@ -1,6 +1,7 @@
 package staticverify
 
 import (
+	"bytes"
 	"sort"
 	"sync/atomic"
 
@@ -13,12 +14,13 @@ import (
 
 // Base is a reusable verification handle for one base image: everything
 // Verify derives from the original (pre-randomization) image alone —
-// the decoded instruction stream, the conservative CFG and the original
-// gadget census — computed once and amortized across arbitrarily many
-// permutations of that image. Verify on a Base produces a Report that
-// is byte-for-byte identical to the stateless Verify; the fast path is
-// only taken when it can prove that equality, and anything it cannot
-// prove falls back to the stateless implementation.
+// the direct transfers of its instruction stream, the conservative CFG
+// and the original gadget census — computed once and amortized across
+// arbitrarily many permutations of that image. Verify on a Base
+// produces a Report that is byte-for-byte identical to the stateless
+// Verify; the fast path is only taken when it can prove that equality,
+// and anything it cannot prove falls back to the stateless
+// implementation.
 //
 // The soundness argument for the fast path: the lockstep diff proves
 // the randomized image is, instruction for instruction, the base image
@@ -31,15 +33,19 @@ import (
 // addresses would need textual translation, Base.Verify re-runs the
 // full stateless Verify instead of translating.
 //
+// The transfer index comes from the verifier's own decode of the base
+// image, never from the randomizer's relocation table, so a site the
+// randomizer failed to list (and so left unpatched) is still checked.
+//
 // A Base is safe for concurrent use by multiple goroutines once built.
 type Base struct {
 	pre  *core.Preprocessed
 	opts Options
 
-	// regions holds the decoded base instruction stream: the fixed
+	// regions index the base image for the cached diff: the fixed
 	// low-flash region followed by one region per block, in
 	// pre.Blocks order.
-	regions  []baseRegion
+	regions  []diffRegion
 	stats    CFGStats
 	cfgClean bool
 	vecEnd   uint32
@@ -78,6 +84,51 @@ type baseRegion struct {
 	clean bool
 }
 
+// diffRegion is what the cached diff keeps of one baseRegion: its
+// direct control transfers. Every other instruction must survive a
+// permutation byte for byte, so the words between two transfers are
+// compared as one run.
+type diffRegion struct {
+	oldStart, words uint32 // byte address in the base image, length in words
+	transfers       []diffTransfer
+	// diffable is false when the fresh diff emits a finding here under
+	// any permutation: the linear decode stopped early (baseRegion.clean
+	// is false) or the region contains spm.
+	diffable bool
+}
+
+// diffTransfer is one jmp/call/rjmp/rcall/brbs/brbc of a region.
+type diffTransfer struct {
+	pc uint32 // word offset from the region start
+	op avr.Op
+	// target is the transfer's absolute target in the base image,
+	// byte address.
+	target uint32
+}
+
+// index keeps what the cached diff needs of a decoded region.
+func (reg baseRegion) index() diffRegion {
+	d := diffRegion{oldStart: reg.oldStart, words: uint32(len(reg.code)), diffable: reg.clean}
+	if !reg.clean {
+		return d
+	}
+	oldW := reg.oldStart / 2
+	for pc := uint32(0); pc < d.words; pc += uint32(reg.code[pc].Words) {
+		in := &reg.code[pc]
+		switch in.Op {
+		case avr.OpJMP, avr.OpCALL:
+			d.transfers = append(d.transfers, diffTransfer{pc: pc, op: in.Op, target: in.Target * 2})
+		case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
+			d.transfers = append(d.transfers, diffTransfer{
+				pc: pc, op: in.Op, target: uint32(int64(oldW+pc)+1+int64(in.K)) * 2,
+			})
+		case avr.OpSPM:
+			d.diffable = false
+		}
+	}
+	return d
+}
+
 // BaseStats counts how Base.Verify resolved its calls.
 type BaseStats struct {
 	// FastVerifies took the cached path end to end.
@@ -112,9 +163,10 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	// The graph's function order is pre.Blocks order, and CFG recovery
 	// already decoded each block: the diff and the analysis reuse it.
 	g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd)
-	b.regions = append(b.regions, decodeRegion(pre.Image, 0, pre.RegionStart))
+	b.regions = make([]diffRegion, 0, len(g.Funcs)+1)
+	b.regions = append(b.regions, decodeRegion(pre.Image, 0, pre.RegionStart).index())
 	for _, f := range g.Funcs {
-		b.regions = append(b.regions, f.region)
+		b.regions = append(b.regions, f.region.index())
 	}
 	b.stats = CFGStats{
 		Funcs:           len(g.Funcs),
@@ -265,7 +317,10 @@ func (b *Base) VSASummary() (sites, resolved int, ok bool) {
 	return sites, resolved, true
 }
 
-// fastDiff is the cached-stream patch-completeness walk. It returns
+// fastDiff is the cached patch-completeness check. Per region it
+// decodes the randomized image only at the base's direct transfers and
+// compares the runs of words between them byte for byte, which is
+// what the lockstep walk checks of every other instruction. It returns
 // (stats, true) exactly when the stateless VerifyPatches would return
 // zero findings — and then with identical stats. Any would-be finding
 // (or a base stream the fresh diff would truncate) returns ok=false
@@ -284,55 +339,46 @@ func (b *Base) fastDiff(r *core.Randomized) (DiffStats, bool) {
 
 	for ri := range b.regions {
 		reg := &b.regions[ri]
-		if !reg.clean {
-			return st, false // fresh diff emits an undecodable finding here
+		if !reg.diffable {
+			return st, false
 		}
 		newStart := reg.oldStart // fixed region stays put
 		if ri > 0 {
 			newStart = r.NewStart[ri-1]
 		}
 		oldW, newW := reg.oldStart/2, newStart/2
-		for pc := uint32(0); pc < uint32(len(reg.code)); pc += uint32(reg.code[pc].Words) {
-			oin := &reg.code[pc]
-			st.WordsCompared += oin.Words
-
-			switch oin.Op {
+		run := uint32(0) // first word of the run not yet compared
+		for _, t := range reg.transfers {
+			// Everything between transfers must be byte-identical.
+			if !wordsEqual(pre.Image, r.Image, oldW+run, newW+run, t.pc-run) {
+				return st, false
+			}
+			nin := avr.DecodeAt(r.Image, newW+t.pc)
+			if nin.Op != t.op {
+				return st, false
+			}
+			switch t.op {
 			case avr.OpJMP, avr.OpCALL:
-				st.TransfersChecked++
-				nin := avr.DecodeAt(r.Image, newW+pc)
-				if nin.Op != oin.Op || nin.Words != oin.Words {
-					return st, false
-				}
-				want := remap(oin.Target * 2)
+				want := remap(t.target)
 				if nin.Target*2 != want {
 					return st, false
 				}
 				if avr.DecodeAt(r.Image, want/2).Op == avr.OpInvalid {
 					return st, false
 				}
-			case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
-				st.TransfersChecked++
-				nin := avr.DecodeAt(r.Image, newW+pc)
-				if nin.Op != oin.Op || nin.Words != oin.Words {
-					return st, false
-				}
-				oldAbs := uint32(int64(oldW+pc)+1+int64(oin.K)) * 2
-				newAbs := uint32(int64(newW+pc)+1+int64(nin.K)) * 2
-				if newAbs != remap(oldAbs) {
-					return st, false
-				}
-			case avr.OpSPM:
-				return st, false // unverifiable: fresh diff emits an error
 			default:
-				// Everything else must be byte-identical.
-				if wordAt(pre.Image, oldW+pc) != wordAt(r.Image, newW+pc) {
-					return st, false
-				}
-				if oin.Words == 2 && wordAt(pre.Image, oldW+pc+1) != wordAt(r.Image, newW+pc+1) {
+				newAbs := uint32(int64(newW+t.pc)+1+int64(nin.K)) * 2
+				if newAbs != remap(t.target) {
 					return st, false
 				}
 			}
+			run = t.pc + uint32(nin.Words)
 		}
+		if !wordsEqual(pre.Image, r.Image, oldW+run, newW+run, reg.words-run) {
+			return st, false
+		}
+		st.TransfersChecked += len(reg.transfers)
+		st.WordsCompared += int(reg.words)
 	}
 
 	// Data-section function pointers, exactly as the fresh diff checks
@@ -365,4 +411,19 @@ func (b *Base) fastDiff(r *core.Randomized) (DiffStats, bool) {
 		}
 	}
 	return st, true
+}
+
+// wordsEqual reports whether n words of a at word address aw equal n
+// words of b at bw, each read as wordAt reads it (0xFFFF past the end).
+func wordsEqual(a, b []byte, aw, bw, n uint32) bool {
+	ai, bi, nb := uint64(aw)*2, uint64(bw)*2, uint64(n)*2
+	if ai+nb <= uint64(len(a)) && bi+nb <= uint64(len(b)) {
+		return bytes.Equal(a[ai:ai+nb], b[bi:bi+nb])
+	}
+	for i := uint32(0); i < n; i++ {
+		if wordAt(a, aw+i) != wordAt(b, bw+i) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package staticverify
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,6 +163,148 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	if st := bbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackBaseFindings: 1}) {
 		t.Fatalf("want one base-findings fallback, got %+v", st)
 	}
+}
+
+// TestFastDiffMatchesVerifyPatches holds the cached diff to its
+// contract — it passes exactly when VerifyPatches finds nothing, and
+// then with the same stats — on a randomized test application with
+// every third byte corrupted in turn, and with every transfer and
+// pointer patch reverted in turn, and with a block placed past the
+// image end; and on a base with spm in its fixed region, which CFG
+// recovery does not flag, so only the diff keeps it off the fast path.
+func TestFastDiffMatchesVerifyPatches(t *testing.T) {
+	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := core.Preprocess(img.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(base *Base, r *core.Randomized, what string) {
+		t.Helper()
+		fs, want := VerifyPatches(base.pre, r)
+		got, ok := base.fastDiff(r)
+		if ok != (len(fs) == 0) || ok && got != want {
+			t.Fatalf("%s: fastDiff = %+v, %v; VerifyPatches found %d (%+v)", what, got, ok, len(fs), want)
+		}
+	}
+	randomize := func(pre *core.Preprocessed) *core.Randomized {
+		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(7)), len(pre.Blocks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	spm := *pre
+	spm.Image = append([]byte(nil), pre.Image...)
+	spm.Image[0], spm.Image[1], spm.Image[2], spm.Image[3] = 0xE8, 0x95, 0, 0 // spm; nop
+	if sb := NewBase(&spm, Options{}); !sb.cfgClean {
+		t.Fatal("spm base has CFG findings; the diff would never run")
+	} else {
+		check(sb, randomize(&spm), "spm in the fixed region")
+	}
+
+	base := NewBase(pre, Options{})
+	clean := randomize(pre)
+	check(base, clean, "clean outcome")
+	r := *clean
+	r.Image = make([]byte, len(clean.Image)) // no capacity past the end
+	copy(r.Image, clean.Image)
+	for off := 0; off < len(r.Image); off += 3 {
+		r.Image[off] ^= 0xA5
+		check(base, &r, fmt.Sprintf("byte 0x%X flipped", off))
+		r.Image[off] = clean.Image[off]
+	}
+	for n := 0; ; n++ {
+		copy(r.Image, clean.Image)
+		if _, err := RevertPatch(pre, &r, n); err != nil {
+			break
+		}
+		check(base, &r, fmt.Sprintf("transfer patch %d reverted", n))
+	}
+	for n := 0; ; n++ {
+		copy(r.Image, clean.Image)
+		if _, err := RevertPointerPatch(pre, &r, n); err != nil {
+			break
+		}
+		check(base, &r, fmt.Sprintf("pointer patch %d reverted", n))
+	}
+	// A layout claiming a block runs past the image end: both diffs
+	// read the missing words as 0xFFFF.
+	copy(r.Image, clean.Image)
+	r.NewStart = append([]uint32(nil), clean.NewStart...)
+	biggest := 0
+	for i, b := range pre.Blocks {
+		if b.Size > pre.Blocks[biggest].Size {
+			biggest = i
+		}
+	}
+	r.NewStart[biggest] = uint32(len(r.Image)) - 2
+	check(base, &r, "block past the image end")
+}
+
+// FuzzBaseVerify holds the cached verifier to the stateless one on
+// mutated randomizations: a seeded permutation of the test application
+// or ArduPlane, then no mutation, byte flips anywhere in the image, or
+// one reverted transfer or pointer patch. For Options{} and for the
+// armory's options (gadget audit and VSA), NewBase(pre, opts).Verify(r)
+// must render exactly the report Verify(pre, r, opts) does, whichever
+// path it takes.
+func FuzzBaseVerify(f *testing.F) {
+	type subject struct {
+		pre   *core.Preprocessed
+		bases []*Base
+	}
+	vsaOpts := DefaultOptions()
+	vsaOpts.VSA = true
+	var subjects []subject
+	for _, spec := range []firmware.AppSpec{firmware.TestApp(), firmware.Arduplane()} {
+		img, err := firmware.Generate(spec, firmware.ModeMAVR)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pre, err := core.Preprocess(img.ELF)
+		if err != nil {
+			f.Fatal(err)
+		}
+		subjects = append(subjects, subject{pre, []*Base{NewBase(pre, Options{}), NewBase(pre, vsaOpts)}})
+	}
+	for mutation := uint64(0); mutation < 16; mutation++ {
+		f.Add(uint8(0), int64(7), mutation)
+	}
+	for mutation := uint64(0); mutation < 4; mutation++ {
+		f.Add(uint8(1), int64(7), mutation)
+	}
+	f.Fuzz(func(t *testing.T, app uint8, seed int64, mutation uint64) {
+		sub := subjects[int(app)%len(subjects)]
+		pre := sub.pre
+		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(mutation >> 2)))
+		switch mutation % 4 {
+		case 1:
+			// Flips above the shuffled region leave the diff passing, so
+			// the fast path must render a mutated image too.
+			lo := 0
+			if rng.Intn(2) == 0 {
+				lo = int(pre.RegionEnd)
+			}
+			for i := rng.Intn(4); i >= 0; i-- {
+				r.Image[lo+rng.Intn(len(r.Image)-lo)] ^= byte(1 + rng.Intn(255))
+			}
+		case 2:
+			RevertPatch(pre, r, rng.Intn(r.PatchedTransfers+1))
+		case 3:
+			RevertPointerPatch(pre, r, rng.Intn(r.PatchedPointers+1))
+		}
+		for _, base := range sub.bases {
+			requireSameReport(t, Verify(pre, r, base.opts), base.Verify(r), "mutated randomization")
+		}
+	})
 }
 
 // TestBaseVerifyMatchesFreshArduplane runs one full-scale equivalence
