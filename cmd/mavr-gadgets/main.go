@@ -43,7 +43,7 @@ func run() error {
 		}
 		image = f.Text
 	default:
-		spec, err := profile(*app)
+		spec, err := firmware.Profile(*app)
 		if err != nil {
 			return err
 		}
@@ -70,18 +70,4 @@ func run() error {
 		fmt.Print(asm.Disassemble(image, wm.StoreAddr, 4+len(wm.PopRegs)))
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

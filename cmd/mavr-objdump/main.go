@@ -47,7 +47,7 @@ func run() error {
 		}
 		elf = f
 	default:
-		spec, err := profile(*app)
+		spec, err := firmware.Profile(*app)
 		if err != nil {
 			return err
 		}
@@ -85,18 +85,4 @@ func run() error {
 		return fmt.Errorf("function %q not found", *fn)
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

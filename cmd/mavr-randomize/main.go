@@ -71,7 +71,7 @@ func run() error {
 		}
 		elf = f
 	default:
-		spec, err := profile(*app)
+		spec, err := firmware.Profile(*app)
 		if err != nil {
 			return err
 		}
@@ -203,18 +203,4 @@ func runArmory(elf *elfobj.File, url, vehicle string, epoch uint64, keyHex, hexO
 		fmt.Printf("wrote armory artifact to %s\n", hexOut)
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

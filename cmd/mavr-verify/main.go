@@ -124,18 +124,9 @@ func loadELF(path, app string) (*elfobj.File, error) {
 		}
 		return elfobj.Parse(raw)
 	}
-	var spec firmware.AppSpec
-	switch app {
-	case "testapp":
-		spec = firmware.TestApp()
-	case "arduplane":
-		spec = firmware.Arduplane()
-	case "arducopter":
-		spec = firmware.Arducopter()
-	case "ardurover":
-		spec = firmware.Ardurover()
-	default:
-		return nil, fmt.Errorf("unknown application %q", app)
+	spec, err := firmware.Profile(app)
+	if err != nil {
+		return nil, err
 	}
 	img, err := firmware.Generate(spec, firmware.ModeMAVR)
 	if err != nil {

@@ -152,7 +152,7 @@ type Stats struct {
 	Reissues         uint64
 	VerifyRejections uint64
 	FastVerifies     uint64 // staticverify.Base fast-path verifications
-	FallbackVerifies uint64 // cold/stateless verifications
+	FallbackVerifies uint64 // verifications that recovered the artifact's own CFG
 	// FallbackVerifies by cause, as staticverify.BaseStats splits it.
 	FallbackBaseFindings    uint64
 	FallbackDiffDivergence  uint64

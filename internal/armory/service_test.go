@@ -34,7 +34,7 @@ var testImage = sync.OnceValues(func() ([]byte, *core.Preprocessed) {
 
 // TestServiceRoundTrip proves the pipeline end to end: the artifact is
 // exactly core.Randomize(base, perm) for the returned permutation, the
-// report is clean, the signature validates, and a fresh stateless
+// report is clean, the signature validates, and a fresh one-shot
 // verification agrees with the served report.
 func TestServiceRoundTrip(t *testing.T) {
 	elf, pre := testImage()
@@ -66,7 +66,7 @@ func TestServiceRoundTrip(t *testing.T) {
 	if !bytes.Equal(r.Image, art.Image) {
 		t.Fatal("artifact image differs from core.Randomize(pre, art.Perm)")
 	}
-	// And a cold stateless verification of it must be clean too.
+	// And a cold one-shot verification (a fresh Base) must be clean too.
 	if rep := staticverify.Verify(pre, r, staticverify.DefaultOptions()); !rep.OK() {
 		t.Fatalf("fresh verification of served artifact failed: %d errors", rep.Errors())
 	}

@@ -21,6 +21,8 @@
 //     is demonstrable.
 package firmware
 
+import "fmt"
+
 // ToolchainMode selects the code-generation style (paper §VI-B1).
 type ToolchainMode int
 
@@ -118,4 +120,15 @@ func TestApp() AppSpec {
 // Profiles returns the three paper applications in Table I order.
 func Profiles() []AppSpec {
 	return []AppSpec{Arduplane(), Arducopter(), Ardurover()}
+}
+
+// Profile returns the application profile named name: testapp or one of
+// the three paper applications.
+func Profile(name string) (AppSpec, error) {
+	for _, spec := range append(Profiles(), TestApp()) {
+		if spec.Name == name {
+			return spec, nil
+		}
+	}
+	return AppSpec{}, fmt.Errorf("firmware: unknown application profile %q", name)
 }

@@ -60,8 +60,7 @@ type Client struct {
 	frameSeq    byte
 	epoch       uint32
 	outage      bool
-	rxInit      bool
-	rxNext      uint32
+	rx          rxSeq
 	lastSim     time.Duration
 	lastArrival time.Time
 
@@ -289,9 +288,9 @@ func (c *Client) recvLoop() {
 		}
 		c.stats.DatagramsIn.Add(1)
 		c.stats.BytesIn.Add(uint64(n))
-		c.trackRx(h.Seq)
 
 		c.mu.Lock()
+		c.rx.track(h.Seq, &c.stats)
 		if h.SimTime > c.lastSim {
 			c.lastSim = h.SimTime
 		}
@@ -364,25 +363,6 @@ func (c *Client) feedSilence() {
 		c.mon.Feed(nil, est)
 	}
 	c.mu.Unlock()
-}
-
-func (c *Client) trackRx(seq uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.rxInit {
-		c.rxInit = true
-		c.rxNext = seq + 1
-		return
-	}
-	switch {
-	case seq == c.rxNext:
-		c.rxNext++
-	case seq > c.rxNext:
-		c.stats.SeqGaps.Add(uint64(seq - c.rxNext))
-		c.rxNext = seq + 1
-	default:
-		c.stats.Reordered.Add(1)
-	}
 }
 
 func (c *Client) keepaliveLoop() {

@@ -652,7 +652,7 @@ func (f *Fleet) readLoop() {
 			// declared dead) and uplink numbering starts over.
 			sess.rehello(helloEpoch(payload))
 		case PacketData:
-			sess.trackRx(h.Seq)
+			sess.rx.track(h.Seq, &sess.stats)
 			sess.stats.DatagramsIn.Add(1)
 			sess.stats.BytesIn.Add(uint64(n))
 			if len(payload) == 0 {

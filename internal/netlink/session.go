@@ -39,8 +39,7 @@ type session struct {
 	epochSet atomic.Bool
 
 	// Uplink sequence tracking, touched only by the read loop.
-	rxInit bool
-	rxNext uint32
+	rx     rxSeq
 	parser uplinkParser
 }
 
@@ -62,8 +61,7 @@ func (s *session) rehello(epoch uint32) bool {
 	first := !s.epochSet.Load()
 	s.epoch.Store(epoch)
 	s.epochSet.Store(true)
-	s.rxInit = false
-	s.rxNext = 0
+	s.rx = rxSeq{}
 	s.parser = uplinkParser{}
 	if first {
 		return false
@@ -82,21 +80,31 @@ func helloEpoch(payload []byte) uint32 {
 		uint32(payload[2])<<8 | uint32(payload[3])
 }
 
-// trackRx updates uplink sequence accounting for a received datagram.
-func (s *session) trackRx(seq uint32) {
-	if !s.rxInit {
-		s.rxInit = true
-		s.rxNext = seq + 1
+// rxSeq is one link direction's receive-sequence accounting, shared by
+// the fleet's sessions (uplink) and the client (downlink). It is not
+// synchronized: each owner serializes its calls.
+type rxSeq struct {
+	init bool
+	next uint32 // the sequence number expected next
+}
+
+// track accounts one received datagram's sequence number into st: the
+// numbers skipped since the last in-order one count as gaps, and an
+// older number counts as reordered.
+func (t *rxSeq) track(seq uint32, st *LinkStats) {
+	if !t.init {
+		t.init = true
+		t.next = seq + 1
 		return
 	}
 	switch {
-	case seq == s.rxNext:
-		s.rxNext++
-	case seq > s.rxNext:
-		s.stats.SeqGaps.Add(uint64(seq - s.rxNext))
-		s.rxNext = seq + 1
+	case seq == t.next:
+		t.next++
+	case seq > t.next:
+		st.SeqGaps.Add(uint64(seq - t.next))
+		t.next = seq + 1
 	default:
-		s.stats.Reordered.Add(1)
+		st.Reordered.Add(1)
 	}
 }
 

@@ -25,13 +25,13 @@ func TestSessionRehelloResetsTracking(t *testing.T) {
 	if s.rehello(0) {
 		t.Error("first hello counted as a re-hello")
 	}
-	s.trackRx(0)
-	s.trackRx(1)
+	s.rx.track(0, &s.stats)
+	s.rx.track(1, &s.stats)
 
 	if !s.rehello(1) {
 		t.Fatal("epoch change not treated as a re-hello")
 	}
-	s.trackRx(0) // the new epoch's numbering restarts at zero
+	s.rx.track(0, &s.stats) // the new epoch's numbering restarts at zero
 	if got := s.stats.SeqGaps.Load(); got != 0 {
 		t.Errorf("restarted numbering charged %d gaps", got)
 	}
@@ -40,12 +40,12 @@ func TestSessionRehelloResetsTracking(t *testing.T) {
 	}
 
 	// A same-epoch keepalive hello is a refresh, not a reset.
-	s.trackRx(1)
+	s.rx.track(1, &s.stats)
 	if s.rehello(1) {
 		t.Error("same-epoch hello treated as a re-hello")
 	}
-	if s.rxNext != 2 {
-		t.Errorf("keepalive hello reset rx tracking (rxNext=%d)", s.rxNext)
+	if s.rx.next != 2 {
+		t.Errorf("keepalive hello reset rx tracking (next=%d)", s.rx.next)
 	}
 }
 
@@ -54,13 +54,40 @@ func TestSessionRehelloResetsTracking(t *testing.T) {
 func TestSessionEpochWraparound(t *testing.T) {
 	s := &session{}
 	s.rehello(^uint32(0))
-	s.trackRx(7)
+	s.rx.track(7, &s.stats)
 	if !s.rehello(0) {
 		t.Fatal("wraparound to epoch 0 not treated as a re-hello")
 	}
-	s.trackRx(0)
+	s.rx.track(0, &s.stats)
 	if got := s.stats.SeqGaps.Load(); got != 0 {
 		t.Errorf("wraparound reset charged %d gaps", got)
+	}
+}
+
+// rxSeq charges exactly the skipped sequence numbers as gaps and each
+// older (or repeated) number as one reorder.
+func TestRxSeqAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		seqs            []uint32
+		gaps, reordered uint64
+		next            uint32
+	}{
+		{"first datagram", []uint32{41}, 0, 0, 42},
+		{"in order", []uint32{0, 1, 2, 3}, 0, 0, 4},
+		{"gap of 3", []uint32{0, 1, 5}, 3, 0, 6},
+		{"older sequence", []uint32{0, 1, 5, 2}, 3, 1, 6},
+		{"repeated sequence", []uint32{7, 7}, 0, 1, 8},
+	} {
+		var rx rxSeq
+		var st LinkStats
+		for _, seq := range tc.seqs {
+			rx.track(seq, &st)
+		}
+		if gaps, reordered := st.SeqGaps.Load(), st.Reordered.Load(); gaps != tc.gaps || reordered != tc.reordered || rx.next != tc.next {
+			t.Errorf("%s: gaps %d, reordered %d, next %d; want %d, %d, %d",
+				tc.name, gaps, reordered, rx.next, tc.gaps, tc.reordered, tc.next)
+		}
 	}
 }
 
@@ -128,7 +155,7 @@ func TestSessionExpiryRehelloRace(t *testing.T) {
 	tab := newSessionTable(0)
 	start := time.Now()
 	s, _ := tab.lookup(testAddr(9001), 1, start)
-	s.trackRx(41)
+	s.rx.track(41, &s.stats)
 	if n := tab.expire(start.Add(time.Second), 500*time.Millisecond); n != 1 {
 		t.Fatalf("expire dropped %d sessions, want 1", n)
 	}
@@ -144,7 +171,7 @@ func TestSessionExpiryRehelloRace(t *testing.T) {
 	if s2 == s {
 		t.Fatal("lookup returned the expired session object")
 	}
-	if s2.rxInit {
+	if s2.rx.init {
 		t.Error("fresh session inherited rx tracking")
 	}
 	if tab.expired.Load() != 1 {

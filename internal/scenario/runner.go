@@ -41,9 +41,9 @@ type send struct {
 // byte-identical trace.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
-	app, err := spec.appSpec()
+	app, err := firmware.Profile(spec.App)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	img, err := firmware.Generate(app, firmware.ModeMAVR)
 	if err != nil {

@@ -22,7 +22,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"mavr/internal/board"
@@ -195,19 +194,6 @@ func (s Spec) withDefaults() Spec {
 // Spec so guards can read Step/Checkpoint/Run without re-deriving the
 // defaults.
 func (s Spec) Effective() Spec { return s.withDefaults() }
-
-// appSpec resolves the firmware profile name.
-func (s Spec) appSpec() (firmware.AppSpec, error) {
-	if s.App == "" || s.App == "testapp" {
-		return firmware.TestApp(), nil
-	}
-	for _, p := range firmware.Profiles() {
-		if p.Name == s.App {
-			return p, nil
-		}
-	}
-	return firmware.AppSpec{}, fmt.Errorf("scenario: unknown app profile %q", s.App)
-}
 
 func (i Injection) withDefaults() Injection {
 	if i.Addr == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mavr/internal/avr"
@@ -23,19 +24,28 @@ func reportBytes(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
-// requireSameReport asserts the cached and fresh verification paths
-// produced byte-identical reports (JSON and text renderings).
-func requireSameReport(t *testing.T, fresh, cached *Report, ctx string) {
+// requireSameReport asserts the verifier rendered the reference
+// verifier's report byte for byte (JSON and text renderings).
+func requireSameReport(t *testing.T, ref, got *Report, ctx string) {
 	t.Helper()
-	fb, cb := reportBytes(t, fresh), reportBytes(t, cached)
-	if !bytes.Equal(fb, cb) {
-		t.Fatalf("%s: cached report diverges from fresh\nfresh:\n%s\ncached:\n%s", ctx, fb, cb)
+	rb, gb := reportBytes(t, ref), reportBytes(t, got)
+	if !bytes.Equal(rb, gb) {
+		t.Fatalf("%s: report diverges from the reference\nreference:\n%s\ngot:\n%s", ctx, rb, gb)
 	}
 }
 
-// TestBaseVerifyMatchesFresh proves the cached-handle equivalence
-// contract on clean randomizations: NewBase(pre, opts).Verify(r) must
-// be byte-identical to Verify(pre, r, opts), across seeds and with the
+// invalidWord returns the lowest opcode word the decoder rejects.
+func invalidWord() uint16 {
+	w := uint16(0)
+	for avr.Decode(w, 0).Op != avr.OpInvalid {
+		w++
+	}
+	return w
+}
+
+// TestBaseVerifyMatchesFresh proves the equivalence contract on clean
+// randomizations: NewBase(pre, opts).Verify(r) must be byte-identical
+// to the reference refVerify(pre, r, opts), across seeds and with the
 // gadget audit both off and on, and must resolve via the fast path.
 func TestBaseVerifyMatchesFresh(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
@@ -53,7 +63,7 @@ func TestBaseVerifyMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := Verify(pre, r, opts)
+			fresh := refVerify(pre, r, opts)
 			cached := base.Verify(r)
 			if !fresh.OK() {
 				t.Fatalf("seed %d: fresh verification unexpectedly failed", seed)
@@ -68,9 +78,10 @@ func TestBaseVerifyMatchesFresh(t *testing.T) {
 }
 
 // TestBaseVerifyFallbackMatchesFresh injects every rewriter-defect
-// class the diff must catch and proves the cached handle still returns
-// exactly the fresh report (via its fallback path) — defects never get
-// a different (or rosier) report because a cache was involved.
+// class the diff must catch and proves the handle still returns
+// exactly the reference report (via its fallback path) — defects never
+// get a different (or rosier) report because a cache was involved —
+// and counts each fallback under its cause.
 func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
 	if err != nil {
@@ -114,7 +125,7 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	for _, tc := range cases {
 		r := mk(7)
 		tc.tamper(r)
-		fresh := Verify(pre, r, DefaultOptions())
+		fresh := refVerify(pre, r, DefaultOptions())
 		cached := base.Verify(r)
 		if fresh.OK() {
 			t.Fatalf("%s: fresh verification missed the injected defect", tc.name)
@@ -137,7 +148,7 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	}
 	r := mk(7)
 	r.Image[vbase.vsaRes.Reads[0].Off] ^= 0xFF
-	requireSameReport(t, Verify(pre, r, vsaOpts), vbase.Verify(r), "vsa read changed")
+	requireSameReport(t, refVerify(pre, r, vsaOpts), vbase.Verify(r), "vsa read changed")
 	if st := vbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackVSAReadsChanged: 1}) {
 		t.Fatalf("want one VSA-reads fallback, got %+v", st)
 	}
@@ -147,10 +158,7 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	// such a base, so verify the clean base's outcome against it.
 	bad := *pre
 	bad.Image = append([]byte(nil), pre.Image...)
-	invalid := uint16(0)
-	for avr.Decode(invalid, 0).Op != avr.OpInvalid {
-		invalid++
-	}
+	invalid := invalidWord()
 	for pc := pre.Blocks[0].Start / 2; ; pc++ {
 		if op := avr.DecodeAt(bad.Image, pc).Op; op == avr.OpLDI || op == avr.OpPUSH {
 			bad.Image[2*pc], bad.Image[2*pc+1] = byte(invalid), byte(invalid>>8)
@@ -159,20 +167,23 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 	}
 	bbase := NewBase(&bad, DefaultOptions())
 	r = mk(7)
-	requireSameReport(t, Verify(&bad, r, DefaultOptions()), bbase.Verify(r), "base findings")
+	requireSameReport(t, refVerify(&bad, r, DefaultOptions()), bbase.Verify(r), "base findings")
 	if st := bbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackBaseFindings: 1}) {
 		t.Fatalf("want one base-findings fallback, got %+v", st)
 	}
 }
 
-// TestFastDiffMatchesVerifyPatches holds the cached diff to its
-// contract — it passes exactly when VerifyPatches finds nothing, and
-// then with the same stats — on a randomized test application with
-// every third byte corrupted in turn, and with every transfer and
-// pointer patch reverted in turn, and with a block placed past the
-// image end; and on a base with spm in its fixed region, which CFG
-// recovery does not flag, so only the diff keeps it off the fast path.
-func TestFastDiffMatchesVerifyPatches(t *testing.T) {
+// TestPatchDiffMatchesReference holds the indexed patch diff to the
+// reference lockstep walk: the same findings (kinds, addresses, blocks,
+// details and truncation points) and the same stats, on a randomized
+// test application with every third byte corrupted in turn, with every
+// transfer and pointer patch reverted in turn, and truncated; on a base
+// with spm in its fixed region, which CFG recovery does not flag; and
+// on bases whose linear decode stops early in block 0, at an invalid
+// opcode or a two-word instruction overrunning the block. A block
+// placed past the image end fails the layout check instead: one
+// bad-layout finding, and no walk.
+func TestPatchDiffMatchesReference(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +194,10 @@ func TestFastDiffMatchesVerifyPatches(t *testing.T) {
 	}
 	check := func(base *Base, r *core.Randomized, what string) {
 		t.Helper()
-		fs, want := VerifyPatches(base.pre, r)
-		got, ok := base.fastDiff(r)
-		if ok != (len(fs) == 0) || ok && got != want {
-			t.Fatalf("%s: fastDiff = %+v, %v; VerifyPatches found %d (%+v)", what, got, ok, len(fs), want)
+		wantFs, wantSt := refVerifyPatches(base.pre, r)
+		fs, st, _ := base.diff(r)
+		if !reflect.DeepEqual(fs, wantFs) || st != wantSt {
+			t.Fatalf("%s: diff = %v, %+v; reference %v, %+v", what, fs, st, wantFs, wantSt)
 		}
 	}
 	randomize := func(pre *core.Preprocessed) *core.Randomized {
@@ -201,7 +212,7 @@ func TestFastDiffMatchesVerifyPatches(t *testing.T) {
 	spm.Image = append([]byte(nil), pre.Image...)
 	spm.Image[0], spm.Image[1], spm.Image[2], spm.Image[3] = 0xE8, 0x95, 0, 0 // spm; nop
 	if sb := NewBase(&spm, Options{}); !sb.cfgClean {
-		t.Fatal("spm base has CFG findings; the diff would never run")
+		t.Fatal("spm base has CFG findings; only the diff should flag it")
 	} else {
 		check(sb, randomize(&spm), "spm in the fixed region")
 	}
@@ -231,8 +242,34 @@ func TestFastDiffMatchesVerifyPatches(t *testing.T) {
 		}
 		check(base, &r, fmt.Sprintf("pointer patch %d reverted", n))
 	}
-	// A layout claiming a block runs past the image end: both diffs
-	// read the missing words as 0xFFFF.
+	copy(r.Image, clean.Image)
+	r.Image = r.Image[:len(r.Image)-2]
+	check(base, &r, "truncated image")
+	r.Image = r.Image[:len(clean.Image)]
+
+	// The last word of block 0 rewritten in the base alone, then in the
+	// outcome too, at the block's new location.
+	last := pre.Blocks[0].End() - 2
+	moved := clean.NewStart[0] + pre.Blocks[0].Size - 2
+	for _, w := range []uint16{invalidWord(), 0x9000} { // invalid, lds r0 (two words)
+		mod := *pre
+		mod.Image = append([]byte(nil), pre.Image...)
+		mod.Image[last], mod.Image[last+1] = byte(w), byte(w>>8)
+		mb := NewBase(&mod, Options{})
+		copy(r.Image, clean.Image)
+		check(mb, &r, fmt.Sprintf("base word 0x%04X", w))
+		r.Image[moved], r.Image[moved+1] = byte(w), byte(w>>8)
+		check(mb, &r, fmt.Sprintf("base and outcome word 0x%04X", w))
+
+		// Block 0 moved, unpatched, to the very end of the image: the
+		// overrunning word then lies past the end.
+		r.NewStart = append([]uint32(nil), clean.NewStart...)
+		r.NewStart[0] = uint32(len(r.Image)) - pre.Blocks[0].Size
+		copy(r.Image[r.NewStart[0]:], mod.Image[pre.Blocks[0].Start:pre.Blocks[0].End()])
+		check(mb, &r, fmt.Sprintf("word 0x%04X at the image end", w))
+		r.NewStart = clean.NewStart
+	}
+
 	copy(r.Image, clean.Image)
 	r.NewStart = append([]uint32(nil), clean.NewStart...)
 	biggest := 0
@@ -242,16 +279,20 @@ func TestFastDiffMatchesVerifyPatches(t *testing.T) {
 		}
 	}
 	r.NewStart[biggest] = uint32(len(r.Image)) - 2
-	check(base, &r, "block past the image end")
+	fs, st, laidOut := base.diff(&r)
+	if laidOut || len(fs) != 1 || fs[0].Kind != KindBadLayout || st != (DiffStats{}) {
+		t.Fatalf("block past the image end: diff = %v, %+v, laid out %v; want one %s finding",
+			fs, st, laidOut, KindBadLayout)
+	}
 }
 
-// FuzzBaseVerify holds the cached verifier to the stateless one on
+// FuzzBaseVerify holds the verifier to the reference stateless one on
 // mutated randomizations: a seeded permutation of the test application
 // or ArduPlane, then no mutation, byte flips anywhere in the image, or
 // one reverted transfer or pointer patch. For Options{} and for the
 // armory's options (gadget audit and VSA), NewBase(pre, opts).Verify(r)
-// must render exactly the report Verify(pre, r, opts) does, whichever
-// path it takes.
+// must render exactly the report refVerify(pre, r, opts) does,
+// whichever path it takes.
 func FuzzBaseVerify(f *testing.F) {
 	type subject struct {
 		pre   *core.Preprocessed
@@ -302,7 +343,7 @@ func FuzzBaseVerify(f *testing.F) {
 			RevertPointerPatch(pre, r, rng.Intn(r.PatchedPointers+1))
 		}
 		for _, base := range sub.bases {
-			requireSameReport(t, Verify(pre, r, base.opts), base.Verify(r), "mutated randomization")
+			requireSameReport(t, refVerify(pre, r, base.opts), base.Verify(r), "mutated randomization")
 		}
 	})
 }
@@ -328,7 +369,7 @@ func TestBaseVerifyMatchesFreshArduplane(t *testing.T) {
 	}
 	opts := Options{} // the pre-flash gate configuration the master uses
 	base := NewBase(pre, opts)
-	requireSameReport(t, Verify(pre, r, opts), base.Verify(r), "arduplane")
+	requireSameReport(t, refVerify(pre, r, opts), base.Verify(r), "arduplane")
 	if st := base.Stats(); st.FastVerifies != 1 {
 		t.Fatalf("want fast path, got %+v", st)
 	}

@@ -27,9 +27,10 @@ func benchPlane(b *testing.B) (*core.Preprocessed, *core.Randomized) {
 	return pre, r
 }
 
-// BenchmarkStaticVerify is the full verification (CFG + diff, no
-// gadget audit) of an ArduPlane-scale randomization — the pre-flash
-// gate the master runs on every re-randomization.
+// BenchmarkStaticVerify is the one-shot verification (a fresh Base:
+// the base's CFG and transfer index, then the diff; no gadget audit) of
+// an ArduPlane-scale randomization — the pre-flash gate the master runs
+// on every re-randomization.
 func BenchmarkStaticVerify(b *testing.B) {
 	pre, r := benchPlane(b)
 	b.ReportAllocs()
@@ -58,7 +59,7 @@ func BenchmarkStaticVerifyVSA(b *testing.B) {
 
 // BenchmarkStaticVerifyCached runs StaticVerify's check through a
 // reusable Base: CFG recovery is paid once outside the loop, each
-// iteration runs the cached lockstep diff — the armory's per-artifact
+// iteration runs the indexed patch diff — the armory's per-artifact
 // cost on a cache hit.
 func BenchmarkStaticVerifyCached(b *testing.B) {
 	pre, r := benchPlane(b)

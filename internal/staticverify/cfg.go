@@ -56,7 +56,7 @@ type Func struct {
 	Instrs int
 
 	// region is the linear decode of the function extent, shared with
-	// the cached verifier's diff and the value-set analysis.
+	// the patch diff's index and the value-set analysis.
 	region baseRegion
 }
 

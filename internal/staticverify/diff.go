@@ -1,12 +1,12 @@
 package staticverify
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"mavr/internal/avr"
 	"mavr/internal/core"
-	"mavr/internal/firmware"
 )
 
 // DiffStats counts what the patch-completeness diff proved.
@@ -19,190 +19,322 @@ type DiffStats struct {
 	// PointersChecked counts data-section function pointers proven
 	// remapped.
 	PointersChecked int `json:"pointers_checked"`
-	// WordsCompared counts program words walked in lockstep.
+	// WordsCompared counts program words proven identical or remapped.
 	WordsCompared int `json:"words_compared"`
 }
 
-// remapper rebuilds the address mapping a randomization outcome
-// applied: old byte address -> new byte address.
-func remapper(pre *core.Preprocessed, r *core.Randomized) func(uint32) uint32 {
-	return func(old uint32) uint32 {
-		i := pre.BlockIndex(old)
-		if i < 0 {
-			return old
-		}
-		return r.NewStart[i] + (old - pre.Blocks[i].Start)
-	}
+// patchRegion indexes one contiguous code range of the base image for
+// the patch diff: the fixed low-flash region (oldStart 0) or one
+// function block. Walked linearly from its start, the region's
+// instruction stream consists of sites and the plain instructions
+// between them. A plain instruction must survive a permutation byte
+// for byte, so the words between two sites are compared as one run.
+type patchRegion struct {
+	oldStart uint32 // byte address in the base image
+	// end is the word offset where the run of whole instructions ends:
+	// the region's length in words, or the offset of a final site where
+	// the linear decode stops.
+	end   uint32
+	sites []patchSite
 }
 
-// VerifyPatches proves patch-completeness of a randomization outcome:
-// it walks the original and randomized images in lockstep and checks
-// that every direct control transfer, vector entry and tabled function
-// pointer was rewritten to exactly its relocated target — and that
-// nothing else changed. The returned findings are empty iff the
-// rewrite is provably complete and faithful.
-func VerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, DiffStats) {
-	var findings []Finding
-	var st DiffStats
+// patchSite is one instruction of a region that byte comparison alone
+// does not settle: a direct transfer, whose target must be remapped;
+// spm, which is always a finding; or where the linear decode stops,
+// at an invalid opcode or a two-word instruction that overruns the
+// region.
+type patchSite struct {
+	pc    uint32 // word offset from the region start
+	op    avr.Op
+	words uint32
+	// target is a transfer's absolute target in the base image, byte
+	// address.
+	target uint32
+}
+
+// siteAt describes the base instruction in decoded at word offset pc of
+// a region starting at word address oldW.
+func siteAt(in avr.Instr, oldW, pc uint32) patchSite {
+	s := patchSite{pc: pc, op: in.Op, words: uint32(in.Words)}
+	switch in.Op {
+	case avr.OpJMP, avr.OpCALL:
+		s.target = in.Target * 2
+	case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
+		s.target = uint32(int64(oldW+pc)+1+int64(in.K)) * 2
+	}
+	return s
+}
+
+// isTransfer reports whether op is a direct transfer the randomizer
+// patches.
+func isTransfer(op avr.Op) bool {
+	switch op {
+	case avr.OpJMP, avr.OpCALL, avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
+		return true
+	}
+	return false
+}
+
+// patchIndex indexes the base image for the patch diff: the fixed
+// region, then one region per block in pre.Blocks order. g, when not
+// nil, is the base image's graph; its per-function decode is reused
+// instead of decoding the blocks again.
+func patchIndex(pre *core.Preprocessed, g *Graph) []patchRegion {
+	regs := make([]patchRegion, 0, len(pre.Blocks)+1)
+	regs = append(regs, indexRegion(pre.Image, 0, pre.RegionStart, nil))
+	for i, blk := range pre.Blocks {
+		var code []avr.Instr
+		if g != nil {
+			code = g.Funcs[i].region.code
+		}
+		regs = append(regs, indexRegion(pre.Image, blk.Start, blk.Size, code))
+	}
+	return regs
+}
+
+// indexRegion walks size bytes of base-image code at byte address start
+// linearly, taking each instruction from code (a decode indexed by word
+// offset, where present) or decoding it.
+func indexRegion(img []byte, start, size uint32, code []avr.Instr) patchRegion {
+	reg := patchRegion{oldStart: start}
+	oldW, endW := start/2, size/2
+	pc := uint32(0)
+	for pc < endW {
+		var in avr.Instr
+		if pc < uint32(len(code)) && code[pc].Words != 0 {
+			in = code[pc]
+		} else {
+			in = avr.DecodeAt(img, oldW+pc)
+		}
+		if in.Op == avr.OpInvalid || pc+uint32(in.Words) > endW {
+			reg.sites = append(reg.sites, siteAt(in, oldW, pc))
+			break
+		}
+		if isTransfer(in.Op) || in.Op == avr.OpSPM {
+			reg.sites = append(reg.sites, siteAt(in, oldW, pc))
+		}
+		pc += uint32(in.Words)
+	}
+	reg.end = pc
+	return reg
+}
+
+// checkLayout is the diff's entry check: the randomized image must be
+// as long as the base, with one relocated start per base block and
+// every relocated block inside the image. Every later walk indexes
+// r.NewStart and the image through it, so a failed check is the only
+// finding and nothing else runs.
+func checkLayout(pre *core.Preprocessed, r *core.Randomized) []Finding {
 	if len(r.Image) != len(pre.Image) {
 		return []Finding{{
 			Kind: KindSizeMismatch, Severity: SevError,
 			Detail: fmt.Sprintf("randomized image is %d bytes, original %d", len(r.Image), len(pre.Image)),
-		}}, st
+		}}
 	}
-	remap := remapper(pre, r)
+	if len(r.NewStart) != len(pre.Blocks) {
+		return []Finding{{
+			Kind: KindBadLayout, Severity: SevError,
+			Detail: fmt.Sprintf("layout places %d blocks, original has %d", len(r.NewStart), len(pre.Blocks)),
+		}}
+	}
+	for i, blk := range pre.Blocks {
+		if end := uint64(r.NewStart[i]) + uint64(blk.Size); end > uint64(len(r.Image)) {
+			return []Finding{{
+				Kind: KindBadLayout, Severity: SevError, Addr: r.NewStart[i], Block: blk.Name,
+				Detail: fmt.Sprintf("relocated block [0x%X,0x%X) does not lie inside the %d-byte image",
+					r.NewStart[i], end, len(r.Image)),
+			}}
+		}
+	}
+	return nil
+}
+
+// patchDiff is one run of the patch-completeness diff.
+type patchDiff struct {
+	pre      *core.Preprocessed
+	r        *core.Randomized
+	vecEnd   uint32
+	st       DiffStats
+	findings []Finding
+
+	// The region being walked: its word address in the base and in the
+	// randomized image, and its block name ("" for the fixed region).
+	oldW, newW uint32
+	block      string
+}
+
+// remap is the address mapping the randomization outcome applied: old
+// byte address -> new byte address.
+func (d *patchDiff) remap(old uint32) uint32 {
+	i := d.pre.BlockIndex(old)
+	if i < 0 {
+		return old
+	}
+	return d.r.NewStart[i] + (old - d.pre.Blocks[i].Start)
+}
+
+func (d *patchDiff) add(kind Kind, addr uint32, block, detail string) {
+	d.findings = append(d.findings, Finding{Kind: kind, Severity: SevError, Addr: addr, Block: block, Detail: detail})
+}
+
+// diff proves patch-completeness of a randomization outcome: every
+// direct control transfer, vector entry and tabled function pointer
+// was rewritten to exactly its relocated target, and nothing else
+// changed. The findings are empty iff the rewrite is provably complete
+// and faithful. laidOut is false when the layout check failed and no
+// walk ran.
+//
+// Each region is walked from its start as a lockstep walk of the base
+// and randomized streams would: the randomized image is decoded only at
+// the base's sites, and the runs between sites are compared byte for
+// byte. A run that differs is stepped through instruction by
+// instruction to report its first changed instruction, where the
+// region's walk stops.
+func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidOut bool) {
+	pre := b.pre
+	if fs := checkLayout(pre, r); fs != nil {
+		return fs, st, false
+	}
+	d := patchDiff{pre: pre, r: r, vecEnd: b.vecEnd}
+	for ri := range b.regions {
+		reg := &b.regions[ri]
+		d.oldW, d.newW, d.block = reg.oldStart/2, reg.oldStart/2, "" // the fixed region stays put
+		if ri > 0 {
+			d.newW, d.block = r.NewStart[ri-1]/2, pre.Blocks[ri-1].Name
+		}
+		d.region(reg)
+	}
+
 	newStarts := make(map[uint32]bool, len(pre.Blocks))
 	for i := range pre.Blocks {
 		newStarts[r.NewStart[i]] = true
 	}
 
-	// The vector table occupies the first NumVectors two-word jmp slots;
-	// defects there get their own kind since a missed vector entry fires
-	// on the next interrupt, not the next call.
-	vecEnd := uint32(firmware.NumVectors) * 4
-	if vecEnd > pre.RegionStart {
-		vecEnd = pre.RegionStart
-	}
-
-	// Fixed low-flash region: same location in both images, but targets
-	// into moved blocks must be remapped.
-	findings = append(findings, diffRange(pre.Image, r.Image, 0, 0, pre.RegionStart, "", vecEnd, remap, &st)...)
-
-	// Every relocated block, walked at its old and new location.
-	for i, b := range pre.Blocks {
-		findings = append(findings,
-			diffRange(pre.Image, r.Image, b.Start, r.NewStart[i], b.Size, b.Name, vecEnd, remap, &st)...)
-	}
-
 	// Data-section function pointers (16-bit word addresses).
 	for _, off := range pre.PtrOffsets {
 		if int(off)+1 >= len(pre.Image) {
-			findings = append(findings, Finding{
-				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
-				Detail: "function-pointer offset outside the image",
-			})
+			d.add(KindDanglingEdge, off, "", "function-pointer offset outside the image")
 			continue
 		}
-		st.PointersChecked++
+		d.st.PointersChecked++
 		oldW := uint32(pre.Image[off]) | uint32(pre.Image[off+1])<<8
 		newW := uint32(r.Image[off]) | uint32(r.Image[off+1])<<8
-		want := remap(oldW*2) / 2
+		want := d.remap(oldW*2) / 2
 		if newW != want {
-			findings = append(findings, Finding{
-				Kind: KindUnpatchedPointer, Severity: SevError, Addr: off,
-				Detail: fmt.Sprintf("pointer 0x%X should be 0x%X after relocation, found 0x%X",
-					oldW*2, want*2, newW*2),
-			})
+			d.add(KindUnpatchedPointer, off, "", fmt.Sprintf("pointer 0x%X should be 0x%X after relocation, found 0x%X",
+				oldW*2, want*2, newW*2))
 			continue
 		}
 		if t := want * 2; !newStarts[t] && t >= pre.RegionStart {
-			findings = append(findings, Finding{
-				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
-				Detail: fmt.Sprintf("relocated pointer 0x%X is not a function entry", t),
-			})
+			d.add(KindDanglingEdge, off, "", fmt.Sprintf("relocated pointer 0x%X is not a function entry", t))
 		}
 	}
 
-	// Vector entries must land on relocated function entries (or fixed
+	// The vector table occupies the first NumVectors two-word jmp slots;
+	// each entry must land on a relocated function entry (or fixed
 	// code) in the new layout.
-	for pc := uint32(0); pc*2 < vecEnd; pc += 2 {
+	for pc := uint32(0); pc*2 < b.vecEnd; pc += 2 {
 		in := avr.DecodeAt(r.Image, pc)
 		if in.Op != avr.OpJMP {
 			continue
 		}
-		st.VectorsChecked++
+		d.st.VectorsChecked++
 		if t := in.Target * 2; !newStarts[t] && t >= pre.RegionStart {
-			findings = append(findings, Finding{
-				Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2,
-				Detail: fmt.Sprintf("vector %d target 0x%X is not a function entry", pc/2, t),
-			})
+			d.add(KindDanglingEdge, pc*2, "", fmt.Sprintf("vector %d target 0x%X is not a function entry", pc/2, t))
 		}
 	}
-	return findings, st
+	return d.findings, d.st, true
 }
 
-// diffRange lockstep-walks size bytes of code living at oldStart in the
-// original image and newStart in the randomized one. block names the
-// function ("" for the fixed region); vecEnd bounds the vector table in
-// the fixed region.
-func diffRange(orig, rnd []byte, oldStart, newStart, size uint32, block string, vecEnd uint32, remap func(uint32) uint32, st *DiffStats) []Finding {
-	var findings []Finding
-	oldW, newW := oldStart/2, newStart/2
-	endW := size / 2
-	for pc := uint32(0); pc < endW; {
-		oin := avr.DecodeAt(orig, oldW+pc)
-		nin := avr.DecodeAt(rnd, newW+pc)
-		addr := (newW + pc) * 2
-		if oin.Op == avr.OpInvalid {
-			findings = append(findings, Finding{
-				Kind: KindUndecodable, Severity: SevError, Addr: addr, Block: block,
-				Detail: "original instruction stream does not decode; diff truncated here",
-			})
-			return findings
+// region diffs the region being walked until its end or the first
+// finding that desynchronizes the streams.
+func (d *patchDiff) region(reg *patchRegion) {
+	pc := uint32(0)
+	for _, s := range reg.sites {
+		if !d.run(pc, s.pc) {
+			return
 		}
-		if oin.Op != nin.Op || oin.Words != nin.Words {
-			findings = append(findings, Finding{
-				Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
-				Detail: fmt.Sprintf("instruction changed from %s to %s; streams diverged, diff truncated here",
-					oin.Op, nin.Op),
-			})
-			return findings
+		n := d.step(s)
+		if n == 0 {
+			return
 		}
-		st.WordsCompared += oin.Words
-		kind := KindUnpatchedTransfer
-		if block == "" && addr < vecEnd {
-			kind = KindUnpatchedVector
-		}
-
-		switch oin.Op {
-		case avr.OpJMP, avr.OpCALL:
-			st.TransfersChecked++
-			want := remap(oin.Target * 2)
-			if got := nin.Target * 2; got != want {
-				findings = append(findings, Finding{
-					Kind: kind, Severity: SevError, Addr: addr, Block: block,
-					Detail: fmt.Sprintf("%s 0x%X should be patched to 0x%X, found 0x%X",
-						oin.Op, oin.Target*2, want, got),
-				})
-			} else if avr.DecodeAt(rnd, want/2).Op == avr.OpInvalid {
-				findings = append(findings, Finding{
-					Kind: KindDanglingEdge, Severity: SevError, Addr: addr, Block: block,
-					Detail: fmt.Sprintf("patched %s target 0x%X does not decode", oin.Op, want),
-				})
-			}
-		case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
-			st.TransfersChecked++
-			oldAbs := uint32(int64(oldW+pc)+1+int64(oin.K)) * 2
-			newAbs := uint32(int64(newW+pc)+1+int64(nin.K)) * 2
-			if want := remap(oldAbs); newAbs != want {
-				findings = append(findings, Finding{
-					Kind: kind, Severity: SevError, Addr: addr, Block: block,
-					Detail: fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
-						oin.Op, oldAbs, want, newAbs),
-				})
-			}
-		case avr.OpSPM:
-			findings = append(findings, Finding{
-				Kind: KindUnverifiableSPM, Severity: SevError, Addr: addr, Block: block,
-				Detail: "spm inside verified region: self-modifying code cannot be proven patch-complete",
-			})
-		default:
-			// Everything else must be byte-identical.
-			same := wordAt(orig, oldW+pc) == wordAt(rnd, newW+pc)
-			if oin.Words == 2 {
-				same = same && wordAt(orig, oldW+pc+1) == wordAt(rnd, newW+pc+1)
-			}
-			if !same {
-				findings = append(findings, Finding{
-					Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
-					Detail: fmt.Sprintf("%s operands changed; streams diverged, diff truncated here", oin.Op),
-				})
-				return findings
-			}
-		}
-		pc += uint32(oin.Words)
+		pc = s.pc + n
 	}
-	return findings
+	if pc < reg.end {
+		d.run(pc, reg.end)
+	}
+}
+
+// run compares the plain instructions in word offsets [from, to) and
+// reports whether the walk continues past them.
+func (d *patchDiff) run(from, to uint32) bool {
+	if bytes.Equal(d.pre.Image[(d.oldW+from)*2:(d.oldW+to)*2], d.r.Image[(d.newW+from)*2:(d.newW+to)*2]) {
+		d.st.WordsCompared += int(to - from)
+		return true
+	}
+	for pc := from; pc < to; {
+		n := d.step(siteAt(avr.DecodeAt(d.pre.Image, d.oldW+pc), d.oldW, pc))
+		if n == 0 {
+			return false
+		}
+		pc += n
+	}
+	return true
+}
+
+// step diffs one base instruction against the randomized one at the
+// same region offset and returns its length in words, or 0 when the
+// streams desynchronize there and the region's walk stops.
+func (d *patchDiff) step(s patchSite) uint32 {
+	oldW, newW, block := d.oldW, d.newW, d.block
+	addr := (newW + s.pc) * 2
+	if s.op == avr.OpInvalid {
+		d.add(KindUndecodable, addr, block, "original instruction stream does not decode; diff truncated here")
+		return 0
+	}
+	nin := avr.DecodeAt(d.r.Image, newW+s.pc)
+	if s.op != nin.Op || s.words != uint32(nin.Words) {
+		d.add(KindOpcodeMismatch, addr, block, fmt.Sprintf(
+			"instruction changed from %s to %s; streams diverged, diff truncated here", s.op, nin.Op))
+		return 0
+	}
+	d.st.WordsCompared += int(s.words)
+	kind := KindUnpatchedTransfer
+	if block == "" && addr < d.vecEnd {
+		kind = KindUnpatchedVector
+	}
+
+	switch s.op {
+	case avr.OpJMP, avr.OpCALL:
+		d.st.TransfersChecked++
+		want := d.remap(s.target)
+		if got := nin.Target * 2; got != want {
+			d.add(kind, addr, block, fmt.Sprintf("%s 0x%X should be patched to 0x%X, found 0x%X",
+				s.op, s.target, want, got))
+		} else if avr.DecodeAt(d.r.Image, want/2).Op == avr.OpInvalid {
+			d.add(KindDanglingEdge, addr, block, fmt.Sprintf("patched %s target 0x%X does not decode", s.op, want))
+		}
+	case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
+		d.st.TransfersChecked++
+		newAbs := uint32(int64(newW+s.pc)+1+int64(nin.K)) * 2
+		if want := d.remap(s.target); newAbs != want {
+			d.add(kind, addr, block, fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
+				s.op, s.target, want, newAbs))
+		}
+	case avr.OpSPM:
+		d.add(KindUnverifiableSPM, addr, block,
+			"spm inside verified region: self-modifying code cannot be proven patch-complete")
+	default:
+		// Everything else must be byte-identical.
+		for w := uint32(0); w < s.words; w++ {
+			if wordAt(d.pre.Image, oldW+s.pc+w) != wordAt(d.r.Image, newW+s.pc+w) {
+				d.add(KindOpcodeMismatch, addr, block, fmt.Sprintf(
+					"%s operands changed; streams diverged, diff truncated here", s.op))
+				return 0
+			}
+		}
+	}
+	return s.words
 }
 
 // Fault-injection errors.
@@ -216,40 +348,39 @@ var (
 // randomization outcome, writing the original encoding back into
 // r.Image. It exists to inject exactly the defect the verifier must
 // catch — a rewriter that missed one site — for tests, demos and CI
-// canaries. It returns the byte address of the reverted instruction in
-// the randomized image.
+// canaries. Transfers count in the patch diff's order, and one counts
+// as patched when any of its words differ. It returns the byte address
+// of the reverted instruction in the randomized image, or an error for
+// a layout the verifier's entry check rejects.
 func RevertPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, error) {
-	type region struct{ oldStart, newStart, size uint32 }
-	regions := []region{{0, 0, pre.RegionStart}}
-	for i, b := range pre.Blocks {
-		regions = append(regions, region{b.Start, r.NewStart[i], b.Size})
+	if fs := checkLayout(pre, r); fs != nil {
+		return 0, fmt.Errorf("staticverify: %s", fs[0].Detail)
 	}
 	seen := 0
-	for _, reg := range regions {
-		oldW, newW := reg.oldStart/2, reg.newStart/2
-		for pc := uint32(0); pc < reg.size/2; {
-			oin := avr.DecodeAt(pre.Image, oldW+pc)
-			if oin.Op == avr.OpInvalid {
-				break
+	for ri, reg := range patchIndex(pre, nil) {
+		oldW, newW := reg.oldStart/2, reg.oldStart/2
+		if ri > 0 {
+			newW = r.NewStart[ri-1] / 2
+		}
+		for _, s := range reg.sites {
+			if !isTransfer(s.op) {
+				continue
 			}
-			if oin.IsCallOrJump() || oin.Op == avr.OpBRBS || oin.Op == avr.OpBRBC {
-				patched := false
-				for w := uint32(0); w < uint32(oin.Words); w++ {
-					if wordAt(pre.Image, oldW+pc+w) != wordAt(r.Image, newW+pc+w) {
-						patched = true
-					}
-				}
-				if patched {
-					if seen == n {
-						for w := uint32(0); w < uint32(oin.Words); w++ {
-							copy(r.Image[(newW+pc+w)*2:], pre.Image[(oldW+pc+w)*2:(oldW+pc+w)*2+2])
-						}
-						return (newW + pc) * 2, nil
-					}
-					seen++
+			o, nw := oldW+s.pc, newW+s.pc
+			patched := false
+			for w := uint32(0); w < s.words; w++ {
+				if wordAt(pre.Image, o+w) != wordAt(r.Image, nw+w) {
+					patched = true
 				}
 			}
-			pc += uint32(oin.Words)
+			if !patched {
+				continue
+			}
+			if seen == n {
+				copy(r.Image[nw*2:], pre.Image[o*2:(o+s.words)*2])
+				return nw * 2, nil
+			}
+			seen++
 		}
 	}
 	return 0, ErrNoSuchPatch
@@ -257,8 +388,12 @@ func RevertPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, err
 
 // RevertPointerPatch undoes the n-th rewritten data-section function
 // pointer, returning its flash byte offset. Like RevertPatch, it is a
-// fault injector for exercising the verifier.
+// fault injector for exercising the verifier, and refuses a layout the
+// verifier's entry check rejects.
 func RevertPointerPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, error) {
+	if fs := checkLayout(pre, r); fs != nil {
+		return 0, fmt.Errorf("staticverify: %s", fs[0].Detail)
+	}
 	seen := 0
 	for _, off := range pre.PtrOffsets {
 		if pre.Image[off] == r.Image[off] && pre.Image[off+1] == r.Image[off+1] {

@@ -21,12 +21,15 @@
 //     of indirect targets. A function containing spm is self-modifying
 //     and reported unverifiable rather than silently passed.
 //
-//   - Patch-completeness diff (VerifyPatches): a lockstep walk of the
-//     original and randomized images proving that every direct
-//     transfer, interrupt-vector entry and tabled function pointer was
-//     remapped to exactly its relocated target, and that nothing else
-//     changed. Any unpatched, mispatched or dangling edge is a
-//     structured Finding.
+//   - Patch-completeness diff: proves that every direct transfer,
+//     interrupt-vector entry and tabled function pointer was remapped
+//     to exactly its relocated target, and that nothing else changed.
+//     It walks an index of the original image's direct transfers: the
+//     randomized image is decoded only at those sites, and the words
+//     between them are compared byte for byte. Any unpatched,
+//     mispatched or dangling edge is a structured Finding, and a
+//     layout that does not fit the image is one finding before any
+//     walk runs.
 //
 //   - Residual gadget audit (AuditGadgets): internal/gadget.Scan over
 //     both images, reporting gadget addresses that survive
@@ -37,7 +40,12 @@
 //     table) are summarized as info, since they are invariants of the
 //     firmware rather than rewriter defects.
 //
-// Verify composes the three passes into a Report. cmd/mavr-verify is
-// the CLI; mavr-randomize runs Verify as an opt-out post-pass; and
-// board.Master refuses to flash any image with error-severity findings.
+// Base.Verify composes the three passes into a Report. A Base computes
+// what depends only on the original image once (the transfer index,
+// its CFG, its value-set analysis and gadget census) and reuses it for
+// every clean permutation; Verify(pre, r, opts) is
+// NewBase(pre, opts).Verify(r). cmd/mavr-verify is the CLI;
+// mavr-randomize runs Verify as an opt-out post-pass; the armory keeps
+// one Base per cached image; and board.Master refuses to flash any
+// image with error-severity findings.
 package staticverify

@@ -90,6 +90,10 @@ const (
 	// KindSizeMismatch: the randomized image is not the same length as
 	// the original.
 	KindSizeMismatch Kind = "size-mismatch"
+	// KindBadLayout: the randomization's layout does not fit the
+	// original — a relocated start missing or extra, or a relocated
+	// block that does not lie inside the image.
+	KindBadLayout Kind = "bad-layout"
 	// KindStackViolation: value-set analysis disproved a function's
 	// stack discipline — a path reaches RET with an unbalanced frame, or
 	// pops below the entry stack pointer.

@@ -48,10 +48,8 @@ func gadgetIndex(gs []*gadget.Gadget) map[uint32]*gadget.Gadget {
 }
 
 // auditGadgetsAgainst is AuditGadgets with the original-image scan
-// supplied by the caller, so a cached Base can amortize it across many
-// permutations of the same base image. It must stay the single
-// implementation both entry points share: report equality between the
-// cached and fresh paths depends on it.
+// supplied by the caller, so a Base can amortize it across every
+// permutation of its base image, clean or defective.
 //
 // demote re-ranks in-region stable-gadget findings from warning to
 // info. The caller sets it when value-set analysis proved every

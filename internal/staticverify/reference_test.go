@@ -1,0 +1,269 @@
+package staticverify
+
+import (
+	"fmt"
+
+	"mavr/internal/avr"
+	"mavr/internal/core"
+	"mavr/internal/firmware"
+	"mavr/internal/gadget"
+	"mavr/internal/staticverify/vsa"
+)
+
+// This file keeps the stateless verifier the package shipped before
+// Verify became NewBase(pre, opts).Verify(r): a lockstep walk of the
+// original and randomized instruction streams plus CFG recovery, value-
+// set analysis and the gadget census of every image from scratch. Its
+// bodies are kept verbatim, only renamed (refVerify, refVerifyPatches,
+// refDiffRange), so the equivalence tests, the patch-diff test and
+// FuzzBaseVerify hold the indexed diff and the cached handle to the
+// code they replaced. remapper is the address mapping they share.
+
+// remapper rebuilds the address mapping a randomization outcome
+// applied: old byte address -> new byte address.
+func remapper(pre *core.Preprocessed, r *core.Randomized) func(uint32) uint32 {
+	return func(old uint32) uint32 {
+		i := pre.BlockIndex(old)
+		if i < 0 {
+			return old
+		}
+		return r.NewStart[i] + (old - pre.Blocks[i].Start)
+	}
+}
+
+// refVerify runs the full static verification of one randomization
+// outcome: CFG recovery over the randomized image, the
+// patch-completeness diff against the original, and (per opts) the
+// residual gadget audit.
+func refVerify(pre *core.Preprocessed, r *core.Randomized, opts Options) *Report {
+	rep := &Report{
+		Blocks:      len(pre.Blocks),
+		RegionStart: pre.RegionStart,
+		RegionEnd:   pre.RegionEnd,
+	}
+
+	diffFindings, diffStats := refVerifyPatches(pre, r)
+	rep.Diff = diffStats
+
+	var graphFindings, vsaFindings []Finding
+	demote := false
+	if len(r.Image) == len(pre.Image) {
+		g := Recover(r.Image, RelocatedBlocks(pre, r), pre.RegionStart, pre.RegionEnd)
+		rep.CFG = CFGStats{
+			Funcs:           len(g.Funcs),
+			BasicBlocks:     g.BasicBlockCount(),
+			CallEdges:       g.CallEdgeCount(),
+			IndirectSites:   g.IndirectSiteCount(),
+			IndirectTargets: len(g.EntryTargets),
+		}
+		for _, f := range g.Funcs {
+			rep.CFG.Instrs += f.Instrs
+		}
+		graphFindings = g.Findings
+		if opts.VSA {
+			res := vsa.Analyze(VSAInput(r.Image, g, pre))
+			rep.VSA, vsaFindings, demote = renderVSA(res, graphLayout(r.Image, g))
+		}
+	}
+
+	// The diff and the CFG both flag spm/undecodable sites; keep one
+	// finding per (kind, addr).
+	seen := make(map[string]bool, len(diffFindings))
+	add := func(fs []Finding) {
+		for _, f := range fs {
+			key := fmt.Sprintf("%s@%d@%s", f.Kind, f.Addr, f.Block)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			rep.Findings = append(rep.Findings, f)
+		}
+	}
+	add(diffFindings)
+	add(graphFindings)
+	add(vsaFindings)
+
+	if opts.Gadgets {
+		maxWords := opts.GadgetMaxWords
+		if maxWords <= 0 {
+			maxWords = 24
+		}
+		origGs := gadget.Scan(pre.Image, maxWords)
+		audit, gfs := auditGadgetsAgainst(pre, r, maxWords, origGs, gadgetIndex(origGs), demote)
+		rep.Gadgets = &audit
+		rep.Findings = append(rep.Findings, gfs...)
+	}
+
+	sortFindings(rep.Findings)
+	return rep
+}
+
+// refVerifyPatches proves patch-completeness of a randomization outcome:
+// it walks the original and randomized images in lockstep and checks
+// that every direct control transfer, vector entry and tabled function
+// pointer was rewritten to exactly its relocated target — and that
+// nothing else changed. The returned findings are empty iff the
+// rewrite is provably complete and faithful.
+func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, DiffStats) {
+	var findings []Finding
+	var st DiffStats
+	if len(r.Image) != len(pre.Image) {
+		return []Finding{{
+			Kind: KindSizeMismatch, Severity: SevError,
+			Detail: fmt.Sprintf("randomized image is %d bytes, original %d", len(r.Image), len(pre.Image)),
+		}}, st
+	}
+	remap := remapper(pre, r)
+	newStarts := make(map[uint32]bool, len(pre.Blocks))
+	for i := range pre.Blocks {
+		newStarts[r.NewStart[i]] = true
+	}
+
+	// The vector table occupies the first NumVectors two-word jmp slots;
+	// defects there get their own kind since a missed vector entry fires
+	// on the next interrupt, not the next call.
+	vecEnd := uint32(firmware.NumVectors) * 4
+	if vecEnd > pre.RegionStart {
+		vecEnd = pre.RegionStart
+	}
+
+	// Fixed low-flash region: same location in both images, but targets
+	// into moved blocks must be remapped.
+	findings = append(findings, refDiffRange(pre.Image, r.Image, 0, 0, pre.RegionStart, "", vecEnd, remap, &st)...)
+
+	// Every relocated block, walked at its old and new location.
+	for i, b := range pre.Blocks {
+		findings = append(findings,
+			refDiffRange(pre.Image, r.Image, b.Start, r.NewStart[i], b.Size, b.Name, vecEnd, remap, &st)...)
+	}
+
+	// Data-section function pointers (16-bit word addresses).
+	for _, off := range pre.PtrOffsets {
+		if int(off)+1 >= len(pre.Image) {
+			findings = append(findings, Finding{
+				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
+				Detail: "function-pointer offset outside the image",
+			})
+			continue
+		}
+		st.PointersChecked++
+		oldW := uint32(pre.Image[off]) | uint32(pre.Image[off+1])<<8
+		newW := uint32(r.Image[off]) | uint32(r.Image[off+1])<<8
+		want := remap(oldW*2) / 2
+		if newW != want {
+			findings = append(findings, Finding{
+				Kind: KindUnpatchedPointer, Severity: SevError, Addr: off,
+				Detail: fmt.Sprintf("pointer 0x%X should be 0x%X after relocation, found 0x%X",
+					oldW*2, want*2, newW*2),
+			})
+			continue
+		}
+		if t := want * 2; !newStarts[t] && t >= pre.RegionStart {
+			findings = append(findings, Finding{
+				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
+				Detail: fmt.Sprintf("relocated pointer 0x%X is not a function entry", t),
+			})
+		}
+	}
+
+	// Vector entries must land on relocated function entries (or fixed
+	// code) in the new layout.
+	for pc := uint32(0); pc*2 < vecEnd; pc += 2 {
+		in := avr.DecodeAt(r.Image, pc)
+		if in.Op != avr.OpJMP {
+			continue
+		}
+		st.VectorsChecked++
+		if t := in.Target * 2; !newStarts[t] && t >= pre.RegionStart {
+			findings = append(findings, Finding{
+				Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2,
+				Detail: fmt.Sprintf("vector %d target 0x%X is not a function entry", pc/2, t),
+			})
+		}
+	}
+	return findings, st
+}
+
+// refDiffRange lockstep-walks size bytes of code living at oldStart in the
+// original image and newStart in the randomized one. block names the
+// function ("" for the fixed region); vecEnd bounds the vector table in
+// the fixed region.
+func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block string, vecEnd uint32, remap func(uint32) uint32, st *DiffStats) []Finding {
+	var findings []Finding
+	oldW, newW := oldStart/2, newStart/2
+	endW := size / 2
+	for pc := uint32(0); pc < endW; {
+		oin := avr.DecodeAt(orig, oldW+pc)
+		nin := avr.DecodeAt(rnd, newW+pc)
+		addr := (newW + pc) * 2
+		if oin.Op == avr.OpInvalid {
+			findings = append(findings, Finding{
+				Kind: KindUndecodable, Severity: SevError, Addr: addr, Block: block,
+				Detail: "original instruction stream does not decode; diff truncated here",
+			})
+			return findings
+		}
+		if oin.Op != nin.Op || oin.Words != nin.Words {
+			findings = append(findings, Finding{
+				Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
+				Detail: fmt.Sprintf("instruction changed from %s to %s; streams diverged, diff truncated here",
+					oin.Op, nin.Op),
+			})
+			return findings
+		}
+		st.WordsCompared += oin.Words
+		kind := KindUnpatchedTransfer
+		if block == "" && addr < vecEnd {
+			kind = KindUnpatchedVector
+		}
+
+		switch oin.Op {
+		case avr.OpJMP, avr.OpCALL:
+			st.TransfersChecked++
+			want := remap(oin.Target * 2)
+			if got := nin.Target * 2; got != want {
+				findings = append(findings, Finding{
+					Kind: kind, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s 0x%X should be patched to 0x%X, found 0x%X",
+						oin.Op, oin.Target*2, want, got),
+				})
+			} else if avr.DecodeAt(rnd, want/2).Op == avr.OpInvalid {
+				findings = append(findings, Finding{
+					Kind: KindDanglingEdge, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("patched %s target 0x%X does not decode", oin.Op, want),
+				})
+			}
+		case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
+			st.TransfersChecked++
+			oldAbs := uint32(int64(oldW+pc)+1+int64(oin.K)) * 2
+			newAbs := uint32(int64(newW+pc)+1+int64(nin.K)) * 2
+			if want := remap(oldAbs); newAbs != want {
+				findings = append(findings, Finding{
+					Kind: kind, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
+						oin.Op, oldAbs, want, newAbs),
+				})
+			}
+		case avr.OpSPM:
+			findings = append(findings, Finding{
+				Kind: KindUnverifiableSPM, Severity: SevError, Addr: addr, Block: block,
+				Detail: "spm inside verified region: self-modifying code cannot be proven patch-complete",
+			})
+		default:
+			// Everything else must be byte-identical.
+			same := wordAt(orig, oldW+pc) == wordAt(rnd, newW+pc)
+			if oin.Words == 2 {
+				same = same && wordAt(orig, oldW+pc+1) == wordAt(rnd, newW+pc+1)
+			}
+			if !same {
+				findings = append(findings, Finding{
+					Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s operands changed; streams diverged, diff truncated here", oin.Op),
+				})
+				return findings
+			}
+		}
+		pc += uint32(oin.Words)
+	}
+	return findings
+}

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"mavr/internal/core"
-	"mavr/internal/gadget"
-	"mavr/internal/staticverify/vsa"
 )
 
 // Options tunes a Verify run.
@@ -16,7 +14,8 @@ type Options struct {
 	// Gadgets enables the residual gadget audit (two full image scans;
 	// skip it on hot boot paths where only correctness matters).
 	Gadgets bool
-	// GadgetMaxWords is the maximum gadget window, as in gadget.Scan.
+	// GadgetMaxWords is the maximum gadget window, as in gadget.Scan;
+	// zero or less means 24, the §VII-A census window.
 	GadgetMaxWords int
 	// VSA enables value-set abstract interpretation over the recovered
 	// CFG: indirect sites resolve to proven target sets where the
@@ -68,78 +67,17 @@ func (r *Report) Warnings() int { return countBySeverity(r.Findings, SevWarn) }
 func (r *Report) OK() bool { return r.Errors() == 0 }
 
 // Verify runs the full static verification of one randomization
-// outcome: CFG recovery over the randomized image, the
-// patch-completeness diff against the original, and (per opts) the
-// residual gadget audit.
+// outcome (see Base.Verify). Callers verifying many permutations of one
+// base should keep the Base.
 func Verify(pre *core.Preprocessed, r *core.Randomized, opts Options) *Report {
-	rep := &Report{
-		Blocks:      len(pre.Blocks),
-		RegionStart: pre.RegionStart,
-		RegionEnd:   pre.RegionEnd,
-	}
-
-	diffFindings, diffStats := VerifyPatches(pre, r)
-	rep.Diff = diffStats
-
-	var graphFindings, vsaFindings []Finding
-	demote := false
-	if len(r.Image) == len(pre.Image) {
-		g := Recover(r.Image, RelocatedBlocks(pre, r), pre.RegionStart, pre.RegionEnd)
-		rep.CFG = CFGStats{
-			Funcs:           len(g.Funcs),
-			BasicBlocks:     g.BasicBlockCount(),
-			CallEdges:       g.CallEdgeCount(),
-			IndirectSites:   g.IndirectSiteCount(),
-			IndirectTargets: len(g.EntryTargets),
-		}
-		for _, f := range g.Funcs {
-			rep.CFG.Instrs += f.Instrs
-		}
-		graphFindings = g.Findings
-		if opts.VSA {
-			res := vsa.Analyze(VSAInput(r.Image, g, pre))
-			rep.VSA, vsaFindings, demote = renderVSA(res, graphLayout(r.Image, g))
-		}
-	}
-
-	// The diff and the CFG both flag spm/undecodable sites; keep one
-	// finding per (kind, addr).
-	seen := make(map[string]bool, len(diffFindings))
-	add := func(fs []Finding) {
-		for _, f := range fs {
-			key := fmt.Sprintf("%s@%d@%s", f.Kind, f.Addr, f.Block)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			rep.Findings = append(rep.Findings, f)
-		}
-	}
-	add(diffFindings)
-	add(graphFindings)
-	add(vsaFindings)
-
-	if opts.Gadgets {
-		maxWords := opts.GadgetMaxWords
-		if maxWords <= 0 {
-			maxWords = 24
-		}
-		origGs := gadget.Scan(pre.Image, maxWords)
-		audit, gfs := auditGadgetsAgainst(pre, r, maxWords, origGs, gadgetIndex(origGs), demote)
-		rep.Gadgets = &audit
-		rep.Findings = append(rep.Findings, gfs...)
-	}
-
-	sortFindings(rep.Findings)
-	return rep
+	return NewBase(pre, opts).Verify(r)
 }
 
 // sortFindings applies the canonical report ordering — severity
-// descending, then address, then kind, block and detail — shared by
-// the stateless Verify and the cached Base.Verify (report equality
-// between the two depends on it). The trailing tiebreaks make the
-// order a total one, so two runs that discover the same findings in
-// different orders render byte-identical reports.
+// descending, then address, then kind, block and detail. The trailing
+// tiebreaks make the order a total one, so two runs that discover the
+// same findings in different orders (the fast and the fallback path of
+// Base.Verify) render byte-identical reports.
 func sortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Severity != fs[j].Severity {

@@ -60,8 +60,8 @@ func TestCleanRandomizationPasses(t *testing.T) {
 	}
 }
 
-// The identity permutation moves nothing; the patch-completeness diff
-// of an image against itself must report zero findings.
+// The identity permutation moves nothing; verifying an image against
+// itself must report zero findings, the diff's included.
 func TestIdentityDiffZeroFindings(t *testing.T) {
 	pre := genPre(t)
 	ident := make([]int, len(pre.Blocks))
@@ -75,11 +75,11 @@ func TestIdentityDiffZeroFindings(t *testing.T) {
 	if !bytes.Equal(r.Image, pre.Image) {
 		t.Fatal("identity permutation changed the image")
 	}
-	findings, st := staticverify.VerifyPatches(pre, r)
-	if len(findings) != 0 {
-		t.Fatalf("identity diff produced findings: %v", findings)
+	rep := staticverify.Verify(pre, r, staticverify.Options{})
+	if len(rep.Findings) != 0 {
+		t.Fatalf("identity diff produced findings: %v", rep.Findings)
 	}
-	if st.TransfersChecked == 0 {
+	if rep.Diff.TransfersChecked == 0 {
 		t.Fatal("identity diff checked no transfers")
 	}
 }
@@ -343,6 +343,52 @@ func TestReportDeterministicAndSorted(t *testing.T) {
 			t.Fatalf("findings %d,%d out of address order: 0x%X after 0x%X", i-1, i, b.Addr, a.Addr)
 		case a.Addr == b.Addr && a.Kind > b.Kind:
 			t.Fatalf("findings %d,%d out of kind order at 0x%X: %s after %s", i-1, i, a.Addr, b.Kind, a.Kind)
+		}
+	}
+}
+
+// A layout that does not fit the image is one error finding, not a
+// crash: walked anyway, a NewStart one entry short indexes past its
+// end, and a block relocated to 0xFFFFFFF0 wraps CFG recovery's extent
+// arithmetic into a ~2^31-instruction allocation. Compare mode takes
+// NewStart from raw ELF symbol values, so both come from outside the
+// program. No diff or CFG walk may run on such a layout, and the fault
+// injectors refuse it with an error.
+func TestMalformedLayoutIsOneFinding(t *testing.T) {
+	pre := genPre(t)
+	vsaOpts := staticverify.DefaultOptions()
+	vsaOpts.VSA = true
+	cases := []struct {
+		name   string
+		mangle func(r *core.Randomized)
+	}{
+		{"NewStart one short", func(r *core.Randomized) { r.NewStart = r.NewStart[:len(r.NewStart)-1] }},
+		{"block start wraps", func(r *core.Randomized) { r.NewStart[len(r.NewStart)/2] = 0xFFFFFFF0 }},
+	}
+	for _, tc := range cases {
+		for _, opts := range []staticverify.Options{{}, vsaOpts} {
+			r := randomize(t, pre, 7)
+			tc.mangle(r)
+			for _, rep := range []*staticverify.Report{
+				staticverify.Verify(pre, r, opts),
+				staticverify.NewBase(pre, opts).Verify(r),
+			} {
+				if rep.Errors() != 1 {
+					t.Fatalf("%s: %d error findings, want 1: %v", tc.name, rep.Errors(), rep.Findings)
+				}
+				if rep.Findings[0].Kind != staticverify.KindBadLayout {
+					t.Fatalf("%s: finding %s, want %s", tc.name, rep.Findings[0], staticverify.KindBadLayout)
+				}
+				if rep.Diff != (staticverify.DiffStats{}) || rep.CFG != (staticverify.CFGStats{}) || rep.VSA != nil {
+					t.Fatalf("%s: a walk ran on a malformed layout: diff %+v, cfg %+v", tc.name, rep.Diff, rep.CFG)
+				}
+			}
+			if _, err := staticverify.RevertPatch(pre, r, 0); err == nil {
+				t.Fatalf("%s: RevertPatch accepted the layout", tc.name)
+			}
+			if _, err := staticverify.RevertPointerPatch(pre, r, 0); err == nil {
+				t.Fatalf("%s: RevertPointerPatch accepted the layout", tc.name)
+			}
 		}
 	}
 }

@@ -102,8 +102,8 @@ func graphLayout(img []byte, g *Graph) vsaLayout {
 // gadget audit may demote in-region stable gadgets: true exactly when
 // every indirect site resolved and every proven target is a legitimate
 // entry, i.e. no abstractly-reachable indirect edge lands anywhere a
-// gadget could start. It is shared by the stateless Verify and the
-// cached Base.Verify; report equality between the two depends on it.
+// gadget could start. Base.Verify renders both the translated base
+// analysis and a fresh one through it, so the two paths report alike.
 func renderVSA(res *vsa.Result, lay vsaLayout) (*VSAInfo, []Finding, bool) {
 	info := &VSAInfo{EntryTargets: len(lay.entries)}
 	var fs []Finding

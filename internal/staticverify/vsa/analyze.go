@@ -59,7 +59,7 @@ type Result struct {
 	Sites []Site
 	// Reads are the flash ranges whose concrete bytes influenced the
 	// analysis. Two images that agree byte-for-byte on these ranges
-	// (and structurally via the lockstep diff) have isomorphic
+	// (and structurally via the patch diff) have isomorphic
 	// analyses.
 	Reads []Range
 }
