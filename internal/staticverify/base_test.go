@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mavr/internal/avr"
@@ -180,7 +181,8 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 // transfer and pointer patch reverted in turn, and truncated; on a base
 // with spm in its fixed region, which CFG recovery does not flag; and
 // on bases whose linear decode stops early in block 0, at an invalid
-// opcode or a two-word instruction overrunning the block. A block
+// opcode or a two-word instruction overrunning the block, also with
+// block 0 placed last in an image that ends with the region. A block
 // placed past the image end fails the layout check instead: one
 // bad-layout finding, and no walk.
 func TestPatchDiffMatchesReference(t *testing.T) {
@@ -261,13 +263,25 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 		r.Image[moved], r.Image[moved+1] = byte(w), byte(w>>8)
 		check(mb, &r, fmt.Sprintf("base and outcome word 0x%04X", w))
 
-		// Block 0 moved, unpatched, to the very end of the image: the
-		// overrunning word then lies past the end.
-		r.NewStart = append([]uint32(nil), clean.NewStart...)
-		r.NewStart[0] = uint32(len(r.Image)) - pre.Blocks[0].Size
-		copy(r.Image[r.NewStart[0]:], mod.Image[pre.Blocks[0].Start:pre.Blocks[0].End()])
-		check(mb, &r, fmt.Sprintf("word 0x%04X at the image end", w))
-		r.NewStart = clean.NewStart
+		// Block 0 placed last, unpatched, in an image that ends with the
+		// region: the overrunning word then lies past the end.
+		tail := mod
+		tail.Image = mod.Image[:pre.RegionEnd:pre.RegionEnd]
+		tail.PtrOffsets, tail.PtrTables = nil, nil
+		size0 := pre.Blocks[0].Size
+		atEnd := &core.Randomized{NewStart: make([]uint32, len(pre.Blocks))}
+		atEnd.Image = append(atEnd.Image, tail.Image[:pre.RegionStart]...)
+		atEnd.Image = append(atEnd.Image, tail.Image[pre.Blocks[1].Start:]...)
+		atEnd.Image = append(atEnd.Image, tail.Image[pre.Blocks[0].Start:pre.Blocks[0].End()]...)
+		for i, b := range pre.Blocks {
+			atEnd.NewStart[i] = b.Start - size0
+		}
+		atEnd.NewStart[0] = pre.RegionEnd - size0
+		tb := NewBase(&tail, Options{})
+		check(tb, atEnd, fmt.Sprintf("word 0x%04X at the image end", w))
+		if fs, _, _ := tb.diff(atEnd); !slices.ContainsFunc(fs, func(f Finding) bool { return f.Addr == pre.RegionEnd-2 }) {
+			t.Fatalf("word 0x%04X at the image end: no finding at 0x%X: %v", w, pre.RegionEnd-2, fs)
+		}
 	}
 
 	copy(r.Image, clean.Image)
@@ -283,6 +297,70 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 	if laidOut || len(fs) != 1 || fs[0].Kind != KindBadLayout || st != (DiffStats{}) {
 		t.Fatalf("block past the image end: diff = %v, %+v, laid out %v; want one %s finding",
 			fs, st, laidOut, KindBadLayout)
+	}
+}
+
+// TestCheckLayoutTiling checks the layout rule on a hand-built region
+// of three blocks, one of them empty: relocated blocks must tile the
+// region exactly, and an empty block must sit where a block starts or
+// the region ends. An accepted layout's entries are exactly its starts.
+func TestCheckLayoutTiling(t *testing.T) {
+	pre := &core.Preprocessed{
+		Image:       make([]byte, 0x110),
+		Blocks:      []core.Block{{Name: "a", Start: 0x100, Size: 8}, {Name: "z", Start: 0x108}, {Name: "b", Start: 0x108, Size: 4}},
+		RegionStart: 0x100,
+		RegionEnd:   0x10C,
+	}
+	for _, tc := range []struct {
+		starts []uint32 // a, z, b
+		ok     bool
+	}{
+		{[]uint32{0x100, 0x108, 0x108}, true},
+		{[]uint32{0x104, 0x104, 0x100}, true},
+		{[]uint32{0x104, 0x100, 0x100}, true},
+		{[]uint32{0x100, 0x10C, 0x108}, true},
+		{[]uint32{0x104, 0x10C, 0x100}, true},
+		{[]uint32{0x104, 0x102, 0x100}, false}, // z inside b
+		{[]uint32{0x104, 0x10E, 0x100}, false}, // z past the region end
+		{[]uint32{0x100, 0x108, 0x100}, false}, // a and b at one start
+		{[]uint32{0x104, 0x104, 0x102}, false}, // b overlaps a
+		{[]uint32{0x104, 0x104, 0x108}, false}, // b inside a, nothing at the region start
+		{[]uint32{0x102, 0x102, 0x10A}, false}, // b outside the region
+		{[]uint32{0x100, 0x108, 0x106}, false}, // b overlaps a's end
+		{[]uint32{0x100, 0x108}, false},
+	} {
+		r := &core.Randomized{Image: make([]byte, len(pre.Image)), NewStart: tc.starts}
+		starts, fs := checkLayout(pre, r)
+		if ok := fs == nil; ok != tc.ok {
+			t.Fatalf("starts %#x: accepted %v, want %v: %v", tc.starts, ok, tc.ok, fs)
+		}
+		if !tc.ok {
+			if len(fs) != 1 || fs[0].Kind != KindBadLayout {
+				t.Fatalf("starts %#x: findings %v, want one %s", tc.starts, fs, KindBadLayout)
+			}
+			continue
+		}
+		for a := uint32(0); a < 0x120; a++ {
+			if want := slices.Contains(tc.starts, a); starts.has(a) != want {
+				t.Fatalf("starts %#x: has(0x%X) = %v, want %v", tc.starts, a, !want, want)
+			}
+		}
+	}
+	r := &core.Randomized{Image: make([]byte, len(pre.Image)-2), NewStart: []uint32{0x100, 0x108, 0x108}}
+	if _, fs := checkLayout(pre, r); len(fs) != 1 || fs[0].Kind != KindSizeMismatch {
+		t.Fatalf("short image: findings %v, want one %s", fs, KindSizeMismatch)
+	}
+	// A base whose blocks overrun its region has no tiling layout, even
+	// where every relocated block ends where another starts.
+	over := &core.Preprocessed{
+		Image:       pre.Image,
+		Blocks:      []core.Block{{Name: "x", Start: 0x100, Size: 4}, {Name: "y", Start: 0x104, Size: 6}, {Name: "w", Start: 0x10A, Size: 2}},
+		RegionStart: 0x100,
+		RegionEnd:   0x10A,
+	}
+	r = &core.Randomized{Image: make([]byte, len(pre.Image)), NewStart: []uint32{0x100, 0x104, 0x102}}
+	if _, fs := checkLayout(over, r); len(fs) != 1 || fs[0].Kind != KindBadLayout {
+		t.Fatalf("base overrunning its region: findings %v, want one %s", fs, KindBadLayout)
 	}
 }
 

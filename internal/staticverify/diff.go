@@ -120,33 +120,78 @@ func indexRegion(img []byte, start, size uint32, code []avr.Instr) patchRegion {
 }
 
 // checkLayout is the diff's entry check: the randomized image must be
-// as long as the base, with one relocated start per base block and
-// every relocated block inside the image. Every later walk indexes
-// r.NewStart and the image through it, so a failed check is the only
-// finding and nothing else runs.
-func checkLayout(pre *core.Preprocessed, r *core.Randomized) []Finding {
+// as long as the base, with one relocated start per base block, and the
+// relocated blocks must tile [RegionStart, RegionEnd) exactly, as the
+// base's do. Every later walk indexes r.NewStart and the image through
+// it, and a clean diff proves a bijection only block by block: a block
+// moved out of the region, or over another, would keep the base's CFG
+// without having it. So a failed check is the only finding and nothing
+// else runs. On success it returns where the relocated blocks start.
+func checkLayout(pre *core.Preprocessed, r *core.Randomized) (*blockStarts, []Finding) {
+	bad := func(kind Kind, addr uint32, block, format string, args ...any) (*blockStarts, []Finding) {
+		return nil, []Finding{{Kind: kind, Severity: SevError, Addr: addr, Block: block, Detail: fmt.Sprintf(format, args...)}}
+	}
 	if len(r.Image) != len(pre.Image) {
-		return []Finding{{
-			Kind: KindSizeMismatch, Severity: SevError,
-			Detail: fmt.Sprintf("randomized image is %d bytes, original %d", len(r.Image), len(pre.Image)),
-		}}
+		return bad(KindSizeMismatch, 0, "", "randomized image is %d bytes, original %d", len(r.Image), len(pre.Image))
 	}
 	if len(r.NewStart) != len(pre.Blocks) {
-		return []Finding{{
-			Kind: KindBadLayout, Severity: SevError,
-			Detail: fmt.Sprintf("layout places %d blocks, original has %d", len(r.NewStart), len(pre.Blocks)),
-		}}
+		return bad(KindBadLayout, 0, "", "layout places %d blocks, original has %d", len(r.NewStart), len(pre.Blocks))
 	}
-	for i, blk := range pre.Blocks {
-		if end := uint64(r.NewStart[i]) + uint64(blk.Size); end > uint64(len(r.Image)) {
-			return []Finding{{
-				Kind: KindBadLayout, Severity: SevError, Addr: r.NewStart[i], Block: blk.Name,
-				Detail: fmt.Sprintf("relocated block [0x%X,0x%X) does not lie inside the %d-byte image",
-					r.NewStart[i], end, len(r.Image)),
-			}}
+	rs, re := pre.RegionStart, pre.RegionEnd
+	total := uint64(0)
+	for _, blk := range pre.Blocks {
+		total += uint64(blk.Size)
+	}
+	if re < rs || total != uint64(re-rs) {
+		return bad(KindBadLayout, 0, "", "original blocks total %d bytes, not the region [0x%X,0x%X)", total, rs, re)
+	}
+
+	// Blocks totalling the region's size tile it when the non-empty ones
+	// lie inside it, one at its start, and every block ends where a
+	// non-empty one starts or at the region end: nothing is left
+	// uncovered, so nothing overlaps. An empty block thus sits where a
+	// block starts or the region ends, as in the base.
+	bs := &blockStarts{base: rs, bits: make([]uint64, (re-rs)/64+1)}
+	for i, s := range r.NewStart {
+		if blk := pre.Blocks[i]; blk.Size > 0 {
+			if end := uint64(s) + uint64(blk.Size); s < rs || end > uint64(re) {
+				return bad(KindBadLayout, s, blk.Name, "relocated block %q at [0x%X,0x%X) lies outside the code region [0x%X,0x%X)",
+					blk.Name, s, end, rs, re)
+			}
+			bs.set(s)
 		}
 	}
-	return nil
+	if rs < re && !bs.has(rs) {
+		return bad(KindBadLayout, rs, "", "no relocated block starts at the region start 0x%X", rs)
+	}
+	for i, s := range r.NewStart {
+		blk := pre.Blocks[i]
+		if end := s + blk.Size; end != re && !bs.has(end) {
+			return bad(KindBadLayout, s, blk.Name, "relocated block %q ends at 0x%X, where no block starts", blk.Name, end)
+		}
+		if s == re { // an empty block at the region end is an entry there
+			bs.set(s)
+		}
+	}
+	return bs, nil
+}
+
+// blockStarts marks the byte addresses in [base, RegionEnd] where a
+// relocated block starts.
+type blockStarts struct {
+	base uint32
+	bits []uint64
+}
+
+func (bs *blockStarts) set(a uint32) {
+	i := a - bs.base
+	bs.bits[i/64] |= 1 << (i % 64)
+}
+
+// has reports whether a relocated block starts at byte address a.
+func (bs *blockStarts) has(a uint32) bool {
+	i := uint64(a) - uint64(bs.base)
+	return a >= bs.base && i/64 < uint64(len(bs.bits)) && bs.bits[i/64]>>(i%64)&1 != 0
 }
 
 // patchDiff is one run of the patch-completeness diff.
@@ -192,7 +237,8 @@ func (d *patchDiff) add(kind Kind, addr uint32, block, detail string) {
 // region's walk stops.
 func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidOut bool) {
 	pre := b.pre
-	if fs := checkLayout(pre, r); fs != nil {
+	starts, fs := checkLayout(pre, r)
+	if fs != nil {
 		return fs, st, false
 	}
 	d := patchDiff{pre: pre, r: r, vecEnd: b.vecEnd}
@@ -203,11 +249,6 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 			d.newW, d.block = r.NewStart[ri-1]/2, pre.Blocks[ri-1].Name
 		}
 		d.region(reg)
-	}
-
-	newStarts := make(map[uint32]bool, len(pre.Blocks))
-	for i := range pre.Blocks {
-		newStarts[r.NewStart[i]] = true
 	}
 
 	// Data-section function pointers (16-bit word addresses).
@@ -225,7 +266,7 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 				oldW*2, want*2, newW*2))
 			continue
 		}
-		if t := want * 2; !newStarts[t] && t >= pre.RegionStart {
+		if t := want * 2; !starts.has(t) && t >= pre.RegionStart {
 			d.add(KindDanglingEdge, off, "", fmt.Sprintf("relocated pointer 0x%X is not a function entry", t))
 		}
 	}
@@ -239,7 +280,7 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 			continue
 		}
 		d.st.VectorsChecked++
-		if t := in.Target * 2; !newStarts[t] && t >= pre.RegionStart {
+		if t := in.Target * 2; !starts.has(t) && t >= pre.RegionStart {
 			d.add(KindDanglingEdge, pc*2, "", fmt.Sprintf("vector %d target 0x%X is not a function entry", pc/2, t))
 		}
 	}
@@ -353,7 +394,7 @@ var (
 // of the reverted instruction in the randomized image, or an error for
 // a layout the verifier's entry check rejects.
 func RevertPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, error) {
-	if fs := checkLayout(pre, r); fs != nil {
+	if _, fs := checkLayout(pre, r); fs != nil {
 		return 0, fmt.Errorf("staticverify: %s", fs[0].Detail)
 	}
 	seen := 0
@@ -391,7 +432,7 @@ func RevertPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, err
 // fault injector for exercising the verifier, and refuses a layout the
 // verifier's entry check rejects.
 func RevertPointerPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, error) {
-	if fs := checkLayout(pre, r); fs != nil {
+	if _, fs := checkLayout(pre, r); fs != nil {
 		return 0, fmt.Errorf("staticverify: %s", fs[0].Detail)
 	}
 	seen := 0

@@ -28,8 +28,8 @@
 //     randomized image is decoded only at those sites, and the words
 //     between them are compared byte for byte. Any unpatched,
 //     mispatched or dangling edge is a structured Finding, and a
-//     layout that does not fit the image is one finding before any
-//     walk runs.
+//     layout whose relocated blocks do not tile the code region is
+//     one finding before any walk runs.
 //
 //   - Residual gadget audit (AuditGadgets): internal/gadget.Scan over
 //     both images, reporting gadget addresses that survive

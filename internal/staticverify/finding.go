@@ -91,8 +91,9 @@ const (
 	// the original.
 	KindSizeMismatch Kind = "size-mismatch"
 	// KindBadLayout: the randomization's layout does not fit the
-	// original — a relocated start missing or extra, or a relocated
-	// block that does not lie inside the image.
+	// original — a relocated start missing or extra, or relocated
+	// blocks that do not tile the original's code region exactly (a
+	// gap, an overlap, or a block outside the region).
 	KindBadLayout Kind = "bad-layout"
 	// KindStackViolation: value-set analysis disproved a function's
 	// stack discipline — a path reaches RET with an unbalanced frame, or

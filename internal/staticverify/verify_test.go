@@ -347,28 +347,49 @@ func TestReportDeterministicAndSorted(t *testing.T) {
 	}
 }
 
-// A layout that does not fit the image is one error finding, not a
-// crash: walked anyway, a NewStart one entry short indexes past its
-// end, and a block relocated to 0xFFFFFFF0 wraps CFG recovery's extent
-// arithmetic into a ~2^31-instruction allocation. Compare mode takes
-// NewStart from raw ELF symbol values, so both come from outside the
-// program. No diff or CFG walk may run on such a layout, and the fault
-// injectors refuse it with an error.
+// A layout whose blocks do not tile the region is one error finding,
+// not a crash or a pass: walked anyway, a NewStart one entry short
+// indexes past its end, and a block relocated to 0xFFFFFFF0 wraps CFG
+// recovery's extent arithmetic into a ~2^31-instruction allocation.
+// A block shifted past RegionEnd, over data bytes the diff does not
+// compare, with every transfer and pointer to it patched, diffs clean
+// and would reuse the base's CFG. Compare mode takes NewStart from raw
+// ELF symbol values, so all three come from outside the program. No
+// diff or CFG walk may run on such a layout, and the fault injectors
+// refuse it with an error.
 func TestMalformedLayoutIsOneFinding(t *testing.T) {
 	pre := genPre(t)
 	vsaOpts := staticverify.DefaultOptions()
 	vsaOpts.VSA = true
 	cases := []struct {
 		name   string
-		mangle func(r *core.Randomized)
+		layout func() *core.Randomized
 	}{
-		{"NewStart one short", func(r *core.Randomized) { r.NewStart = r.NewStart[:len(r.NewStart)-1] }},
-		{"block start wraps", func(r *core.Randomized) { r.NewStart[len(r.NewStart)/2] = 0xFFFFFFF0 }},
+		{"NewStart one short", func() *core.Randomized {
+			r := randomize(t, pre, 7)
+			r.NewStart = r.NewStart[:len(r.NewStart)-1]
+			return r
+		}},
+		{"block start wraps", func() *core.Randomized {
+			r := randomize(t, pre, 7)
+			r.NewStart[len(r.NewStart)/2] = 0xFFFFFFF0
+			return r
+		}},
+		{"two blocks at one start", func() *core.Randomized {
+			r := randomize(t, pre, 7)
+			r.NewStart[1] = r.NewStart[0]
+			return r
+		}},
+		{"block shifted by a word", func() *core.Randomized {
+			r := randomize(t, pre, 7)
+			r.NewStart[len(r.NewStart)/2] += 2
+			return r
+		}},
+		{"block shifted past the region end", func() *core.Randomized { return pastRegionEnd(t, pre) }},
 	}
 	for _, tc := range cases {
 		for _, opts := range []staticverify.Options{{}, vsaOpts} {
-			r := randomize(t, pre, 7)
-			tc.mangle(r)
+			r := tc.layout()
 			for _, rep := range []*staticverify.Report{
 				staticverify.Verify(pre, r, opts),
 				staticverify.NewBase(pre, opts).Verify(r),
@@ -391,4 +412,44 @@ func TestMalformedLayoutIsOneFinding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pastRegionEnd lays out pre with its smallest block moved past
+// RegionEnd, over the first data bytes, every transfer and pointer to
+// it patched: the randomizer lays out a copy of pre whose region has
+// one more block, of nops over those bytes, the size of the moved one,
+// in its place. Every other block keeps its address. The copy drops
+// the pointer-table list, which core rejects inside the grown region;
+// in the test application the covered bytes hold only table entries
+// that point at fixed code, which nothing patches.
+func pastRegionEnd(t *testing.T, pre *core.Preprocessed) *core.Randomized {
+	t.Helper()
+	n, x := len(pre.Blocks), 0
+	for i, b := range pre.Blocks {
+		if b.Size < pre.Blocks[x].Size {
+			x = i
+		}
+	}
+	size := pre.Blocks[x].Size
+	ext := *pre
+	ext.Image = append([]byte(nil), pre.Image...)
+	clear(ext.Image[pre.RegionEnd : pre.RegionEnd+size])
+	ext.Blocks = append(append([]core.Block(nil), pre.Blocks...),
+		core.Block{Name: "pad", Start: pre.RegionEnd, Size: size})
+	ext.RegionEnd += size
+	ext.PtrTables = nil
+	perm := make([]int, n+1)
+	for i := range perm {
+		perm[i] = i
+	}
+	perm[x], perm[n] = n, x
+	r, err := core.Randomize(&ext, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NewStart[x] != pre.RegionEnd {
+		t.Fatalf("block placed at 0x%X, want the region end 0x%X", r.NewStart[x], pre.RegionEnd)
+	}
+	r.NewStart = r.NewStart[:n]
+	return r
 }
