@@ -2,6 +2,7 @@ package armory
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -224,6 +225,65 @@ func TestDeriveSeedDistinct(t *testing.T) {
 	}
 	if deriveSeed("d1", "uav-1", 0, 0) != base {
 		t.Fatal("deriveSeed is not deterministic")
+	}
+}
+
+// TestWarmMatchesCold holds cached bases to cold ones. For each paper
+// profile a few (vehicle, epoch) requests go to one warm service, whose
+// base is already cached, and each again to its own fresh service: both
+// must issue the same artifact, permutation digest and signature, and
+// the same report JSON.
+func TestWarmMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale images in -short mode")
+	}
+	requests := []struct {
+		vehicle string
+		epoch   uint64
+	}{{"uav-1", 0}, {"uav-2", 0}, {"uav-1", 1}, {"uav-3", 7}}
+	for _, spec := range firmware.Profiles() {
+		img, err := firmware.Generate(spec, firmware.ModeMAVR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elf, err := img.ELF.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := New(Config{Workers: 1})
+		if _, err := warm.Randomize(Request{Image: elf, Vehicle: "warmup"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, rq := range requests {
+			req := Request{Image: elf, Vehicle: rq.vehicle, Epoch: rq.epoch}
+			w, err := warm.Randomize(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := New(Config{Workers: 1})
+			c, err := cold.Randomize(req)
+			cold.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !w.CacheHit || c.CacheHit {
+				t.Fatalf("%s %s/%d: cache hits warm %v, cold %v", spec.Name, rq.vehicle, rq.epoch, w.CacheHit, c.CacheHit)
+			}
+			wr, err := json.Marshal(w.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := json.Marshal(c.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.ArtifactDigest != c.ArtifactDigest || w.PermDigest != c.PermDigest || w.Signature != c.Signature || !bytes.Equal(wr, cr) {
+				t.Fatalf("%s %s/%d: warm artifact %s perm %s sig %s, cold %s %s %s; reports equal %v",
+					spec.Name, rq.vehicle, rq.epoch, w.ArtifactDigest, w.PermDigest, w.Signature,
+					c.ArtifactDigest, c.PermDigest, c.Signature, bytes.Equal(wr, cr))
+			}
+		}
+		warm.Close()
 	}
 }
 

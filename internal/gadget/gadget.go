@@ -11,6 +11,7 @@
 package gadget
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -125,23 +126,36 @@ func scanSharded(image []byte, maxWords, shards int) []*Gadget {
 }
 
 // scanRange scans the ret words in word range [lo, hi), reading the
-// full image for the backward suffix walk. The decode window and
-// fallthrough table are reused across rets to keep the loop
-// allocation-free.
+// full image for the backward suffix walk. One Finder's scratch is
+// reused across rets.
 func scanRange(image []byte, lo, hi, maxWords int) []*Gadget {
 	var out []*Gadget
-	win := make([]avr.Instr, maxWords)
-	ok := make([]bool, maxWords+1)
-	for w := lo; w < hi; w++ {
-		if wordAt(image, uint32(w)) != retWord {
-			continue
-		}
-		g := longestSuffix(image, uint32(w), maxWords, win, ok)
-		if g != nil {
-			out = append(out, g)
-		}
+	f := NewFinder(maxWords)
+	for w := NextRet(image, lo, hi); w < hi; w = NextRet(image, w+1, hi) {
+		out = append(out, f.gadget(image, uint32(w)))
 	}
 	return out
+}
+
+// retBytes is retWord in flash byte order.
+var retBytes = []byte{retWord & 0xFF, retWord >> 8}
+
+// NextRet returns the first word address in [w, hi) whose word is a
+// ret, or hi if there is none; hi is at most len(image)/2. It is a byte
+// search for the ret encoding at even offsets.
+func NextRet(image []byte, w, hi int) int {
+	for w < hi {
+		i := bytes.Index(image[2*w:2*hi], retBytes)
+		if i < 0 {
+			return hi
+		}
+		w += i / 2
+		if i%2 == 0 {
+			return w
+		}
+		w++ // the match straddles two words
+	}
+	return hi
 }
 
 // CountByKind tallies a scan result per classification.
@@ -153,8 +167,57 @@ func CountByKind(gs []*Gadget) map[Kind]int {
 	return m
 }
 
-// longestSuffix finds the longest chain of valid instructions starting
-// at or before ret (word address) that ends exactly at ret.
+// Finder finds the gadget that ends at a ret word. It holds the suffix
+// DP's decode window and fallthrough table, reused across rets, so Find
+// does not allocate; Scan builds each Gadget from the same DP.
+type Finder struct {
+	maxWords int
+	win      []avr.Instr
+	ok       []bool
+}
+
+// NewFinder returns a Finder for gadgets of at most maxWords words
+// before their ret.
+func NewFinder(maxWords int) *Finder {
+	return &Finder{maxWords: maxWords, win: make([]avr.Instr, maxWords), ok: make([]bool, maxWords+1)}
+}
+
+// Find returns the gadget Scan reports for the ret word at word address
+// ret — its first word address, its instruction count (the ret
+// included) and its kind — without building it. The answer relative to
+// ret depends only on the maxWords+1 words ending at ret, or on the
+// words from 0 when ret < maxWords.
+func (f *Finder) Find(image []byte, ret uint32) (start uint32, instrs int, kind Kind) {
+	start, body := f.body(image, ret)
+	return start, len(body) + 1, classify(body)
+}
+
+// gadget builds the gadget ending at the ret word ret.
+func (f *Finder) gadget(image []byte, ret uint32) *Gadget {
+	start, body := f.body(image, ret)
+	seq := make([]avr.Instr, len(body)+1)
+	copy(seq, body)
+	seq[len(body)] = avr.Instr{Op: avr.OpRET, Words: 1}
+	return &Gadget{Addr: start, Instrs: seq, Kind: classify(body)}
+}
+
+// body returns the start and the instructions before the ret of the
+// gadget ending at the ret word ret, compacted in the Finder's window.
+func (f *Finder) body(image []byte, ret uint32) (uint32, []avr.Instr) {
+	base, best, end := f.suffix(image, ret)
+	n := best
+	for i := best; i < end; i += f.win[i].Words {
+		f.win[n] = f.win[i]
+		n++
+	}
+	return base + uint32(best), f.win[best:n]
+}
+
+// suffix finds the longest chain of valid instructions starting at or
+// before ret (word address) that ends exactly at ret: its body is the
+// chain of f.win[best:end], each entry stepping by its Words, and
+// starts at word base+best; best == end is a bare ret, still a
+// (useless) gadget.
 //
 // Each of the maxWords window positions is decoded exactly once and
 // the fallthrough property is computed backwards: position i falls
@@ -163,38 +226,27 @@ func CountByKind(gs []*Gadget) map[Kind]int {
 // falls through. The longest suffix is then the earliest such start —
 // the same answer as re-decoding every candidate range, at O(maxWords)
 // instead of O(maxWords²) decodes per ret.
-//
-// win and ok are caller-provided scratch of lengths maxWords and
-// maxWords+1.
-func longestSuffix(image []byte, ret uint32, maxWords int, win []avr.Instr, ok []bool) *Gadget {
-	maxBack := maxWords
-	if uint32(maxBack) > ret {
-		maxBack = int(ret)
+func (f *Finder) suffix(image []byte, ret uint32) (base uint32, best, end int) {
+	end = f.maxWords
+	if uint32(end) > ret {
+		end = int(ret)
 	}
-	base := ret - uint32(maxBack)
+	base = ret - uint32(end)
+	win, ok := f.win, f.ok
 	// ok[i] reports whether decoding from word base+i lands exactly on
-	// ret; index maxBack is ret itself.
-	ok[maxBack] = true
-	best := -1
-	for i := maxBack - 1; i >= 0; i-- {
+	// ret; index end is ret itself.
+	ok[end] = true
+	best = end
+	for i := end - 1; i >= 0; i-- {
 		in := avr.DecodeAt(image, base+uint32(i))
 		win[i] = in
 		e := i + in.Words
-		ok[i] = straightLine(in.Op) && e <= maxBack && ok[e]
+		ok[i] = straightLine(in.Op) && e <= end && ok[e]
 		if ok[i] {
 			best = i
 		}
 	}
-	if best < 0 {
-		// A bare ret is still a (useless) gadget.
-		return &Gadget{Addr: ret, Instrs: []avr.Instr{{Op: avr.OpRET, Words: 1}}, Kind: KindOther}
-	}
-	seq := make([]avr.Instr, 0, maxBack-best+1)
-	for i := best; i < maxBack; i += win[i].Words {
-		seq = append(seq, win[i])
-	}
-	seq = append(seq, avr.Instr{Op: avr.OpRET, Words: 1})
-	return &Gadget{Addr: base + uint32(best), Instrs: seq, Kind: classify(seq)}
+	return base, best, end
 }
 
 // straightLine reports whether op can appear inside a gadget body: any
@@ -211,12 +263,12 @@ func straightLine(op avr.Op) bool {
 	return true
 }
 
-func classify(seq []avr.Instr) Kind {
+func classify(body []avr.Instr) Kind {
 	var (
 		wroteSPL, wroteSPH bool
 		stores, pops, rest int
 	)
-	for _, in := range seq[:len(seq)-1] {
+	for _, in := range body {
 		switch in.Op {
 		case avr.OpOUT:
 			switch in.A {
@@ -407,14 +459,6 @@ func contains(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-func wordAt(image []byte, w uint32) uint16 {
-	i := int(w) * 2
-	if i+1 >= len(image) {
-		return 0xFFFF
-	}
-	return uint16(image[i]) | uint16(image[i+1])<<8
 }
 
 // Describe renders a gadget summary line.

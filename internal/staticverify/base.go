@@ -1,13 +1,11 @@
 package staticverify
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"mavr/internal/avr"
 	"mavr/internal/core"
 	"mavr/internal/firmware"
-	"mavr/internal/gadget"
 	"mavr/internal/staticverify/vsa"
 )
 
@@ -15,8 +13,8 @@ import (
 // computes once what verification derives from the original
 // (pre-randomization) image alone — the patch diff's index of its
 // direct transfers, the conservative CFG, the value-set analysis and
-// the original gadget census — and amortizes it across arbitrarily many
-// permutations of that image. Verify(pre, r, opts) is
+// the shape of every gadget in the base image — and amortizes it across
+// arbitrarily many permutations of that image. Verify(pre, r, opts) is
 // NewBase(pre, opts).Verify(r).
 //
 // The soundness argument for reusing the base's results: a diff with no
@@ -56,10 +54,9 @@ type Base struct {
 	vsaRes       *vsa.Result
 	fixedEntries []uint32
 
-	// origGadgets/origAt cache the original-image gadget census when
-	// opts.Gadgets is set.
-	origGadgets []*gadget.Gadget
-	origAt      map[uint32]*gadget.Gadget
+	// gadgets is the base image's gadget census when opts.Gadgets is
+	// set.
+	gadgets *gadgetCensus
 
 	fast          atomic.Uint64
 	fallbackBase  atomic.Uint64
@@ -80,8 +77,7 @@ type baseRegion struct {
 
 // BaseStats counts how Base.Verify resolved its calls.
 type BaseStats struct {
-	// FastVerifies reused the base's CFG, analysis and census end to
-	// end.
+	// FastVerifies reused the base's CFG and analysis end to end.
 	FastVerifies uint64
 	// FallbackVerifies recovered the randomized image's own CFG (and
 	// analysis): the sum of the three causes below.
@@ -126,8 +122,7 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	}
 
 	if opts.Gadgets {
-		b.origGadgets = gadget.Scan(pre.Image, opts.GadgetMaxWords)
-		b.origAt = gadgetIndex(b.origGadgets)
+		b.gadgets = newGadgetCensus(pre.Image, opts.GadgetMaxWords)
 	}
 	return b
 }
@@ -180,10 +175,12 @@ func (b *Base) Stats() BaseStats {
 // outcome of the handle's base image: the patch-completeness diff
 // against the base, the CFG of the randomized image, and (per the
 // handle's options) the value-set analysis and the residual gadget
-// audit. A clean outcome of a clean base reuses the base's CFG stats,
-// translated analysis and gadget census; any other outcome recovers
-// the randomized image's own CFG and analysis, so defective images are
-// reported with full findings.
+// audit. A clean outcome of a clean base reuses the base's CFG stats
+// and translated analysis; any other outcome recovers the randomized
+// image's own CFG and analysis, so defective images are reported with
+// full findings. The gadget census takes one path for every outcome:
+// it reuses each base gadget whose window the outcome left unchanged,
+// byte for byte, and recomputes the rest.
 func (b *Base) Verify(r *core.Randomized) *Report {
 	pre := b.pre
 	rep := &Report{
@@ -209,13 +206,20 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 		fast = true
 	}
 
+	// The census and the translated analysis both walk the relocated
+	// blocks in address order.
+	var starts []uint64
+	if b.opts.Gadgets || fast && b.opts.VSA && b.stats.IndirectSites > 0 {
+		starts = sortedStarts(pre, r)
+	}
+
 	var graphFindings, vsaFindings []Finding
 	demote := false
 	switch {
 	case fast:
 		rep.CFG = b.stats
 		if b.opts.VSA {
-			rep.VSA, vsaFindings, demote = renderVSA(b.vsaRes, b.translatedLayout(r))
+			rep.VSA, vsaFindings, demote = renderVSA(b.vsaRes, b.translatedLayout(r, starts))
 		}
 	case laidOut: // a layout that failed the entry check gets no graph either
 		g := Recover(r.Image, RelocatedBlocks(pre, r), pre.RegionStart, pre.RegionEnd)
@@ -229,7 +233,7 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 	rep.Findings = mergeFindings(diffFindings, graphFindings, vsaFindings)
 
 	if b.opts.Gadgets {
-		audit, gfs := auditGadgetsAgainst(pre, r, b.opts.GadgetMaxWords, b.origGadgets, b.origAt, demote)
+		audit, gfs := b.gadgets.audit(pre, r, starts, demote)
 		rep.Gadgets = &audit
 		rep.Findings = append(rep.Findings, gfs...)
 	}
@@ -268,18 +272,22 @@ func mergeFindings(lists ...[]Finding) []Finding {
 // permutation's image: function i (pre.Blocks order, the base graph's
 // order) now starts at r.NewStart[i], and the entry-target set is the
 // fixed entries plus the relocated block starts — exactly what
-// recovering the randomized image's graph would compute.
-func (b *Base) translatedLayout(r *core.Randomized) vsaLayout {
+// recovering the randomized image's graph would compute. starts is
+// sortedStarts(b.pre, r) of a layout that passed checkLayout, so every
+// start lies at or above the region start, past every fixed entry:
+// the two sorted lists concatenate into the sorted set.
+func (b *Base) translatedLayout(r *core.Randomized, starts []uint64) vsaLayout {
 	lay := vsaLayout{
 		img:   r.Image,
 		name:  func(i int) string { return b.pre.Blocks[i].Name },
 		start: func(i int) uint32 { return r.NewStart[i] },
 	}
 	if b.stats.IndirectSites > 0 {
-		ents := make([]uint32, 0, len(b.fixedEntries)+len(r.NewStart))
+		ents := make([]uint32, 0, len(b.fixedEntries)+len(starts))
 		ents = append(ents, b.fixedEntries...)
-		ents = append(ents, r.NewStart...)
-		sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
+		for _, k := range starts {
+			ents = append(ents, uint32(k>>32))
+		}
 		lay.entries = ents
 	}
 	return lay

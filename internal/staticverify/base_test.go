@@ -300,6 +300,70 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSingleBitFlipsAreFindings requires the patch diff to report
+// every single-bit change of a clean randomization below the region
+// end: on the test application each such bit is flipped in turn; on
+// ArduPlane the three status-flag bits of every conditional branch are,
+// plus a seeded sample of the other bits.
+func TestSingleBitFlipsAreFindings(t *testing.T) {
+	for _, spec := range []firmware.AppSpec{firmware.TestApp(), firmware.Arduplane()} {
+		exhaustive := spec.Name == firmware.TestApp().Name
+		if !exhaustive && testing.Short() {
+			continue
+		}
+		img, err := firmware.Generate(spec, firmware.ModeMAVR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := core.Preprocess(img.ELF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(7)), len(pre.Blocks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := NewBase(pre, Options{})
+		var bits []int
+		if exhaustive {
+			for bit := 0; bit < int(pre.RegionEnd)*8; bit++ {
+				bits = append(bits, bit)
+			}
+		} else {
+			for ri, reg := range base.regions {
+				newW := reg.oldStart / 2
+				if ri > 0 {
+					newW = r.NewStart[ri-1] / 2
+				}
+				for _, s := range reg.sites {
+					if s.op == avr.OpBRBS || s.op == avr.OpBRBC {
+						bits = append(bits, int(newW+s.pc)*16, int(newW+s.pc)*16+1, int(newW+s.pc)*16+2)
+					}
+				}
+			}
+			if len(bits) == 0 {
+				t.Fatalf("%s: no conditional branch", spec.Name)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 4000; i++ {
+				bits = append(bits, rng.Intn(int(pre.RegionEnd)*8))
+			}
+		}
+		var clean []int
+		for _, bit := range bits {
+			r.Image[bit/8] ^= 1 << (bit % 8)
+			if fs, _, _ := base.diff(r); len(fs) == 0 {
+				clean = append(clean, bit)
+			}
+			r.Image[bit/8] ^= 1 << (bit % 8)
+		}
+		if len(clean) > 0 {
+			t.Errorf("%s: %d of %d single-bit flips diff clean, the first at byte 0x%X bit %d",
+				spec.Name, len(clean), len(bits), clean[0]/8, clean[0]%8)
+		}
+	}
+}
+
 // TestCheckLayoutTiling checks the layout rule on a hand-built region
 // of three blocks, one of them empty: relocated blocks must tile the
 // region exactly, and an empty block must sit where a block starts or
@@ -366,11 +430,12 @@ func TestCheckLayoutTiling(t *testing.T) {
 
 // FuzzBaseVerify holds the verifier to the reference stateless one on
 // mutated randomizations: a seeded permutation of the test application
-// or ArduPlane, then no mutation, byte flips anywhere in the image, or
-// one reverted transfer or pointer patch. For Options{} and for the
-// armory's options (gadget audit and VSA), NewBase(pre, opts).Verify(r)
-// must render exactly the report refVerify(pre, r, opts) does,
-// whichever path it takes.
+// or ArduPlane, then no mutation, byte flips anywhere in the image, one
+// reverted transfer or pointer patch, one flipped bit, or a ret word
+// planted at a random word. For Options{} and for the armory's options
+// (gadget audit and VSA), NewBase(pre, opts).Verify(r) must render
+// exactly the report refVerify(pre, r, opts) does, whichever path it
+// takes; refVerify's gadget audit is the full-scan census.
 func FuzzBaseVerify(f *testing.F) {
 	type subject struct {
 		pre   *core.Preprocessed
@@ -390,10 +455,11 @@ func FuzzBaseVerify(f *testing.F) {
 		}
 		subjects = append(subjects, subject{pre, []*Base{NewBase(pre, Options{}), NewBase(pre, vsaOpts)}})
 	}
-	for mutation := uint64(0); mutation < 16; mutation++ {
+	const mutations = 6
+	for mutation := uint64(0); mutation < 4*mutations; mutation++ {
 		f.Add(uint8(0), int64(7), mutation)
 	}
-	for mutation := uint64(0); mutation < 4; mutation++ {
+	for mutation := uint64(0); mutation < mutations; mutation++ {
 		f.Add(uint8(1), int64(7), mutation)
 	}
 	f.Fuzz(func(t *testing.T, app uint8, seed int64, mutation uint64) {
@@ -403,8 +469,8 @@ func FuzzBaseVerify(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(mutation >> 2)))
-		switch mutation % 4 {
+		rng := rand.New(rand.NewSource(int64(mutation / mutations)))
+		switch mutation % mutations {
 		case 1:
 			// Flips above the shuffled region leave the diff passing, so
 			// the fast path must render a mutated image too.
@@ -419,6 +485,10 @@ func FuzzBaseVerify(f *testing.F) {
 			RevertPatch(pre, r, rng.Intn(r.PatchedTransfers+1))
 		case 3:
 			RevertPointerPatch(pre, r, rng.Intn(r.PatchedPointers+1))
+		case 4:
+			r.Image[rng.Intn(len(r.Image))] ^= 1 << rng.Intn(8)
+		case 5:
+			plantRet(r.Image, uint32(rng.Intn(len(r.Image)/2)))
 		}
 		for _, base := range sub.bases {
 			requireSameReport(t, refVerify(pre, r, base.opts), base.Verify(r), "mutated randomization")

@@ -72,3 +72,20 @@ func BenchmarkStaticVerifyCached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStaticVerifyCachedDefault is StaticVerifyCached under the
+// options the armory serves with (DefaultOptions plus VSA): the diff,
+// the translated analysis and the incremental gadget census.
+func BenchmarkStaticVerifyCachedDefault(b *testing.B) {
+	pre, r := benchPlane(b)
+	opts := DefaultOptions()
+	opts.VSA = true
+	base := NewBase(pre, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !base.Verify(r).OK() {
+			b.Fatal("verification failed")
+		}
+	}
+}

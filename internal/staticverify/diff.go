@@ -44,12 +44,15 @@ type patchRegion struct {
 // at an invalid opcode or a two-word instruction that overruns the
 // region.
 type patchSite struct {
-	pc    uint32 // word offset from the region start
 	op    avr.Op
+	pc    uint32 // word offset from the region start
 	words uint32
 	// target is a transfer's absolute target in the base image, byte
 	// address.
 	target uint32
+	// flag is a conditional branch's status-flag index (zero for
+	// rjmp/rcall).
+	flag uint8
 }
 
 // siteAt describes the base instruction in decoded at word offset pc of
@@ -61,9 +64,13 @@ func siteAt(in avr.Instr, oldW, pc uint32) patchSite {
 		s.target = in.Target * 2
 	case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
 		s.target = uint32(int64(oldW+pc)+1+int64(in.K)) * 2
+		s.flag = uint8(in.D)
 	}
 	return s
 }
+
+// sregFlags names the status-flag indices a brbs/brbc tests.
+const sregFlags = "CZNVSHTI"
 
 // isTransfer reports whether op is a direct transfer the randomizer
 // patches.
@@ -361,6 +368,9 @@ func (d *patchDiff) step(s patchSite) uint32 {
 		if want := d.remap(s.target); newAbs != want {
 			d.add(kind, addr, block, fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
 				s.op, s.target, want, newAbs))
+		} else if nin.D != int(s.flag) {
+			d.add(KindOpcodeMismatch, addr, block, fmt.Sprintf("%s condition changed from flag %c to flag %c",
+				s.op, sregFlags[s.flag], sregFlags[nin.D]))
 		}
 	case avr.OpSPM:
 		d.add(KindUnverifiableSPM, addr, block,

@@ -23,27 +23,33 @@
 //
 //   - Patch-completeness diff: proves that every direct transfer,
 //     interrupt-vector entry and tabled function pointer was remapped
-//     to exactly its relocated target, and that nothing else changed.
-//     It walks an index of the original image's direct transfers: the
-//     randomized image is decoded only at those sites, and the words
-//     between them are compared byte for byte. Any unpatched,
-//     mispatched or dangling edge is a structured Finding, and a
-//     layout whose relocated blocks do not tile the code region is
-//     one finding before any walk runs.
+//     to exactly its relocated target, with a conditional branch's
+//     condition unchanged, and that nothing else changed. It walks an
+//     index of the original image's direct transfers: the randomized
+//     image is decoded only at those sites, and the words between them
+//     are compared byte for byte. Any unpatched, mispatched or
+//     dangling edge is a structured Finding, and a layout whose
+//     relocated blocks do not tile the code region is one finding
+//     before any walk runs.
 //
-//   - Residual gadget audit (AuditGadgets): internal/gadget.Scan over
-//     both images, reporting gadget addresses that survive
+//   - Residual gadget audit (AuditGadgets): the randomized image's
+//     gadget census, reporting gadget addresses that survive
 //     randomization unchanged — the stable-gadget condition the paper's
-//     V1–V3 attacks need. Survivors inside the shuffled region are
-//     per-address warnings (usually a permutation fixed point);
-//     survivors in fixed regions (vectors, stubs, data, calibration
-//     table) are summarized as info, since they are invariants of the
-//     firmware rather than rewriter defects.
+//     V1–V3 attacks need. internal/gadget.Scan runs on the original
+//     image only; each ret of the randomized image reuses the original
+//     gadget whose window (the words the gadget can span) the layout
+//     maps it to, when the two windows are byte-identical, and is
+//     recomputed otherwise, so the census equals a full scan for any
+//     image. Survivors inside the shuffled region are per-address
+//     warnings (usually a permutation fixed point); survivors in fixed
+//     regions (vectors, stubs, data, calibration table) are summarized
+//     as info, since they are invariants of the firmware rather than
+//     rewriter defects.
 //
 // Base.Verify composes the three passes into a Report. A Base computes
 // what depends only on the original image once (the transfer index,
-// its CFG, its value-set analysis and gadget census) and reuses it for
-// every clean permutation; Verify(pre, r, opts) is
+// its CFG, its value-set analysis and gadget shapes) and reuses it for
+// every permutation; Verify(pre, r, opts) is
 // NewBase(pre, opts).Verify(r). cmd/mavr-verify is the CLI;
 // mavr-randomize runs Verify as an opt-out post-pass; the armory keeps
 // one Base per cached image; and board.Master refuses to flash any

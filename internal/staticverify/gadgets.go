@@ -3,6 +3,8 @@ package staticverify
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"mavr/internal/core"
 	"mavr/internal/gadget"
@@ -29,27 +31,101 @@ type GadgetAudit struct {
 // identity permutation (everything stable) stays readable.
 const maxStableFindings = 25
 
-// AuditGadgets scans both images for ret-terminated gadget sequences
-// and reports which addresses survive randomization unchanged.
-// Survivors inside the shuffled region are per-address warnings;
-// fixed-region survivors are summarized in one info finding.
+// AuditGadgets finds the ret-terminated gadget sequences of both
+// images — a scan of the original, then the census of the randomized
+// one against it — and reports which addresses survive randomization
+// unchanged. Survivors inside the shuffled region are per-address
+// warnings; fixed-region survivors are summarized in one info finding.
 func AuditGadgets(pre *core.Preprocessed, r *core.Randomized, maxWords int) (GadgetAudit, []Finding) {
-	origGs := gadget.Scan(pre.Image, maxWords)
-	return auditGadgetsAgainst(pre, r, maxWords, origGs, gadgetIndex(origGs), false)
+	return newGadgetCensus(pre.Image, maxWords).audit(pre, r, sortedStarts(pre, r), false)
 }
 
-// gadgetIndex maps a scan result by gadget start address.
-func gadgetIndex(gs []*gadget.Gadget) map[uint32]*gadget.Gadget {
-	at := make(map[uint32]*gadget.Gadget, len(gs))
-	for _, g := range gs {
-		at[g.Addr] = g
+// gadgetShape is what the census keeps of one gadget: its first word
+// address, its instruction count and its kind.
+type gadgetShape struct {
+	start  uint32
+	instrs int
+	kind   gadget.Kind
+}
+
+// gadgetCensus is the base image's half of the residual-gadget audit:
+// the shape of the gadget at every ret word, in address order.
+//
+// A gadget's shape relative to its ret depends only on its window, the
+// maxWords+1 words ending at the ret (gadget.Finder.Find). So a ret of
+// a randomized image whose window is byte-identical to the window of a
+// base ret has that base gadget's shape, shifted; only a ret whose
+// window a permutation changed needs its suffix recomputed. The layout
+// just proposes which base ret to compare against — the byte compare
+// decides — so the census is exact for any image, clean or defective.
+type gadgetCensus struct {
+	maxWords int
+	shapes   []gadgetShape
+	// isRet marks the base's ret words; below[g] counts the rets below
+	// word 64*g, so a ret's shape index is a popcount away.
+	isRet []uint64
+	below []uint32
+}
+
+// newGadgetCensus scans a base image.
+func newGadgetCensus(img []byte, maxWords int) *gadgetCensus {
+	gs := gadget.Scan(img, maxWords)
+	groups := len(img)/2/64 + 1
+	c := &gadgetCensus{
+		maxWords: maxWords,
+		shapes:   make([]gadgetShape, len(gs)),
+		isRet:    make([]uint64, groups),
+		below:    make([]uint32, groups),
 	}
-	return at
+	for i, g := range gs {
+		ret := g.Addr + uint32(g.Words()) - 1
+		c.isRet[ret/64] |= 1 << (ret % 64)
+		c.shapes[i] = gadgetShape{start: g.Addr, instrs: len(g.Instrs), kind: g.Kind}
+	}
+	for g := 1; g < groups; g++ {
+		c.below[g] = c.below[g-1] + uint32(bits.OnesCount64(c.isRet[g-1]))
+	}
+	return c
 }
 
-// auditGadgetsAgainst is AuditGadgets with the original-image scan
-// supplied by the caller, so a Base can amortize it across every
-// permutation of its base image, clean or defective.
+// at returns the base gadget whose ret is the word at address w.
+func (c *gadgetCensus) at(w uint32) (gadgetShape, bool) {
+	g, bit := w/64, uint64(1)<<(w%64)
+	if g >= uint32(len(c.isRet)) || c.isRet[g]&bit == 0 {
+		return gadgetShape{}, false
+	}
+	return c.shapes[int(c.below[g])+bits.OnesCount64(c.isRet[g]&(bit-1))], true
+}
+
+// sortedStarts lists the relocated blocks in ascending start order, as
+// start<<32 | block index. Randomize lays the blocks out in Perm order,
+// so Perm is tried first: keys strictly increasing in that order name
+// each block once. Any other layout is sorted, and one of the wrong
+// length contributes the blocks both sides have.
+func sortedStarts(pre *core.Preprocessed, r *core.Randomized) []uint64 {
+	n := min(len(r.NewStart), len(pre.Blocks))
+	keys := make([]uint64, n)
+	inPerm := len(r.Perm) == n
+	for k := 0; k < n && inPerm; k++ {
+		i := r.Perm[k]
+		if i < 0 || i >= n {
+			inPerm = false
+			break
+		}
+		keys[k] = uint64(r.NewStart[i])<<32 | uint64(i)
+		inPerm = k == 0 || keys[k] > keys[k-1]
+	}
+	if !inPerm {
+		for i := range keys {
+			keys[i] = uint64(r.NewStart[i])<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+	}
+	return keys
+}
+
+// audit counts the randomized image's gadgets and the stable ones among
+// them. starts is sortedStarts(pre, r).
 //
 // demote re-ranks in-region stable-gadget findings from warning to
 // info. The caller sets it when value-set analysis proved every
@@ -58,8 +134,8 @@ func gadgetIndex(gs []*gadget.Gadget) map[uint32]*gadget.Gadget {
 // stable gadget's reachability depends on a separately-mitigated
 // stack-corruption primitive and is informational, not a rewriter
 // defect.
-func auditGadgetsAgainst(pre *core.Preprocessed, r *core.Randomized, maxWords int, origGs []*gadget.Gadget, origAt map[uint32]*gadget.Gadget, demote bool) (GadgetAudit, []Finding) {
-	var audit GadgetAudit
+func (c *gadgetCensus) audit(pre *core.Preprocessed, r *core.Randomized, starts []uint64, demote bool) (GadgetAudit, []Finding) {
+	audit := GadgetAudit{Orig: len(c.shapes)}
 	var findings []Finding
 
 	stableSev := SevWarn
@@ -68,22 +144,51 @@ func auditGadgetsAgainst(pre *core.Preprocessed, r *core.Randomized, maxWords in
 		stableSev = SevInfo
 		stableSuffix = "; unreachable from any resolved indirect edge"
 	}
-	randGs := gadget.Scan(r.Image, maxWords)
-	audit.Orig, audit.Rand = len(origGs), len(randGs)
+	var finder *gadget.Finder
+	mw := uint32(c.maxWords)
 	fixedStable := 0
 	emitted := 0
-	for _, g := range randGs {
-		og, ok := origAt[g.Addr]
-		if !ok {
-			continue
+	blk, next := -1, 0 // the block the last ret fell in; the next start
+	words := len(r.Image) / 2
+	for w := gadget.NextRet(r.Image, 0, words); w < words; w = gadget.NextRet(r.Image, w+1, words) {
+		ret := uint32(w)
+		audit.Rand++
+
+		// Where the layout says this ret was in the base: inside the
+		// last non-empty relocated block starting at or below it, or
+		// at the same address.
+		for next < len(starts) && uint32(starts[next]>>32) <= ret*2 {
+			if i := int(uint32(starts[next])); pre.Blocks[i].Size > 0 {
+				blk = i
+			}
+			next++
 		}
-		lo, hi := int(g.Addr)*2, (int(g.Addr)+g.Words())*2
-		if hi > len(r.Image) || og.Words() != g.Words() ||
-			!bytes.Equal(pre.Image[lo:hi], r.Image[lo:hi]) {
+		old := ret
+		if blk >= 0 {
+			if off := ret*2 - r.NewStart[blk]; off < pre.Blocks[blk].Size {
+				old = (pre.Blocks[blk].Start + off) / 2
+			}
+		}
+
+		g, ok := c.at(old)
+		if ok && ret >= mw && old >= mw &&
+			bytes.Equal(pre.Image[(old-mw)*2:(old+1)*2], r.Image[(ret-mw)*2:(ret+1)*2]) {
+			g.start = ret - (old - g.start)
+		} else {
+			if finder == nil {
+				finder = gadget.NewFinder(c.maxWords)
+			}
+			g.start, g.instrs, g.kind = finder.Find(r.Image, ret)
+		}
+
+		// Stable: the base has the same gadget at the same address with
+		// the same bytes.
+		if og, ok := c.at(ret); !ok || og.start != g.start ||
+			!bytes.Equal(pre.Image[g.start*2:(ret+1)*2], r.Image[g.start*2:(ret+1)*2]) {
 			continue
 		}
 		audit.Stable++
-		byteAddr := g.Addr * 2
+		byteAddr := g.start * 2
 		if byteAddr >= pre.RegionStart && byteAddr < pre.RegionEnd {
 			audit.StableInRegion++
 			if emitted < maxStableFindings {
@@ -91,7 +196,7 @@ func auditGadgetsAgainst(pre *core.Preprocessed, r *core.Randomized, maxWords in
 				findings = append(findings, Finding{
 					Kind: KindStableGadget, Severity: stableSev, Addr: byteAddr,
 					Detail: fmt.Sprintf("%s gadget (%d instrs) survives randomization unchanged inside the shuffled region%s",
-						g.Kind, len(g.Instrs), stableSuffix),
+						g.kind, g.instrs, stableSuffix),
 				})
 			}
 		} else {

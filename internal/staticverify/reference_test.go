@@ -1,6 +1,7 @@
 package staticverify
 
 import (
+	"bytes"
 	"fmt"
 
 	"mavr/internal/avr"
@@ -17,7 +18,14 @@ import (
 // bodies are kept verbatim, only renamed (refVerify, refVerifyPatches,
 // refDiffRange), so the equivalence tests, the patch-diff test and
 // FuzzBaseVerify hold the indexed diff and the cached handle to the
-// code they replaced. remapper is the address mapping they share.
+// code they replaced. remapper is the address mapping they share. The
+// one change since: refDiffRange also compares a conditional branch's
+// status flag once its target checks out, as the indexed diff does.
+//
+// auditGadgetsAgainst and gadgetIndex, the full-scan gadget census that
+// scanned every randomized image, are kept verbatim too: refVerify
+// calls them, and TestCensusMatchesFullScan holds the incremental
+// census to them.
 
 // remapper rebuilds the address mapping a randomization outcome
 // applied: old byte address -> new byte address.
@@ -243,6 +251,12 @@ func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block strin
 					Detail: fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
 						oin.Op, oldAbs, want, newAbs),
 				})
+			} else if oin.D != nin.D {
+				findings = append(findings, Finding{
+					Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s condition changed from flag %c to flag %c",
+						oin.Op, sregFlags[oin.D], sregFlags[nin.D]),
+				})
 			}
 		case avr.OpSPM:
 			findings = append(findings, Finding{
@@ -266,4 +280,79 @@ func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block strin
 		pc += uint32(oin.Words)
 	}
 	return findings
+}
+
+// gadgetIndex maps a scan result by gadget start address.
+func gadgetIndex(gs []*gadget.Gadget) map[uint32]*gadget.Gadget {
+	at := make(map[uint32]*gadget.Gadget, len(gs))
+	for _, g := range gs {
+		at[g.Addr] = g
+	}
+	return at
+}
+
+// auditGadgetsAgainst is AuditGadgets with the original-image scan
+// supplied by the caller, so a Base can amortize it across every
+// permutation of its base image, clean or defective.
+//
+// demote re-ranks in-region stable-gadget findings from warning to
+// info. The caller sets it when value-set analysis proved every
+// indirect site resolves to legitimate entries: no
+// attacker-influencable indirect edge can land on a gadget, so a
+// stable gadget's reachability depends on a separately-mitigated
+// stack-corruption primitive and is informational, not a rewriter
+// defect.
+func auditGadgetsAgainst(pre *core.Preprocessed, r *core.Randomized, maxWords int, origGs []*gadget.Gadget, origAt map[uint32]*gadget.Gadget, demote bool) (GadgetAudit, []Finding) {
+	var audit GadgetAudit
+	var findings []Finding
+
+	stableSev := SevWarn
+	stableSuffix := ""
+	if demote {
+		stableSev = SevInfo
+		stableSuffix = "; unreachable from any resolved indirect edge"
+	}
+	randGs := gadget.Scan(r.Image, maxWords)
+	audit.Orig, audit.Rand = len(origGs), len(randGs)
+	fixedStable := 0
+	emitted := 0
+	for _, g := range randGs {
+		og, ok := origAt[g.Addr]
+		if !ok {
+			continue
+		}
+		lo, hi := int(g.Addr)*2, (int(g.Addr)+g.Words())*2
+		if hi > len(r.Image) || og.Words() != g.Words() ||
+			!bytes.Equal(pre.Image[lo:hi], r.Image[lo:hi]) {
+			continue
+		}
+		audit.Stable++
+		byteAddr := g.Addr * 2
+		if byteAddr >= pre.RegionStart && byteAddr < pre.RegionEnd {
+			audit.StableInRegion++
+			if emitted < maxStableFindings {
+				emitted++
+				findings = append(findings, Finding{
+					Kind: KindStableGadget, Severity: stableSev, Addr: byteAddr,
+					Detail: fmt.Sprintf("%s gadget (%d instrs) survives randomization unchanged inside the shuffled region%s",
+						g.Kind, len(g.Instrs), stableSuffix),
+				})
+			}
+		} else {
+			fixedStable++
+		}
+	}
+	if over := audit.StableInRegion - emitted; over > 0 {
+		findings = append(findings, Finding{
+			Kind: KindStableGadget, Severity: stableSev,
+			Detail: fmt.Sprintf("... and %d more stable gadgets in the shuffled region", over),
+		})
+	}
+	if fixedStable > 0 {
+		findings = append(findings, Finding{
+			Kind: KindStableGadget, Severity: SevInfo,
+			Detail: fmt.Sprintf("%d gadgets in fixed regions (vectors/stubs/data/calibration) survive every randomization; they are firmware invariants, not rewriter defects", fixedStable),
+		})
+	}
+	return audit, findings
 }

@@ -11,8 +11,9 @@ import (
 
 // Options tunes a Verify run.
 type Options struct {
-	// Gadgets enables the residual gadget audit (two full image scans;
-	// skip it on hot boot paths where only correctness matters).
+	// Gadgets enables the residual gadget audit (a scan of the base
+	// image, then a census of each outcome's rets; skip it on hot boot
+	// paths where only correctness matters).
 	Gadgets bool
 	// GadgetMaxWords is the maximum gadget window, as in gadget.Scan;
 	// zero or less means 24, the §VII-A census window.

@@ -2,6 +2,7 @@ package staticverify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mavr/internal/core"
@@ -127,10 +128,6 @@ func renderVSA(res *vsa.Result, lay vsaLayout) (*VSAInfo, []Finding, bool) {
 		}
 	}
 
-	entrySet := make(map[uint32]bool, len(lay.entries))
-	for _, e := range lay.entries {
-		entrySet[e] = true
-	}
 	demote := true
 	for si := range res.Sites {
 		s := &res.Sites[si]
@@ -146,7 +143,7 @@ func renderVSA(res *vsa.Result, lay vsaLayout) (*VSAInfo, []Finding, bool) {
 			vs.Targets = s.Targets(lay.img)
 			vs.EntrySubset = true
 			for _, t := range vs.Targets {
-				if !entrySet[t] {
+				if _, ok := slices.BinarySearch(lay.entries, t); !ok {
 					vs.EntrySubset = false
 					demote = false
 					break
