@@ -206,20 +206,13 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 		fast = true
 	}
 
-	// The census and the translated analysis both walk the relocated
-	// blocks in address order.
-	var starts []uint64
-	if b.opts.Gadgets || fast && b.opts.VSA && b.stats.IndirectSites > 0 {
-		starts = sortedStarts(pre, r)
-	}
-
 	var graphFindings, vsaFindings []Finding
 	demote := false
 	switch {
 	case fast:
 		rep.CFG = b.stats
 		if b.opts.VSA {
-			rep.VSA, vsaFindings, demote = renderVSA(b.vsaRes, b.translatedLayout(r, starts))
+			rep.VSA, vsaFindings, demote = renderVSA(b.vsaRes, b.translatedLayout(r))
 		}
 	case laidOut: // a layout that failed the entry check gets no graph either
 		g := Recover(r.Image, RelocatedBlocks(pre, r), pre.RegionStart, pre.RegionEnd)
@@ -233,7 +226,7 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 	rep.Findings = mergeFindings(diffFindings, graphFindings, vsaFindings)
 
 	if b.opts.Gadgets {
-		audit, gfs := b.gadgets.audit(pre, r, starts, demote)
+		audit, gfs := b.gadgets.audit(pre, r, demote)
 		rep.Gadgets = &audit
 		rep.Findings = append(rep.Findings, gfs...)
 	}
@@ -272,20 +265,20 @@ func mergeFindings(lists ...[]Finding) []Finding {
 // permutation's image: function i (pre.Blocks order, the base graph's
 // order) now starts at r.NewStart[i], and the entry-target set is the
 // fixed entries plus the relocated block starts — exactly what
-// recovering the randomized image's graph would compute. starts is
-// sortedStarts(b.pre, r) of a layout that passed checkLayout, so every
-// start lies at or above the region start, past every fixed entry:
-// the two sorted lists concatenate into the sorted set.
-func (b *Base) translatedLayout(r *core.Randomized, starts []uint64) vsaLayout {
+// recovering the randomized image's graph would compute. r passed
+// checkLayout, so every relocated start lies at or above the region
+// start, past every fixed entry: the two sorted lists concatenate into
+// the sorted set.
+func (b *Base) translatedLayout(r *core.Randomized) vsaLayout {
 	lay := vsaLayout{
 		img:   r.Image,
 		name:  func(i int) string { return b.pre.Blocks[i].Name },
 		start: func(i int) uint32 { return r.NewStart[i] },
 	}
 	if b.stats.IndirectSites > 0 {
-		ents := make([]uint32, 0, len(b.fixedEntries)+len(starts))
+		ents := make([]uint32, 0, len(b.fixedEntries)+len(r.NewStart))
 		ents = append(ents, b.fixedEntries...)
-		for _, k := range starts {
+		for _, k := range sortedStarts(b.pre, r) {
 			ents = append(ents, uint32(k>>32))
 		}
 		lay.entries = ents

@@ -20,7 +20,8 @@ import (
 // image, with bytes flipped anywhere, with a data-tail byte flipped,
 // with a ret word planted at a random word or over the operand word of
 // a jmp/call, with a nop over the first word of a window of every ret,
-// and under a layout that claims a block at address 0.
+// under a layout that claims a block at address 0, and under one that
+// places one block too few.
 func TestCensusMatchesFullScan(t *testing.T) {
 	specs := append([]firmware.AppSpec{firmware.TestApp()}, firmware.Profiles()...)
 	mutations := []struct {
@@ -64,6 +65,9 @@ func TestCensusMatchesFullScan(t *testing.T) {
 			r.NewStart[best] = 0
 			plantRet(r.Image, off)
 		}},
+		{"short layout", func(_ *core.Preprocessed, r *core.Randomized, _ []uint32, _ *rand.Rand) {
+			r.NewStart = r.NewStart[:len(r.NewStart)-1]
+		}},
 	}
 	for _, spec := range specs {
 		img, err := firmware.Generate(spec, firmware.ModeMAVR)
@@ -106,7 +110,7 @@ func TestCensusMatchesFullScan(t *testing.T) {
 				for _, sc := range scans {
 					for _, demote := range []bool{false, true} {
 						wantAudit, wantFs := auditGadgetsAgainst(pre, &r, sc.maxWords, sc.origGs, sc.origAt, demote)
-						audit, fs := sc.census.audit(pre, &r, sortedStarts(pre, &r), demote)
+						audit, fs := sc.census.audit(pre, &r, demote)
 						if audit != wantAudit || !reflect.DeepEqual(fs, wantFs) {
 							t.Fatalf("%s seed %d, %s, window %d, demote %v: census %+v %v; full scan %+v %v",
 								spec.Name, seed, m.name, sc.maxWords, demote, audit, fs, wantAudit, wantFs)
