@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's evaluation artifacts (one per
-// table/figure) plus performance benchmarks of the substrate itself.
-// Reported custom metrics carry the measured values next to the units
-// the paper uses.
+// Performance benchmarks of the substrate: the emulator, randomizer,
+// gadget scanner, MAVLink codec, board and brute-force simulator. The
+// paper's tables, figures and ablations are computed by cmd/mavr-bench,
+// whose output TestTranscript holds to a recorded transcript.
 package mavr_test
 
 import (
@@ -21,145 +21,6 @@ import (
 	"mavr/internal/scenario"
 )
 
-// --- Table I: number of functions ---------------------------------------
-
-func BenchmarkTableI_FunctionCounts(b *testing.B) {
-	paper := map[string]int{"arduplane": 917, "arducopter": 1030, "ardurover": 800}
-	for _, spec := range firmware.Profiles() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				img, err := firmware.Generate(spec, firmware.ModeMAVR)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(img.ELF.FuncSymbols())
-			}
-			b.ReportMetric(float64(n), "functions")
-			b.ReportMetric(float64(paper[spec.Name]), "paper_functions")
-		})
-	}
-}
-
-// --- Table II: startup overhead ------------------------------------------
-
-func BenchmarkTableII_StartupOverhead(b *testing.B) {
-	paper := map[string]int64{"arduplane": 19209, "arducopter": 21206, "ardurover": 15412}
-	for _, spec := range firmware.Profiles() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			img, err := firmware.Generate(spec, firmware.ModeMAVR)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ms int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys := board.NewSystem(board.SystemConfig{Master: board.MasterConfig{Seed: int64(i) + 1}})
-				if err := sys.FlashFirmware(img); err != nil {
-					b.Fatal(err)
-				}
-				rep, err := sys.Boot()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms = rep.Total.Milliseconds()
-			}
-			b.ReportMetric(float64(ms), "sim_ms")
-			b.ReportMetric(float64(paper[spec.Name]), "paper_ms")
-		})
-	}
-}
-
-// --- Table III: change in code size --------------------------------------
-
-func BenchmarkTableIII_CodeSize(b *testing.B) {
-	paperStock := map[string]int{"arduplane": 221608, "arducopter": 244532, "ardurover": 177870}
-	paperMAVR := map[string]int{"arduplane": 221294, "arducopter": 244292, "ardurover": 177556}
-	for _, spec := range firmware.Profiles() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			var stockN, mavrN int
-			for i := 0; i < b.N; i++ {
-				stock, err := firmware.Generate(spec, firmware.ModeStock)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mv, err := firmware.Generate(spec, firmware.ModeMAVR)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stockN, mavrN = len(stock.Flash), len(mv.Flash)
-			}
-			b.ReportMetric(float64(stockN), "stock_B")
-			b.ReportMetric(float64(paperStock[spec.Name]), "paper_stock_B")
-			b.ReportMetric(float64(mavrN), "mavr_B")
-			b.ReportMetric(float64(paperMAVR[spec.Name]), "paper_mavr_B")
-		})
-	}
-}
-
-// --- §VII-A effectiveness -------------------------------------------------
-
-func BenchmarkEffectiveness_GadgetCensus(b *testing.B) {
-	img, err := firmware.Generate(firmware.Arduplane(), firmware.ModeMAVR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var n int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n = len(gadget.Scan(img.Flash, 24))
-	}
-	b.ReportMetric(float64(n), "gadgets")
-	b.ReportMetric(953, "paper_gadgets")
-}
-
-func BenchmarkEffectiveness_StealthyAttackVsRandomized(b *testing.B) {
-	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := attack.Analyze(img.ELF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := attack.BuildV2(a, attack.GyroCfgWrite(0x7F))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pre, err := core.Preprocess(img.ELF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	// One simulator for the whole sweep: each permutation reloads flash
-	// and resets the core instead of reallocating the 256 KiB memories.
-	sim, err := attack.NewSim(img.Flash)
-	if err != nil {
-		b.Fatal(err)
-	}
-	succeeded := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := core.Randomize(pre, core.Permutation(rng, len(pre.Blocks)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.Reset(r.Image); err != nil {
-			b.Fatal(err)
-		}
-		fault := sim.Deliver(attack.Frame(payload), 200_000)
-		if fault == nil && sim.CPU.Data[firmware.AddrGyroCfg] == 0x7F {
-			succeeded++
-		}
-	}
-	b.ReportMetric(float64(succeeded)/float64(b.N), "attack_success_rate")
-}
-
-// --- §V-D / §VIII-B security models ---------------------------------------
-
 func BenchmarkBruteForce(b *testing.B) {
 	for _, n := range []int{3, 4, 5} {
 		n := n
@@ -177,40 +38,6 @@ func BenchmarkBruteForce(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkEntropy(b *testing.B) {
-	var bits float64
-	for i := 0; i < b.N; i++ {
-		bits = core.EntropyBits(800)
-	}
-	b.ReportMetric(bits, "bits")
-	b.ReportMetric(6567, "paper_bits")
-}
-
-// --- Fig. 6: stealthy attack trace ----------------------------------------
-
-func BenchmarkFig6_StackTrace(b *testing.B) {
-	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := attack.Analyze(img.ELF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var snaps int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := attack.TraceV2(a, img.Flash, attack.GyroCfgWrite(0x7F))
-		if err != nil {
-			b.Fatal(err)
-		}
-		snaps = len(s)
-	}
-	b.ReportMetric(float64(snaps), "stages")
-}
-
-// --- Substrate performance benchmarks -------------------------------------
 
 func BenchmarkCPUExecution(b *testing.B) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)

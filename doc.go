@@ -14,6 +14,7 @@
 // (internal/board, internal/gcs).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured results of every table and figure. The
-// benchmarks in bench_test.go regenerate each evaluation artifact.
+// paper-versus-measured results of every table and figure. cmd/mavr-bench
+// regenerates each evaluation artifact, and its test holds the output
+// to the recorded transcript cmd/mavr-bench/testdata/paper.txt.
 package mavr

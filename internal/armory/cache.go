@@ -59,14 +59,6 @@ type baseCache struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	builds atomic.Uint64
-}
-
-func newBaseCache(max int) *baseCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &baseCache{max: max, entries: make(map[string]*baseEntry)}
 }
 
 // get returns the entry for img, building it (once) on a miss, and
@@ -90,7 +82,6 @@ func (c *baseCache) get(img []byte, opts staticverify.Options) (*baseEntry, bool
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-		c.builds.Add(1)
 	}
 	e.build(img, opts)
 	return e, ok

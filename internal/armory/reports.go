@@ -33,13 +33,6 @@ type reportStore struct {
 	order   []string // artifact digests in insertion order
 }
 
-func newReportStore(max int) *reportStore {
-	if max <= 0 {
-		max = 4096
-	}
-	return &reportStore{max: max, reports: make(map[string]*StoredReport)}
-}
-
 // put stores an artifact report under its digest.
 func (s *reportStore) put(digest string, r *StoredReport) {
 	s.mu.Lock()

@@ -205,9 +205,9 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		cache:   newBaseCache(cfg.MaxBases),
+		cache:   &baseCache{max: cfg.MaxBases, entries: make(map[string]*baseEntry)},
 		ledger:  NewLedger(),
-		reports: newReportStore(cfg.MaxReports),
+		reports: &reportStore{max: cfg.MaxReports, reports: make(map[string]*StoredReport)},
 		jobs:    make(chan job, cfg.QueueDepth),
 	}
 	for i := 0; i < cfg.Workers; i++ {

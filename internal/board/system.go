@@ -17,8 +17,6 @@ const TelemetryBaud = 57600
 // SystemConfig assembles a full MAVR board.
 type SystemConfig struct {
 	Master MasterConfig
-	// FlashCapacity overrides the external flash size (0 = M95M02).
-	FlashCapacity int
 	// Unprotected builds a plain APM without the MAVR hardware: the
 	// application processor runs the original binary, there is no
 	// master, no watchdog and no readout fuse — the paper's attack
@@ -81,7 +79,7 @@ type timedByte struct {
 func NewSystem(cfg SystemConfig) *System {
 	s := &System{cfg: cfg}
 	s.App = NewAppProcessor()
-	s.Flash = NewExternalFlash(cfg.FlashCapacity)
+	s.Flash = NewExternalFlash(ExternalFlashCapacity)
 	if !cfg.Unprotected && !cfg.SoftwareOnly {
 		s.Master = NewMaster(cfg.Master, s.Flash, s.App, s.Now)
 	}
