@@ -20,9 +20,6 @@ type Analysis struct {
 	StkMove *gadget.StkMove
 	// WriteMem is the Fig. 5 arbitrary-write combination gadget.
 	WriteMem *gadget.WriteMem
-	// GadgetCount is the total ret-gadget census (§VII-A reports 953
-	// for the test application).
-	GadgetCount int
 
 	// HandlerAddr is the word address of handle_param_set.
 	HandlerAddr uint32
@@ -58,23 +55,16 @@ var (
 )
 
 // Analyze performs the attacker's offline analysis of an application
-// binary (flash image + ELF symbols).
+// binary (flash image + ELF symbols): the frame analysis, then the
+// canonical Fig. 4/5 gadgets of the application's own code.
 func Analyze(elf *elfobj.File) (*Analysis, error) {
 	a, err := AnalyzeFrame(elf)
 	if err != nil {
 		return nil, err
 	}
-	image := elf.Text
-	sm, err := gadget.FindStkMove(image)
-	if err != nil {
+	if err := a.UseFixedGadgets(elf.Text, 0); err != nil {
 		return nil, err
 	}
-	wm, err := gadget.FindWriteMem(image, 5)
-	if err != nil {
-		return nil, err
-	}
-	a.StkMove = sm
-	a.WriteMem = wm
 	return a, nil
 }
 
@@ -87,7 +77,6 @@ func Analyze(elf *elfobj.File) (*Analysis, error) {
 func AnalyzeFrame(elf *elfobj.File) (*Analysis, error) {
 	a := &Analysis{}
 	image := elf.Text
-	a.GadgetCount = len(gadget.Scan(image, 24))
 
 	var handler *elfobj.Symbol
 	for i, s := range elf.Symbols {
@@ -179,11 +168,12 @@ func (a *Analysis) probe(image []byte) error {
 	return nil
 }
 
-// UseFixedGadgets swaps the analysis's gadgets for ones found in a
-// fixed (never randomized) code region — the paper's §VI-B4 warning
-// made concrete: the prototype's serial bootloader sits at a constant
+// UseFixedGadgets sets the analysis's gadgets to the canonical Fig. 4/5
+// matches in code, whose first byte sits at flash byte startByte.
+// Analyze applies it to the application itself; applied to a fixed
+// (never randomized) code region it makes the paper's §VI-B4 warning
+// concrete: the prototype's serial bootloader sits at a constant
 // address, so its gadgets remain valid across every randomization.
-// code is the fixed region's bytes and startByte its flash address.
 func (a *Analysis) UseFixedGadgets(code []byte, startByte uint32) error {
 	sm, err := gadget.FindStkMove(code)
 	if err != nil {

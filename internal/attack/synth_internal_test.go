@@ -40,15 +40,8 @@ func TestSplitWriterCompositionLands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := &WriterShape{
-		LoadAddr:  a.WriteMem.PopsAddr,
-		LoadPops:  a.WriteMem.PopRegs,
-		StoreAddr: a.WriteMem.StoreAddr,
-		StoreRegs: a.WriteMem.StoreRegs,
-		QBase:     1,
-		TailPops:  a.WriteMem.PopRegs,
-		Fused:     false,
-	}
+	wr := fig5Writer(a.WriteMem)
+	wr.Fused = false
 	w := Write{Addr: firmware.AddrFreeMem + 0x20, Vals: [3]byte{0xDE, 0xAD, 0x7F}}
 	p, err := landingPayloadFor(a, wr, w)
 	if err != nil {
@@ -89,15 +82,7 @@ func TestStealthPayloadNoViableLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := &WriterShape{
-		LoadAddr:  a.WriteMem.PopsAddr,
-		LoadPops:  a.WriteMem.PopRegs,
-		StoreAddr: a.WriteMem.StoreAddr,
-		StoreRegs: a.WriteMem.StoreRegs,
-		QBase:     1,
-		TailPops:  a.WriteMem.PopRegs,
-		Fused:     true,
-	}
+	wr := fig5Writer(a.WriteMem)
 	w := Write{Addr: 0x300, Vals: [3]byte{1, 2, 3}}
 
 	unsaved := &gadget.StkMove{Addr: a.StkMove.Addr, SPHReg: 3, SPLReg: 2, PopRegs: []int{28, 29}}

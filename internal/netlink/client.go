@@ -1,5 +1,5 @@
-// Client-side read deadlines and arrival-rate estimation are
-// wall-clock operations against a real UDP socket.
+// Client-side read deadlines and link-idle detection are wall-clock
+// operations against a real UDP socket.
 //mavr:wallclock
 
 package netlink
@@ -33,15 +33,6 @@ type ClientConfig struct {
 	// carried sim clocks — a recovering vehicle's sim clock jumps while
 	// beacons keep arriving, and that gap belongs to the vehicle.
 	LinkIdle time.Duration
-	// Rate estimates vehicle sim time during total downlink loss, in
-	// simulated seconds per wall second. 0 (the default) disables the
-	// estimate: silence is then measured purely from the sim clocks
-	// carried by received datagrams (time beacons keep arriving from a
-	// live fleet even when a vehicle's application has crashed).
-	Rate float64
-	// Strict disables the monitor's link-loss tolerance (not useful on
-	// UDP; exists for experiments contrasting the serial-link rule).
-	Strict bool
 }
 
 // Client is one ground station's view of one vehicle over UDP: it
@@ -99,7 +90,7 @@ func DialClient(addr string, cfg ClientConfig) (*Client, error) {
 		up:   make(chan []byte, maxUplinkQueue),
 		stop: make(chan struct{}),
 	}
-	c.mon.TolerateLinkLoss = !cfg.Strict
+	c.mon.TolerateLinkLoss = true
 	c.sendDatagram(PacketHello, c.helloPayload())
 
 	c.wg.Add(3)
@@ -260,7 +251,6 @@ func (c *Client) recvLoop() {
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				c.checkLinkIdle()
-				c.feedSilence()
 				continue
 			}
 			select {
@@ -313,9 +303,9 @@ func (c *Client) recvLoop() {
 
 // checkLinkIdle runs on receive timeouts: once the wall-clock arrival
 // gap exceeds LinkIdle the link is declared dead — MaxLinkSilence
-// tracks the (estimated) outage live, the epoch is bumped and a
-// re-hello goes out so the server rebuilds the session when the link
-// heals.
+// tracks the outage live (its wall-clock gap read as sim time), the
+// epoch is bumped and a re-hello goes out so the server rebuilds the
+// session when the link heals.
 func (c *Client) checkLinkIdle() {
 	if c.cfg.LinkIdle <= 0 {
 		return
@@ -330,11 +320,7 @@ func (c *Client) checkLinkIdle() {
 		c.mu.Unlock()
 		return
 	}
-	rate := c.cfg.Rate
-	if rate <= 0 {
-		rate = 1
-	}
-	c.mon.FeedLinkIdle(c.lastSim + time.Duration(float64(gap)*rate))
+	c.mon.FeedLinkIdle(c.lastSim + gap)
 	rehello := !c.outage
 	if rehello {
 		c.outage = true
@@ -345,24 +331,6 @@ func (c *Client) checkLinkIdle() {
 	if rehello {
 		c.sendDatagram(PacketHello, c.helloPayload())
 	}
-}
-
-// feedSilence advances the monitor's notion of time while nothing is
-// arriving, so total downlink loss (dead fleet) still registers as
-// silence when a Rate estimate is configured. Once an outage has been
-// declared (LinkIdle crossed) the span is the link's, not the
-// vehicle's, and estimation stops — otherwise a partition would
-// masquerade as a silent vehicle.
-func (c *Client) feedSilence() {
-	if c.cfg.Rate <= 0 {
-		return
-	}
-	c.mu.Lock()
-	if !c.lastArrival.IsZero() && !c.outage {
-		est := c.lastSim + time.Duration(float64(time.Since(c.lastArrival))*c.cfg.Rate)
-		c.mon.Feed(nil, est)
-	}
-	c.mu.Unlock()
 }
 
 func (c *Client) keepaliveLoop() {

@@ -58,23 +58,26 @@ type FleetConfig struct {
 	// before it is parked as degraded (default 8; negative disables
 	// supervision — the first crash degrades the vehicle).
 	RestartBudget int
-	// MaxSessions caps the session table; joins beyond the cap are
-	// rejected and counted (default 1024).
-	MaxSessions int
-	// DrainTimeout bounds Close: if the driver/read/reap goroutines
-	// have not drained by then, Close gives up and reports the leak
-	// instead of hanging the caller (default 5s).
-	DrainTimeout time.Duration
 	// SessionTimeout expires sessions with no uplink datagrams (wall
 	// clock; default 5s).
 	SessionTimeout time.Duration
-	// TimeBeacon is the maximum simulated interval between downlink
+}
+
+const (
+	// maxSessions caps the session table; joins beyond the cap are
+	// rejected and counted.
+	maxSessions = 1024
+	// drainTimeout bounds Close: if the driver/read/reap goroutines
+	// have not drained by then, Close gives up and reports the leak
+	// instead of hanging the caller.
+	drainTimeout = 5 * time.Second
+	// timeBeacon is the maximum simulated interval between downlink
 	// datagrams per session: when a vehicle emits no telemetry for this
 	// long (crashed application), an empty datagram still carries its
 	// sim clock so ground stations can measure vehicle silence in
-	// simulated time (default 50ms).
-	TimeBeacon time.Duration
-}
+	// simulated time.
+	timeBeacon = 50 * time.Millisecond
+)
 
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Vehicles <= 0 {
@@ -89,17 +92,8 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.RestartBudget == 0 {
 		c.RestartBudget = 8
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = 5 * time.Second
-	}
-	if c.TimeBeacon <= 0 {
-		c.TimeBeacon = 50 * time.Millisecond
 	}
 	return c
 }
@@ -237,7 +231,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{
 		cfg:      cfg,
 		img:      img,
-		sessions: newSessionTable(cfg.MaxSessions),
+		sessions: newSessionTable(maxSessions),
 		stop:     make(chan struct{}),
 	}
 	for i := 0; i < cfg.Vehicles; i++ {
@@ -347,7 +341,7 @@ func (f *Fleet) DegradedVehicles() int {
 }
 
 // Close stops all goroutines and releases the socket, waiting at most
-// DrainTimeout for the drain. After a clean Close, vehicle state
+// drainTimeout for the drain. After a clean Close, vehicle state
 // (Vehicle.Sys) may be inspected directly and no fleet goroutines or
 // sessions remain.
 func (f *Fleet) Close() error {
@@ -368,8 +362,8 @@ func (f *Fleet) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(f.cfg.DrainTimeout):
-		return fmt.Errorf("netlink: fleet drain exceeded %v", f.cfg.DrainTimeout)
+	case <-time.After(drainTimeout):
+		return fmt.Errorf("netlink: fleet drain exceeded %v", drainTimeout)
 	}
 	if f.send != nil {
 		f.send.close()
@@ -448,7 +442,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 	simStart := sys.Now()
 	heldStart := v.heldTicks
 	wallStart := time.Now()
-	beaconEvery := uint64(f.cfg.TimeBeacon / f.cfg.Step)
+	beaconEvery := uint64(timeBeacon / f.cfg.Step)
 	if beaconEvery == 0 {
 		beaconEvery = 1
 	}
@@ -532,7 +526,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 				}
 			}
 			v.lastBeacon = now
-		} else if now-v.lastBeacon >= f.cfg.TimeBeacon {
+		} else if now-v.lastBeacon >= timeBeacon {
 			// No telemetry: still carry the sim clock so ground stations
 			// can tell vehicle silence from link loss.
 			for _, sess := range subs {
