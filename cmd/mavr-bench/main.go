@@ -417,13 +417,14 @@ func fig45(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sm, err := gadget.FindStkMove(img.Flash)
+	gs := gadget.Scan(img.Flash, 24)
+	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "FIG. 4 — stk_move GADGET")
 	fmt.Fprint(w, asm.Disassemble(img.Flash, sm.Addr, 4+len(sm.PopRegs)))
-	wm, err := gadget.FindWriteMem(img.Flash, 5)
+	wm, err := gadget.FindWriteMem(gs, 5)
 	if err != nil {
 		return err
 	}

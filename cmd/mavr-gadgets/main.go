@@ -61,11 +61,11 @@ func run() error {
 		fmt.Printf("  %-9s %d\n", k, byKind[k])
 	}
 
-	if sm, err := gadget.FindStkMove(image); err == nil {
+	if sm, err := gadget.FindStkMove(gs); err == nil {
 		fmt.Printf("\nGadget 1: stk_move (paper Fig. 4)\n")
 		fmt.Print(asm.Disassemble(image, sm.Addr, 4+len(sm.PopRegs)))
 	}
-	if wm, err := gadget.FindWriteMem(image, 5); err == nil {
+	if wm, err := gadget.FindWriteMem(gs, 5); err == nil {
 		fmt.Printf("\nGadget 2: write_mem_gadget (paper Fig. 5)\n")
 		fmt.Print(asm.Disassemble(image, wm.StoreAddr, 4+len(wm.PopRegs)))
 	}

@@ -23,20 +23,44 @@ type StoredReport struct {
 	Report         *staticverify.Report `json:"report,omitempty"`
 }
 
-// reportStore keeps recent verification reports addressable by digest,
-// bounded FIFO over artifact reports (base summaries are bounded by the
-// base cache upstream and never evicted here).
+// reportStore keeps recent verification reports and base summaries
+// addressable by digest, bounded FIFO over both.
 type reportStore struct {
 	mu      sync.Mutex
 	max     int
 	reports map[string]*StoredReport
-	order   []string // artifact digests in insertion order
+	order   []string // digests in insertion order
 }
 
 // put stores an artifact report under its digest.
 func (s *reportStore) put(digest string, r *StoredReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.insert(digest, r)
+}
+
+// putBase stores (idempotently) the summary of a cached base image
+// under its canonical digest, so clients can resolve a base digest seen
+// in an artifact report. A summary evicted by newer reports is stored
+// again with its base's next artifact.
+func (s *reportStore) putBase(digest string, pre *core.Preprocessed) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.reports[digest]; ok {
+		return
+	}
+	s.insert(digest, &StoredReport{
+		Kind:        "base",
+		BaseDigest:  digest,
+		Blocks:      len(pre.Blocks),
+		RegionStart: pre.RegionStart,
+		RegionEnd:   pre.RegionEnd,
+	})
+}
+
+// insert stores r under digest, evicting the oldest digests beyond max.
+// The caller holds s.mu.
+func (s *reportStore) insert(digest string, r *StoredReport) {
 	if _, ok := s.reports[digest]; !ok {
 		s.order = append(s.order, digest)
 		for len(s.order) > s.max {
@@ -45,24 +69,6 @@ func (s *reportStore) put(digest string, r *StoredReport) {
 		}
 	}
 	s.reports[digest] = r
-}
-
-// putBase stores (idempotently) the summary of a cached base image
-// under its canonical digest, so clients can resolve a base digest seen
-// in an artifact report.
-func (s *reportStore) putBase(digest string, pre *core.Preprocessed) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.reports[digest]; ok {
-		return
-	}
-	s.reports[digest] = &StoredReport{
-		Kind:        "base",
-		BaseDigest:  digest,
-		Blocks:      len(pre.Blocks),
-		RegionStart: pre.RegionStart,
-		RegionEnd:   pre.RegionEnd,
-	}
 }
 
 // get looks a report up by digest.

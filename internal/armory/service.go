@@ -20,35 +20,31 @@ type Config struct {
 	// Workers is the randomization worker-pool size (default 4). The
 	// pool bounds CPU concurrency; submissions beyond it queue.
 	Workers int
-	// QueueDepth bounds the submission queue (default 4*Workers);
-	// Randomize blocks when it is full — backpressure, not load
-	// shedding.
-	QueueDepth int
 	// Secret is the HMAC artifact-signing key (default DefaultSecret).
 	Secret []byte
 	// Opts are the static-verification options applied to every
 	// artifact (nil: staticverify.DefaultOptions — full verification
 	// including the residual gadget audit).
 	Opts *staticverify.Options
-	// MaxBases bounds the content-addressed base cache (default 64,
-	// FIFO eviction by submission digest).
-	MaxBases int
-	// MaxReports bounds the stored verification reports served by
-	// GET /report (default 4096, FIFO).
-	MaxReports int
-	// MaxAttempts bounds the ledger redraw chain per request (default
-	// 64). With n! permutations a genuine collision is astronomically
-	// unlikely; the bound exists so a pathological base (one block)
-	// fails loudly instead of spinning.
-	MaxAttempts int
 }
+
+const (
+	// maxBases bounds the content-addressed base cache (FIFO eviction
+	// by submission digest).
+	maxBases = 64
+	// maxReports bounds the stored reports served by GET /report
+	// (FIFO).
+	maxReports = 4096
+	// maxAttempts bounds the ledger redraw chain per request. With n!
+	// permutations a genuine collision is astronomically unlikely; the
+	// bound exists so a pathological base (one block) fails loudly
+	// instead of spinning.
+	maxAttempts = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
 	}
 	if c.Secret == nil {
 		c.Secret = DefaultSecret
@@ -61,15 +57,6 @@ func (c Config) withDefaults() Config {
 		// a rendering pass.
 		opts.VSA = true
 		c.Opts = &opts
-	}
-	if c.MaxBases <= 0 {
-		c.MaxBases = 64
-	}
-	if c.MaxReports <= 0 {
-		c.MaxReports = 4096
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 64
 	}
 	return c
 }
@@ -205,10 +192,12 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		cache:   &baseCache{max: cfg.MaxBases, entries: make(map[string]*baseEntry)},
+		cache:   &baseCache{max: maxBases, entries: make(map[string]*baseEntry)},
 		ledger:  NewLedger(),
-		reports: &reportStore{max: cfg.MaxReports, reports: make(map[string]*StoredReport)},
-		jobs:    make(chan job, cfg.QueueDepth),
+		reports: &reportStore{max: maxReports, reports: make(map[string]*StoredReport)},
+		// Four queued submissions per worker keep the pool busy; past
+		// that Randomize blocks: backpressure, not load shedding.
+		jobs: make(chan job, 4*cfg.Workers),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -283,7 +272,7 @@ func (s *Service) process(req Request) (*Artifact, error) {
 	baseDigest := entry.canonical
 	holder := Holder{Vehicle: req.Vehicle, Epoch: req.Epoch}
 
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		seed := deriveSeed(baseDigest, req.Vehicle, req.Epoch, attempt)
 		perm := core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks))
 		pd := PermDigest(perm)
@@ -343,7 +332,7 @@ func (s *Service) process(req Request) (*Artifact, error) {
 	}
 	return nil, &RequestError{
 		Status: 503,
-		Msg:    fmt.Sprintf("no free permutation after %d attempts (fleet larger than the base image's diversity?)", s.cfg.MaxAttempts),
+		Msg:    fmt.Sprintf("no free permutation after %d attempts (fleet larger than the base image's diversity?)", maxAttempts),
 	}
 }
 

@@ -175,11 +175,12 @@ func (a *Analysis) probe(image []byte) error {
 // concrete: the prototype's serial bootloader sits at a constant
 // address, so its gadgets remain valid across every randomization.
 func (a *Analysis) UseFixedGadgets(code []byte, startByte uint32) error {
-	sm, err := gadget.FindStkMove(code)
+	gs := gadget.Scan(code, 24)
+	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		return err
 	}
-	wm, err := gadget.FindWriteMem(code, 5)
+	wm, err := gadget.FindWriteMem(gs, 5)
 	if err != nil {
 		return err
 	}

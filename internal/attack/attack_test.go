@@ -53,14 +53,15 @@ func TestAnalyzeFindsGadgetsAndGeometry(t *testing.T) {
 
 func TestGadgetScanFindsPaperShapes(t *testing.T) {
 	img := genImage(t)
-	sm, err := gadget.FindStkMove(img.Flash)
+	gs := gadget.Scan(img.Flash, 24)
+	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sm.SPHReg != 29 || sm.SPLReg != 28 {
 		t.Errorf("stk_move uses r%d/r%d, want r29/r28 (Fig. 4)", sm.SPHReg, sm.SPLReg)
 	}
-	wm, err := gadget.FindWriteMem(img.Flash, 16)
+	wm, err := gadget.FindWriteMem(gs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,12 +153,14 @@ func TestFirmwareEmitsValidHeartbeats(t *testing.T) {
 	heartbeats, imus := 0, 0
 	var lastSeq byte
 	for i, raw := range frames {
-		f, n, err := mavlink.Unmarshal(raw)
-		if err != nil {
-			t.Fatalf("frame %d invalid: %v (% X)", i, err, raw)
+		p := mavlink.Parser{StrictLength: true}
+		got := p.FeedBytes(raw)
+		if len(got) != 1 || p.Stats() != (mavlink.ParserStats{Frames: 1}) {
+			t.Fatalf("frame %d invalid: %+v (% X)", i, p.Stats(), raw)
 		}
-		if n != len(raw) {
-			t.Fatalf("frame %d: consumed %d of %d", i, n, len(raw))
+		f := got[0]
+		if n := 8 + len(f.Payload); n != len(raw) {
+			t.Fatalf("frame %d: decoded %d of %d bytes", i, n, len(raw))
 		}
 		// All downlink frames share one MAVLink sequence counter.
 		if i > 0 && f.Seq != lastSeq+1 {

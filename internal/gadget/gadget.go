@@ -1,8 +1,9 @@
 // Package gadget implements the ROP-gadget discovery the MAVR paper's
 // attacker performs on the unprotected application binary (§IV): a scan
-// for ret-terminated instruction sequences, plus pattern matchers for
-// the two specific gadgets the stealthy attack needs — stk_move
-// (Fig. 4) and write_mem_gadget (Fig. 5).
+// for ret-terminated instruction sequences, the role-based shapes in
+// it (shapes.go), and among those the two specific gadgets the
+// stealthy attack needs — stk_move (Fig. 4) and write_mem_gadget
+// (Fig. 5).
 //
 // AVR instructions are 16-bit aligned, so candidate gadget starts are
 // scanned at every word offset — including the interiors of two-word
@@ -332,91 +333,42 @@ var (
 	ErrNoWriteMem = errors.New("gadget: no write_mem gadget in image")
 )
 
-// FindStkMove scans image for a Fig. 4-shaped gadget, preferring the
-// candidate with the shortest pop tail (the attacker wants to spend as
-// few chain bytes as possible per pivot).
-func FindStkMove(image []byte) (*StkMove, error) {
-	var best *StkMove
-	words := len(image) / 2
-	for w := 0; w < words; w++ {
-		in := avr.DecodeAt(image, uint32(w))
-		if in.Op != avr.OpOUT || in.A != avr.IOAddrSPH {
+// FindStkMove returns the Fig. 4 gadget among a scan's pivot shapes:
+// the one with the shortest pop tail (the attacker wants to spend as
+// few chain bytes as possible per pivot), lowest address first.
+func FindStkMove(gs []*Gadget) (*StkMove, error) {
+	if pivots := PivotShapes(gs); len(pivots) > 0 {
+		return pivots[0], nil
+	}
+	return nil, ErrNoStkMove
+}
+
+// FindWriteMem returns the Fig. 5 gadget among a scan's store runs: the
+// lowest-address run storing to Y+1..Y+3 whose pop tail is at least
+// minPops long (the paper's gadget pops 16 registers) and reloads Y
+// (r28/r29) and the three stored registers, so the attack can chain
+// pops -> stores.
+func FindWriteMem(gs []*Gadget, minPops int) (*WriteMem, error) {
+	var best *StoreRun
+	for _, sr := range StoreRuns(gs) {
+		pops := sr.TailPops
+		if sr.QBase != 1 || len(pops) < minPops || (best != nil && sr.Addr > best.Addr) {
 			continue
 		}
-		g := &StkMove{Addr: uint32(w), SPHReg: in.D}
-		pc := uint32(w) + 1
-		// Allow an SREG restore between the SP writes (the avr-gcc
-		// interrupt-safe idiom) before the SPL write.
-		for hops := 0; hops < 2; hops++ {
-			next := avr.DecodeAt(image, pc)
-			if next.Op == avr.OpOUT && next.A == avr.IOAddrSREG {
-				pc++
-				continue
-			}
-			break
-		}
-		splIn := avr.DecodeAt(image, pc)
-		if splIn.Op != avr.OpOUT || splIn.A != avr.IOAddrSPL {
-			continue
-		}
-		pc++
-		pops, end := popRun(image, pc)
-		if len(pops) == 0 {
-			continue
-		}
-		if avr.DecodeAt(image, end).Op != avr.OpRET {
-			continue
-		}
-		g.SPLReg = splIn.D
-		g.PopRegs = pops
-		if best == nil || len(g.PopRegs) < len(best.PopRegs) {
-			best = g
+		if contains(pops, 28) && contains(pops, 29) && contains(pops, sr.StoreRegs[0]) &&
+			contains(pops, sr.StoreRegs[1]) && contains(pops, sr.StoreRegs[2]) {
+			best = sr
 		}
 	}
 	if best == nil {
-		return nil, ErrNoStkMove
+		return nil, ErrNoWriteMem
 	}
-	return best, nil
-}
-
-// FindWriteMem scans image for a Fig. 5-shaped gadget. minPops sets the
-// minimum pop-chain length (the paper's gadget pops 16 registers; the
-// attack needs at least r29, r28 and the three stored registers in the
-// chain).
-func FindWriteMem(image []byte, minPops int) (*WriteMem, error) {
-	words := len(image) / 2
-	for w := 0; w < words; w++ {
-		in := avr.DecodeAt(image, uint32(w))
-		if in.Op != avr.OpSTDY || in.Q != 1 {
-			continue
-		}
-		in2 := avr.DecodeAt(image, uint32(w)+1)
-		in3 := avr.DecodeAt(image, uint32(w)+2)
-		if in2.Op != avr.OpSTDY || in2.Q != 2 || in3.Op != avr.OpSTDY || in3.Q != 3 {
-			continue
-		}
-		pops, end := popRun(image, uint32(w)+3)
-		if len(pops) < minPops {
-			continue
-		}
-		if avr.DecodeAt(image, end).Op != avr.OpRET {
-			continue
-		}
-		g := &WriteMem{
-			StoreAddr: uint32(w),
-			PopsAddr:  uint32(w) + 3,
-			StoreRegs: [3]int{in.D, in2.D, in3.D},
-			PopRegs:   pops,
-		}
-		// The pop chain must reload Y (r28/r29) and the stored regs so
-		// the attack can chain pops -> stores.
-		if !contains(pops, 28) || !contains(pops, 29) ||
-			!contains(pops, g.StoreRegs[0]) || !contains(pops, g.StoreRegs[1]) || !contains(pops, g.StoreRegs[2]) {
-			continue
-		}
-		return g, nil
-	}
-	return nil, ErrNoWriteMem
+	return &WriteMem{
+		StoreAddr: best.Addr,
+		PopsAddr:  best.TailAddr,
+		StoreRegs: best.StoreRegs,
+		PopRegs:   best.TailPops,
+	}, nil
 }
 
 // PopOffset returns the byte offset within the gadget's pop data at
@@ -439,17 +391,6 @@ func (g *StkMove) PopOffset(r int) int {
 		}
 	}
 	return -1
-}
-
-func popRun(image []byte, pc uint32) (regs []int, end uint32) {
-	for {
-		in := avr.DecodeAt(image, pc)
-		if in.Op != avr.OpPOP {
-			return regs, pc
-		}
-		regs = append(regs, in.D)
-		pc++
-	}
 }
 
 func contains(s []int, v int) bool {

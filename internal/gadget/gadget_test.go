@@ -101,7 +101,7 @@ func TestFindStkMovePrefersShortPopTail(t *testing.T) {
 		pop r29
 		ret
 	`)
-	sm, err := gadget.FindStkMove(img)
+	sm, err := gadget.FindStkMove(gadget.Scan(img, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFindStkMoveRejectsImagesWithout(t *testing.T) {
 		ldi r24, 1
 		ret
 	`)
-	if _, err := gadget.FindStkMove(img); !errors.Is(err, gadget.ErrNoStkMove) {
+	if _, err := gadget.FindStkMove(gadget.Scan(img, 24)); !errors.Is(err, gadget.ErrNoStkMove) {
 		t.Errorf("want ErrNoStkMove, got %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestFindWriteMemRequiresReloadableRegs(t *testing.T) {
 		pop r24
 		ret
 	`)
-	if _, err := gadget.FindWriteMem(img, 5); !errors.Is(err, gadget.ErrNoWriteMem) {
+	if _, err := gadget.FindWriteMem(gadget.Scan(img, 24), 5); !errors.Is(err, gadget.ErrNoWriteMem) {
 		t.Errorf("want ErrNoWriteMem, got %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestFindWriteMemOnPaperShape(t *testing.T) {
 		pop r4
 		ret
 	`)
-	wm, err := gadget.FindWriteMem(img, 8)
+	wm, err := gadget.FindWriteMem(gadget.Scan(img, 24), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

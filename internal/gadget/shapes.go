@@ -6,15 +6,15 @@ import (
 	"mavr/internal/avr"
 )
 
-// Shape enumeration: where FindStkMove/FindWriteMem locate the paper's
-// two canonical gadgets (Fig. 4/5) by exact pattern match, the
-// functions in this file enumerate *every* entry point in a Scan result
-// that has the required effect, following the functional-gadget framing
-// of "Return-Oriented Programming on RISC-V": a gadget is anything that
-// realizes a role (pivot the stack, store through a pointer, load
-// registers), not just the one idiom the compiler emits most often.
-// Chain synthesis (internal/attack) searches over these candidate sets
-// against the emulator instead of trusting a single hand-matched shape.
+// Shape enumeration: the functions in this file enumerate *every* entry
+// point in a Scan result that has a required effect, following the
+// functional-gadget framing of "Return-Oriented Programming on RISC-V":
+// a gadget is anything that realizes a role (pivot the stack, store
+// through a pointer, load registers), not just the one idiom the
+// compiler emits most often. Chain synthesis (internal/attack) searches
+// over these candidate sets against the emulator; FindStkMove and
+// FindWriteMem pick the paper's two canonical gadgets (Fig. 4/5) out of
+// the same sets.
 //
 // Entry points are word addresses *inside* scanned gadgets: execution
 // may enter a ret-terminated sequence at any instruction boundary, so
@@ -82,7 +82,7 @@ func pivotAt(g *Gadget, i int, w uint32) *StkMove {
 	sm := &StkMove{Addr: w, SPHReg: g.Instrs[i].D}
 	j := i + 1
 	// Allow an SREG restore between the SP writes (the avr-gcc
-	// interrupt-safe idiom), as FindStkMove does.
+	// interrupt-safe idiom the paper's Fig. 4 gadget carries).
 	for j < len(g.Instrs) && g.Instrs[j].Op == avr.OpOUT && g.Instrs[j].A == avr.IOAddrSREG {
 		j++
 	}

@@ -7,10 +7,11 @@ import (
 	"mavr/internal/gadget"
 )
 
-// The shape enumerators must rediscover the canonical Fig. 4/5 gadgets
-// the exact-pattern finders locate in the generated firmware — the
-// canonical gadgets are just the best-known members of their shape
-// classes.
+// The canonical Fig. 4/5 gadgets are the best-known members of their
+// shape classes: FindStkMove picks the Fig. 4 pivot out of PivotShapes,
+// FindWriteMem the Fig. 5 stores out of StoreRuns, and the write_mem's
+// pop half — which the attack enters first, to load registers — is
+// also enumerated as a pop chain.
 func TestShapesCoverCanonicalGadgets(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
 	if err != nil {
@@ -18,54 +19,30 @@ func TestShapesCoverCanonicalGadgets(t *testing.T) {
 	}
 	gs := gadget.Scan(img.Flash, 24)
 
-	sm, err := gadget.FindStkMove(img.Flash)
+	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pivots := gadget.PivotShapes(gs)
-	if len(pivots) == 0 {
-		t.Fatal("no pivot shapes in testapp image")
-	}
-	foundPivot := false
-	for _, p := range pivots {
-		if p.Addr == sm.Addr {
-			foundPivot = true
-			if p.SPHReg != sm.SPHReg || p.SPLReg != sm.SPLReg || len(p.PopRegs) != len(sm.PopRegs) {
-				t.Errorf("pivot shape at 0x%X = %+v, want canonical %+v", p.Addr, p, sm)
-			}
-		}
-	}
-	if !foundPivot {
-		t.Errorf("canonical stk_move at 0x%X missing from %d pivot shapes", sm.Addr, len(pivots))
+	if sm.SPHReg != 29 || sm.SPLReg != 28 || len(sm.PopRegs) != 2 || sm.PopOffset(28) != 1 {
+		t.Errorf("stk_move = %+v, want Fig. 4: r29/r28 into SP, then pop r29, pop r28", sm)
 	}
 
-	wm, err := gadget.FindWriteMem(img.Flash, 5)
+	wm, err := gadget.FindWriteMem(gs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := gadget.StoreRuns(gs)
-	foundRun := false
-	for _, r := range runs {
-		if r.Addr == wm.StoreAddr {
-			foundRun = true
-			if r.QBase != 1 || r.StoreRegs != wm.StoreRegs || r.TailAddr != wm.PopsAddr {
-				t.Errorf("store run at 0x%X = %+v, want canonical %+v", r.Addr, r, wm)
-			}
-		}
-	}
-	if !foundRun {
-		t.Errorf("canonical write_mem store at 0x%X missing from %d store runs", wm.StoreAddr, len(runs))
+	if wm.StoreRegs != [3]int{5, 6, 7} || wm.PopsAddr != wm.StoreAddr+3 || len(wm.PopRegs) != 16 {
+		t.Errorf("write_mem = %+v, want Fig. 5: std Y+1..3 of r5..r7, then 16 pops", wm)
 	}
 
-	chains := gadget.PopChains(gs)
 	foundLoader := false
-	for _, c := range chains {
+	for _, c := range gadget.PopChains(gs) {
 		if c.Addr == wm.PopsAddr && len(c.PopRegs) == len(wm.PopRegs) {
 			foundLoader = true
 		}
 	}
 	if !foundLoader {
-		t.Errorf("canonical pop half at 0x%X missing from %d pop chains", wm.PopsAddr, len(chains))
+		t.Errorf("canonical pop half at 0x%X missing from the pop chains", wm.PopsAddr)
 	}
 }
 

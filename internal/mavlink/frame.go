@@ -1,9 +1,6 @@
 package mavlink
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Magic is the MAVLink v1.0 start-of-frame marker (the paper's "state
 // magic number").
@@ -12,7 +9,10 @@ const Magic = 0xFE
 // MaxPayload is the largest payload a conformant v1.0 frame carries.
 const MaxPayload = 255
 
-// Message ids used by this reproduction (MAVLink v1 common set).
+// Message ids of the MAVLink v1 common set covered by the schema
+// tables below. The vehicle, its ground stations and the attacker
+// exchange four of them: HEARTBEAT, RAW_IMU and PARAM_VALUE down,
+// PARAM_SET up. The Parser validates a frame of any of the twenty.
 const (
 	MsgIDHeartbeat         = 0
 	MsgIDSysStatus         = 1
@@ -110,14 +110,8 @@ type Frame struct {
 	Checksum uint16
 }
 
-// Framing errors.
-var (
-	ErrBadMagic    = errors.New("mavlink: bad start-of-frame magic")
-	ErrBadChecksum = errors.New("mavlink: checksum mismatch")
-	ErrBadLength   = errors.New("mavlink: payload length does not match message schema")
-	ErrUnknownMsg  = errors.New("mavlink: unknown message id")
-	ErrTooLong     = errors.New("mavlink: payload exceeds 255 bytes")
-)
+// ErrTooLong is Marshal's refusal of a payload over MaxPayload bytes.
+var ErrTooLong = errors.New("mavlink: payload exceeds 255 bytes")
 
 // Marshal serializes the frame, computing the checksum. It refuses
 // payloads over 255 bytes; a malicious ground station uses
@@ -126,7 +120,7 @@ func (f *Frame) Marshal() ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, ErrTooLong
 	}
-	return f.appendTo(make([]byte, 0, 8+len(f.Payload))), nil
+	return f.MarshalOversize(), nil
 }
 
 // MarshalOversize serializes a frame whose payload may exceed 255
@@ -135,69 +129,16 @@ func (f *Frame) Marshal() ([]byte, error) {
 // vulnerable (length-check-disabled) decoder while still carrying a
 // valid checksum over the declared prefix.
 func (f *Frame) MarshalOversize() []byte {
-	return f.appendTo(make([]byte, 0, 8+len(f.Payload)))
-}
-
-// AppendMarshal appends the frame's wire encoding to dst and returns
-// the extended slice, amortizing allocation when packing many frames
-// into one buffer (a netlink datagram). Oversize payloads are refused
-// as in Marshal.
-func (f *Frame) AppendMarshal(dst []byte) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return dst, ErrTooLong
-	}
-	return f.appendTo(dst), nil
-}
-
-func (f *Frame) appendTo(out []byte) []byte {
-	start := len(out)
+	out := make([]byte, 0, 8+len(f.Payload))
 	out = append(out, Magic, byte(len(f.Payload)), f.Seq, f.SysID, f.CompID, f.MsgID)
 	out = append(out, f.Payload...)
-	crc := CRC(out[start+1:]) // magic byte excluded per spec
+	crc := CRC(out[1:]) // magic byte excluded per spec
 	if extra, ok := crcExtra[f.MsgID]; ok {
 		crc = CRCAccumulate(extra, crc)
 	}
 	f.Checksum = crc
 	f.Len = byte(len(f.Payload))
 	return append(out, byte(crc), byte(crc>>8))
-}
-
-// Unmarshal parses a single conformant frame from buf, returning the
-// frame and the number of bytes consumed.
-func Unmarshal(buf []byte) (*Frame, int, error) {
-	if len(buf) < 8 {
-		return nil, 0, fmt.Errorf("mavlink: frame truncated (%d bytes)", len(buf))
-	}
-	if buf[0] != Magic {
-		return nil, 0, ErrBadMagic
-	}
-	n := int(buf[1])
-	total := 6 + n + 2
-	if len(buf) < total {
-		return nil, 0, fmt.Errorf("mavlink: frame truncated (want %d bytes, have %d)", total, len(buf))
-	}
-	f := &Frame{
-		Len:     buf[1],
-		Seq:     buf[2],
-		SysID:   buf[3],
-		CompID:  buf[4],
-		MsgID:   buf[5],
-		Payload: append([]byte(nil), buf[6:6+n]...),
-	}
-	f.Checksum = uint16(buf[6+n]) | uint16(buf[7+n])<<8
-	crc := CRC(buf[1 : 6+n])
-	extra, ok := crcExtra[f.MsgID]
-	if !ok {
-		return nil, total, ErrUnknownMsg
-	}
-	crc = CRCAccumulate(extra, crc)
-	if crc != f.Checksum {
-		return nil, total, ErrBadChecksum
-	}
-	if want := expectedLen[f.MsgID]; n != want {
-		return f, total, ErrBadLength
-	}
-	return f, total, nil
 }
 
 // HeaderDescription returns the Fig. 2 packet-structure table as text.

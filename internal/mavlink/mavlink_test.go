@@ -32,52 +32,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(wire) != 6+9+2 {
 		t.Errorf("wire length = %d, want 17 (paper: minimum packet length)", len(wire))
 	}
-	got, n, err := mavlink.Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
+	p := mavlink.Parser{StrictLength: true}
+	frames := p.FeedBytes(wire)
+	if len(frames) != 1 {
+		t.Fatalf("parsed %d frames, want 1", len(frames))
 	}
-	if n != len(wire) {
-		t.Errorf("consumed %d, want %d", n, len(wire))
+	if got := frames[0]; got.Seq != 7 || got.SysID != 1 || got.CompID != 1 || got.Checksum != f.Checksum {
+		t.Errorf("header mismatch: %+v vs %+v", got, f)
 	}
-	hb2, err := mavlink.UnmarshalHeartbeat(got.Payload)
+	hb2, err := mavlink.UnmarshalHeartbeat(frames[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *hb2 != *hb {
 		t.Errorf("heartbeat mismatch: %+v vs %+v", hb2, hb)
-	}
-}
-
-func TestUnmarshalRejectsCorruptChecksum(t *testing.T) {
-	f := &mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, Payload: (&mavlink.Heartbeat{}).Marshal()}
-	wire, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire[8] ^= 0xFF
-	if _, _, err := mavlink.Unmarshal(wire); !errors.Is(err, mavlink.ErrBadChecksum) {
-		t.Errorf("want ErrBadChecksum, got %v", err)
-	}
-}
-
-func TestUnmarshalRejectsBadMagic(t *testing.T) {
-	f := &mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, Payload: (&mavlink.Heartbeat{}).Marshal()}
-	wire, _ := f.Marshal()
-	wire[0] = 0x55
-	if _, _, err := mavlink.Unmarshal(wire); !errors.Is(err, mavlink.ErrBadMagic) {
-		t.Errorf("want ErrBadMagic, got %v", err)
-	}
-}
-
-func TestUnmarshalRejectsWrongLengthForSchema(t *testing.T) {
-	// A heartbeat with 12 payload bytes: checksum fine, schema length not.
-	f := &mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, Payload: make([]byte, 12)}
-	wire, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mavlink.Unmarshal(wire); !errors.Is(err, mavlink.ErrBadLength) {
-		t.Errorf("want ErrBadLength, got %v", err)
 	}
 }
 
@@ -166,17 +134,6 @@ func TestParserCRCErrorCounting(t *testing.T) {
 	}
 }
 
-func TestAttitudeRoundTrip(t *testing.T) {
-	a := &mavlink.Attitude{TimeBootMs: 1234, Roll: 0.1, Pitch: -0.2, Yaw: 3.1, RollSpeed: 0.01, PitchSpeed: -0.02, YawSpeed: 0.5}
-	got, err := mavlink.UnmarshalAttitude(a.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *a {
-		t.Errorf("attitude mismatch: %+v vs %+v", got, a)
-	}
-}
-
 func TestParamSetRoundTrip(t *testing.T) {
 	ps := &mavlink.ParamSet{ParamValue: 42.5, TargetSystem: 1, TargetComponent: 1, ParamID: "RATE_RLL_P", ParamType: 9}
 	got, err := mavlink.UnmarshalParamSet(ps.Marshal())
@@ -188,29 +145,18 @@ func TestParamSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatusTextRoundTrip(t *testing.T) {
-	st := &mavlink.StatusText{Severity: 2, Text: "prearm: gyros inconsistent"}
-	got, err := mavlink.UnmarshalStatusText(st.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *st {
-		t.Errorf("statustext mismatch: %+v vs %+v", got, st)
-	}
-}
-
 func TestPayloadUnmarshalRejectsShort(t *testing.T) {
 	if _, err := mavlink.UnmarshalHeartbeat(make([]byte, 3)); err == nil {
 		t.Error("heartbeat accepted short payload")
 	}
-	if _, err := mavlink.UnmarshalAttitude(make([]byte, 27)); err == nil {
-		t.Error("attitude accepted short payload")
+	if _, err := mavlink.UnmarshalRawIMU(make([]byte, 25)); err == nil {
+		t.Error("raw_imu accepted short payload")
+	}
+	if _, err := mavlink.UnmarshalParamValue(make([]byte, 24)); err == nil {
+		t.Error("param_value accepted short payload")
 	}
 	if _, err := mavlink.UnmarshalParamSet(make([]byte, 10)); err == nil {
 		t.Error("param_set accepted short payload")
-	}
-	if _, err := mavlink.UnmarshalStatusText(make([]byte, 50)); err == nil {
-		t.Error("statustext accepted short payload")
 	}
 }
 

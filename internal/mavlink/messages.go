@@ -18,11 +18,8 @@ type Heartbeat struct {
 	MavlinkVersion byte
 }
 
-// MAV_STATE values used by the simulation.
-const (
-	StateActive   = 4
-	StateCritical = 5
-)
+// StateActive is the MAV_STATE a healthy vehicle reports.
+const StateActive = 4
 
 // Marshal encodes the heartbeat payload.
 func (h *Heartbeat) Marshal() []byte {
@@ -38,8 +35,8 @@ func (h *Heartbeat) Marshal() []byte {
 
 // UnmarshalHeartbeat decodes a HEARTBEAT payload.
 func UnmarshalHeartbeat(p []byte) (*Heartbeat, error) {
-	if len(p) < 9 {
-		return nil, fmt.Errorf("mavlink: heartbeat payload %d bytes, want 9", len(p))
+	if err := checkLen("heartbeat", p, 9); err != nil {
+		return nil, err
 	}
 	return &Heartbeat{
 		CustomMode:     binary.LittleEndian.Uint32(p),
@@ -51,37 +48,71 @@ func UnmarshalHeartbeat(p []byte) (*Heartbeat, error) {
 	}, nil
 }
 
-// Attitude is the ATTITUDE message (id 30): the UAV's roll/pitch/yaw
-// state computed from the gyroscope — the sensor the paper's attack V1
-// corrupts.
-type Attitude struct {
-	TimeBootMs                      uint32
-	Roll, Pitch, Yaw                float32
-	RollSpeed, PitchSpeed, YawSpeed float32
+// RawIMU is RAW_IMU (id 27): unscaled 9-DOF sensor values — the
+// gyroscope stream the paper's attack V1 corrupts.
+type RawIMU struct {
+	TimeUsec            uint64
+	Xacc, Yacc, Zacc    int16
+	Xgyro, Ygyro, Zgyro int16
+	Xmag, Ymag, Zmag    int16
 }
 
-// Marshal encodes the attitude payload.
-func (a *Attitude) Marshal() []byte {
-	out := make([]byte, 28)
-	binary.LittleEndian.PutUint32(out, a.TimeBootMs)
-	for i, f := range []float32{a.Roll, a.Pitch, a.Yaw, a.RollSpeed, a.PitchSpeed, a.YawSpeed} {
-		binary.LittleEndian.PutUint32(out[4+i*4:], math.Float32bits(f))
+// Marshal encodes the RAW_IMU payload.
+func (m *RawIMU) Marshal() []byte {
+	out := make([]byte, 26)
+	binary.LittleEndian.PutUint64(out, m.TimeUsec)
+	for i, v := range []int16{m.Xacc, m.Yacc, m.Zacc, m.Xgyro, m.Ygyro, m.Zgyro, m.Xmag, m.Ymag, m.Zmag} {
+		binary.LittleEndian.PutUint16(out[8+2*i:], uint16(v))
 	}
 	return out
 }
 
-// UnmarshalAttitude decodes an ATTITUDE payload.
-func UnmarshalAttitude(p []byte) (*Attitude, error) {
-	if len(p) < 28 {
-		return nil, fmt.Errorf("mavlink: attitude payload %d bytes, want 28", len(p))
+// UnmarshalRawIMU decodes a RAW_IMU payload.
+func UnmarshalRawIMU(p []byte) (*RawIMU, error) {
+	if err := checkLen("raw_imu", p, 26); err != nil {
+		return nil, err
 	}
-	f := func(off int) float32 {
-		return math.Float32frombits(binary.LittleEndian.Uint32(p[off:]))
+	v := func(i int) int16 { return int16(binary.LittleEndian.Uint16(p[8+2*i:])) }
+	return &RawIMU{
+		TimeUsec: binary.LittleEndian.Uint64(p),
+		Xacc:     v(0), Yacc: v(1), Zacc: v(2),
+		Xgyro: v(3), Ygyro: v(4), Zgyro: v(5),
+		Xmag: v(6), Ymag: v(7), Zmag: v(8),
+	}, nil
+}
+
+// ParamValue is PARAM_VALUE (id 22): the autopilot's reply to parameter
+// reads and writes.
+type ParamValue struct {
+	ParamValue float32
+	ParamCount uint16
+	ParamIndex uint16
+	ParamID    string // up to 16 bytes
+	ParamType  byte
+}
+
+// Marshal encodes the PARAM_VALUE payload.
+func (m *ParamValue) Marshal() []byte {
+	out := make([]byte, 25)
+	binary.LittleEndian.PutUint32(out, math.Float32bits(m.ParamValue))
+	binary.LittleEndian.PutUint16(out[4:], m.ParamCount)
+	binary.LittleEndian.PutUint16(out[6:], m.ParamIndex)
+	copy(out[8:24], m.ParamID)
+	out[24] = m.ParamType
+	return out
+}
+
+// UnmarshalParamValue decodes a PARAM_VALUE payload.
+func UnmarshalParamValue(p []byte) (*ParamValue, error) {
+	if err := checkLen("param_value", p, 25); err != nil {
+		return nil, err
 	}
-	return &Attitude{
-		TimeBootMs: binary.LittleEndian.Uint32(p),
-		Roll:       f(4), Pitch: f(8), Yaw: f(12),
-		RollSpeed: f(16), PitchSpeed: f(20), YawSpeed: f(24),
+	return &ParamValue{
+		ParamValue: math.Float32frombits(binary.LittleEndian.Uint32(p)),
+		ParamCount: binary.LittleEndian.Uint16(p[4:]),
+		ParamIndex: binary.LittleEndian.Uint16(p[6:]),
+		ParamID:    paramID(p[8:24]),
+		ParamType:  p[24],
 	}, nil
 }
 
@@ -109,46 +140,30 @@ func (ps *ParamSet) Marshal() []byte {
 
 // UnmarshalParamSet decodes a PARAM_SET payload.
 func UnmarshalParamSet(p []byte) (*ParamSet, error) {
-	if len(p) < 23 {
-		return nil, fmt.Errorf("mavlink: param_set payload %d bytes, want 23", len(p))
-	}
-	id := p[6:22]
-	n := 0
-	for n < len(id) && id[n] != 0 {
-		n++
+	if err := checkLen("param_set", p, 23); err != nil {
+		return nil, err
 	}
 	return &ParamSet{
 		ParamValue:      math.Float32frombits(binary.LittleEndian.Uint32(p)),
 		TargetSystem:    p[4],
 		TargetComponent: p[5],
-		ParamID:         string(id[:n]),
+		ParamID:         paramID(p[6:22]),
 		ParamType:       p[22],
 	}, nil
 }
 
-// StatusText is the STATUSTEXT message (id 253).
-type StatusText struct {
-	Severity byte
-	Text     string // up to 50 bytes
-}
-
-// Marshal encodes the STATUSTEXT payload.
-func (st *StatusText) Marshal() []byte {
-	out := make([]byte, 51)
-	out[0] = st.Severity
-	copy(out[1:], st.Text)
-	return out
-}
-
-// UnmarshalStatusText decodes a STATUSTEXT payload.
-func UnmarshalStatusText(p []byte) (*StatusText, error) {
-	if len(p) < 51 {
-		return nil, fmt.Errorf("mavlink: statustext payload %d bytes, want 51", len(p))
+func checkLen(name string, p []byte, want int) error {
+	if len(p) < want {
+		return fmt.Errorf("mavlink: %s payload %d bytes, want %d", name, len(p), want)
 	}
-	text := p[1:51]
+	return nil
+}
+
+// paramID reads a 16-byte param_id field, NUL-terminated unless full.
+func paramID(field []byte) string {
 	n := 0
-	for n < len(text) && text[n] != 0 {
+	for n < len(field) && field[n] != 0 {
 		n++
 	}
-	return &StatusText{Severity: p[0], Text: string(text[:n])}, nil
+	return string(field[:n])
 }
