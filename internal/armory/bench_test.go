@@ -2,6 +2,7 @@ package armory
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"mavr/internal/firmware"
@@ -70,6 +71,31 @@ func BenchmarkArmoryRandomizeDefault(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Randomize(Request{Image: raw, Vehicle: fmt.Sprintf("bench-%d", i), Epoch: 0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArmoryHTTP is ArmoryRandomizeDefault through the HTTP API:
+// one loopback Client posting ArduPlane to Handler for a new vehicle
+// each iteration, server and client in this process. It is the
+// per-artifact cost of the armory-fleet workload: the service, the
+// artifact format on both ends and the client's checks.
+func BenchmarkArmoryHTTP(b *testing.B) {
+	raw := benchPlaneELF(b)
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	c := NewClient(srv.URL, DefaultSecret)
+	c.HTTPClient = srv.Client()
+	if _, err := c.Randomize(raw, "warmup", 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Randomize(raw, fmt.Sprintf("bench-%d", i), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,6 +41,22 @@
 // cmd/mavr-randomize's client mode. cmd/mavr-armory hosts the daemon
 // and a self-contained -soak mode CI uses to prove batch uniqueness.
 //
+// wire.go holds the artifact format both ends share. A 200 answer to
+// POST /randomize is the artifact's JSON head on one line — digests,
+// holder, permutation, signature and report, everything but the image
+// — then a newline, then the image's raw bytes:
+//
+//	{"base_digest":"…",…,"report":{…}}\n<image bytes>
+//
+// Content-Length covers head and image, so the client reads the body
+// into one exact-size buffer, unmarshals only the head and takes the
+// rest as the image; the server reads an upload the same way and
+// answers 413, unread, to a declared length above MaxImageBytes. Every
+// body either side reads is bounded. Error bodies and GET /report/ are
+// plain JSON. The client re-hashes the image and the permutation,
+// checks the holder and verifies the signature before it returns an
+// artifact.
+//
 // Everything outside server.go is deterministic (no wall clock, no
 // global rand) and checked by the determinism vettool; the HTTP server
 // file alone is wallclock-tagged.

@@ -30,6 +30,13 @@ type errorResponse struct {
 //	GET  /report/<digest>                    artifact or base report
 //	GET  /metrics                            text counters
 //	GET  /healthz
+//
+// A 200 answer to /randomize is the artifact format (wire.go): the
+// signed Artifact's JSON head without its image, a newline, then the
+// image's raw bytes, with Content-Length set. The upload is read by
+// its Content-Length into one buffer; a declared length above
+// MaxImageBytes is a 413 before any of it is read. Every other answer,
+// errors included, is one JSON value.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/randomize", func(w http.ResponseWriter, r *http.Request) {
@@ -47,14 +54,14 @@ func Handler(s *Service) http.Handler {
 			}
 			epoch = v
 		}
-		img, err := io.ReadAll(io.LimitReader(r.Body, MaxImageBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), nil)
-			return
-		}
-		if len(img) > MaxImageBytes {
+		img, err := readBody(r.Body, r.ContentLength, MaxImageBytes)
+		if errors.Is(err, errTooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("image exceeds %d bytes", MaxImageBytes), nil)
+			return
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), nil)
 			return
 		}
 		art, err := s.Randomize(Request{Image: img, Vehicle: vehicle, Epoch: epoch})
@@ -67,7 +74,7 @@ func Handler(s *Service) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, art)
+		writeArtifact(w, art)
 	})
 	mux.HandleFunc("/report/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

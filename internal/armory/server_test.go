@@ -5,14 +5,19 @@
 package armory
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mavr/internal/core"
 )
@@ -37,7 +42,7 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatal("served report not OK")
 	}
 	if len(art.Image) == 0 {
-		t.Fatal("artifact image did not survive the JSON round trip")
+		t.Fatal("artifact image did not survive the wire")
 	}
 
 	// The stored report is addressable by artifact digest...
@@ -103,6 +108,39 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || er.Error == "" {
 		t.Fatalf("bad epoch: status %d, error %q", resp.StatusCode, er.Error)
 	}
+	// A declared length above MaxImageBytes → 413 before any of the
+	// body is read: none is sent, so a server that waited for it would
+	// time out instead of answering.
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // before srv.Close, which waits for the handler
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /randomize?vehicle=uav-1 HTTP/1.1\r\nHost: armory\r\nContent-Length: %d\r\n\r\n", MaxImageBytes+1)
+	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("declared oversize body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared oversize body = %d, want 413", resp.StatusCode)
+	}
+	// A chunked body (no declared length) is read to MaxImageBytes and
+	// no further: one byte over → 413, exactly at the limit → parsed
+	// (and rejected as an image, 422).
+	for _, tc := range []struct{ size, status int }{{MaxImageBytes + 1, 413}, {MaxImageBytes, 422}} {
+		body := io.MultiReader(bytes.NewReader(make([]byte, tc.size))) // hides the length
+		resp, err := srv.Client().Post(srv.URL+"/randomize?vehicle=uav-1", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("chunked %d-byte body = %d, want %d", tc.size, resp.StatusCode, tc.status)
+		}
+	}
 	// Unknown report digest → 404.
 	if _, err := c.ReportByDigest("deadbeef"); !errors.As(err, &re) || re.Status != 404 {
 		t.Fatalf("unknown digest: %v, want RequestError 404", err)
@@ -144,7 +182,7 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 				t.Fatal(err)
 			}
 			mutate(art)
-			writeJSON(w, http.StatusOK, art)
+			writeArtifact(w, art)
 		}))
 		defer srv.Close()
 		c := NewClient(srv.URL, DefaultSecret)
@@ -155,6 +193,11 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 
 	if err := tamper(func(a *Artifact) { a.Image[0] ^= 0xFF }); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("tampered image: %v, want digest mismatch", err)
+	}
+	// The signature covers PermDigest, not Perm: the client hashes the
+	// permutation it hands to the master.
+	if err := tamper(func(a *Artifact) { a.Perm[0], a.Perm[1] = a.Perm[1], a.Perm[0] }); err == nil || !strings.Contains(err.Error(), "permutation digest mismatch") {
+		t.Fatalf("tampered permutation: %v, want permutation digest mismatch", err)
 	}
 	if err := tamper(func(a *Artifact) { a.Signature = strings.Repeat("0", len(a.Signature)) }); err == nil || !strings.Contains(err.Error(), "signature") {
 		t.Fatalf("tampered signature: %v, want signature failure", err)
@@ -170,6 +213,75 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 	if err := tamper(func(a *Artifact) {}); err != nil {
 		t.Fatalf("untampered response rejected: %v", err)
 	}
+}
+
+// TestClientBoundsResponses serves bodies larger than any artifact to
+// both client calls: one declaring a Content-Length over
+// maxResponseBytes, one chunked that never ends. Each must fail having
+// read nothing of the first and at most the one byte past the bound
+// that proves the second is over it.
+func TestClientBoundsResponses(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		declared bool
+		maxRead  int64
+	}{{"declared", true, 0}, {"chunked", false, maxResponseBytes + 1}} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if tc.declared {
+				w.Header().Set("Content-Length", fmt.Sprint(maxResponseBytes+1))
+			}
+			buf := make([]byte, 64<<10)
+			for {
+				if _, err := w.Write(buf); err != nil {
+					return // the client hung up, or the declared length ran out
+				}
+			}
+		}))
+		var read atomic.Int64
+		c := NewClient(srv.URL, DefaultSecret)
+		c.HTTPClient = &http.Client{Transport: countingTransport{srv.Client().Transport, &read}}
+		for _, call := range []struct {
+			name string
+			do   func() error
+		}{
+			{"Randomize", func() error { _, err := c.Randomize([]byte("base"), "uav-1", 0); return err }},
+			{"ReportByDigest", func() error { _, err := c.ReportByDigest("deadbeef"); return err }},
+		} {
+			read.Store(0)
+			if err := call.do(); !errors.Is(err, errTooLarge) {
+				t.Errorf("%s body, %s: %v, want a too-large error", tc.name, call.name, err)
+			}
+			if n := read.Load(); n > tc.maxRead {
+				t.Errorf("%s body, %s: read %d bytes, bound %d", tc.name, call.name, n, tc.maxRead)
+			}
+		}
+		srv.Close()
+	}
+}
+
+// countingTransport counts the response body bytes its client reads.
+type countingTransport struct {
+	rt http.RoundTripper
+	n  *atomic.Int64
+}
+
+func (t countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.rt.RoundTrip(req)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, t.n}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
 }
 
 // TestClientEscapesVehicleIDs sends vehicle IDs holding query syntax

@@ -101,8 +101,9 @@ type Artifact struct {
 	Reissued bool `json:"reissued"`
 	// Signature is Sign(secret, BaseDigest, PermDigest, ArtifactDigest).
 	Signature string `json:"signature"`
-	// Image is the randomized flash image (base64 in JSON).
-	Image []byte `json:"artifact"`
+	// Image is the randomized flash image. It travels raw after the
+	// JSON head (wire.go), never inside it.
+	Image []byte `json:"-"`
 	// Report is the full static-verification report.
 	Report *staticverify.Report `json:"report"`
 }
