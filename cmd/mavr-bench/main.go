@@ -358,8 +358,8 @@ func bruteforce(w io.Writer) error {
 	for _, n := range []int{3, 4, 5} {
 		// Worker-pool sweeps; deterministic for the fixed seed regardless
 		// of worker count.
-		f := core.SimulateBruteForceFixed(1, n, 4000, 0)
-		r := core.SimulateBruteForceRerandomized(1, n, 4000, 0)
+		f := core.SimulateBruteForceFixed(1, n, 4000)
+		r := core.SimulateBruteForceRerandomized(1, n, 4000)
 		fmt.Fprintf(w, "  %d    %7.1f (%7.1f)           %7.1f (%7.1f)\n",
 			n, f.MeanAttempts, f.ModelAttempts, r.MeanAttempts, r.ModelAttempts)
 	}
@@ -573,8 +573,8 @@ func ablations(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  layout identical across reflashes: %v (failed attempts leak durable information)\n", slices.Equal(dumps[0], dumps[1]))
 	fmt.Fprintf(w, "  no readout fuse: debugger dump succeeded (%d bytes)\n", len(dumps[0]))
-	fixed := core.SimulateBruteForceFixed(1, 4, 2000, 0)
-	rer := core.SimulateBruteForceRerandomized(1, 4, 2000, 0)
+	fixed := core.SimulateBruteForceFixed(1, 4, 2000)
+	rer := core.SimulateBruteForceRerandomized(1, 4, 2000)
 	fmt.Fprintf(w, "  brute force at n=4: fixed layout %.1f attempts vs MAVR %.1f\n\n",
 		fixed.MeanAttempts, rer.MeanAttempts)
 

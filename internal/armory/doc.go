@@ -17,9 +17,11 @@
 //     by the SHA-256 of their bytes, and the expensive per-base work —
 //     ELF parsing, core.Preprocess, and staticverify.NewBase's CFG
 //     recovery and gadget census — happens once per distinct base
-//     image under a single-flight guard. Re-verification of a known
-//     base takes staticverify.Base's cached fast path, an order of
-//     magnitude cheaper than cold verification.
+//     image under a single-flight guard. Verifying an artifact of a
+//     known base is staticverify.Base.Verify: the patch diff decides,
+//     and a clean artifact's report reuses the base's translated CFG
+//     and analysis, an order of magnitude cheaper than cold
+//     verification.
 //
 //   - A fleet permutation ledger (ledger.go): every issued permutation
 //     is recorded per canonical base digest, and no two holders

@@ -139,12 +139,12 @@ type Stats struct {
 	LedgerConflicts  uint64
 	Reissues         uint64
 	VerifyRejections uint64
-	FastVerifies     uint64 // staticverify.Base fast-path verifications
-	FallbackVerifies uint64 // verifications that recovered the artifact's own CFG
-	// FallbackVerifies by cause, as staticverify.BaseStats splits it.
-	FallbackBaseFindings    uint64
-	FallbackDiffDivergence  uint64
-	FallbackVSAReadsChanged uint64
+	// FastVerifies counts verifications against a cached base: every
+	// one the service runs. FallbackVerifies is always 0: the cached
+	// verifier has one path. Both stay while the benchmark harness
+	// reads them.
+	FastVerifies     uint64
+	FallbackVerifies uint64
 	// VSASites / VSAResolvedSites sum, over the cached bases analyzed
 	// with value-set analysis, the indirect transfer sites found and
 	// the subset resolved to a proven target set.
@@ -174,6 +174,7 @@ type Service struct {
 	ledgerConflicts  atomic.Uint64
 	reissues         atomic.Uint64
 	verifyRejections atomic.Uint64
+	verifies         atomic.Uint64
 	signed           atomic.Uint64
 	queueHigh        atomic.Uint64
 }
@@ -293,6 +294,7 @@ func (s *Service) process(req Request) (*Artifact, error) {
 			return nil, &RequestError{Status: 422, Msg: fmt.Sprintf("randomization failed: %v", err)}
 		}
 		rep := base.Verify(r)
+		s.verifies.Add(1)
 		if !rep.OK() {
 			s.ledger.Release(baseDigest, pd, holder)
 			s.verifyRejections.Add(1)
@@ -355,17 +357,12 @@ func (s *Service) Stats() Stats {
 		LedgerConflicts:  s.ledgerConflicts.Load(),
 		Reissues:         s.reissues.Load(),
 		VerifyRejections: s.verifyRejections.Load(),
+		FastVerifies:     s.verifies.Load(),
 		ArtifactsSigned:  s.signed.Load(),
 	}
 	st.QueueHighWater = s.queueHigh.Load()
 	for _, e := range s.cache.all() {
 		if e.base != nil {
-			bs := e.base.Stats()
-			st.FastVerifies += bs.FastVerifies
-			st.FallbackVerifies += bs.FallbackVerifies
-			st.FallbackBaseFindings += bs.FallbackBaseFindings
-			st.FallbackDiffDivergence += bs.FallbackDiffDivergence
-			st.FallbackVSAReadsChanged += bs.FallbackVSAReadsChanged
 			if sites, resolved, ok := e.base.VSASummary(); ok {
 				st.VSASites += uint64(sites)
 				st.VSAResolvedSites += uint64(resolved)
@@ -392,10 +389,6 @@ func (s *Service) MetricsText() string {
 		fmt.Sprintf("armory.reissues %d", st.Reissues),
 		fmt.Sprintf("armory.verify_rejections %d", st.VerifyRejections),
 		fmt.Sprintf("armory.fast_verifies %d", st.FastVerifies),
-		fmt.Sprintf("armory.fallback_verifies %d", st.FallbackVerifies),
-		fmt.Sprintf("armory.fallback_base_findings %d", st.FallbackBaseFindings),
-		fmt.Sprintf("armory.fallback_diff_divergence %d", st.FallbackDiffDivergence),
-		fmt.Sprintf("armory.fallback_vsa_reads_changed %d", st.FallbackVSAReadsChanged),
 		fmt.Sprintf("armory.vsa_sites %d", st.VSASites),
 		fmt.Sprintf("armory.vsa_resolved_sites %d", st.VSAResolvedSites),
 		fmt.Sprintf("armory.artifacts_signed %d", st.ArtifactsSigned),

@@ -106,8 +106,9 @@ func TestServiceRoundTrip(t *testing.T) {
 	if st.Completed != 3 || st.Failed != 0 {
 		t.Fatalf("completed=%d failed=%d, want 3 and 0", st.Completed, st.Failed)
 	}
-	if st.FallbackVerifies != 0 {
-		t.Fatalf("fallback verifies = %d, want 0 (cached base must fast-path)", st.FallbackVerifies)
+	if st.FastVerifies != 3 || st.FallbackVerifies != 0 {
+		t.Fatalf("verifies = %d fast, %d fallback; want 3 and 0 (each request verifies against the cached base)",
+			st.FastVerifies, st.FallbackVerifies)
 	}
 }
 
@@ -312,13 +313,12 @@ func TestMetricsText(t *testing.T) {
 		"armory.cache_misses 1",
 		"armory.artifacts_signed 1",
 		"armory.fast_verifies 1",
-		"armory.fallback_verifies 0",
-		"armory.fallback_base_findings 0",
-		"armory.fallback_diff_divergence 0",
-		"armory.fallback_vsa_reads_changed 0",
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "armory.fallback_") {
+		t.Fatalf("metrics still split verifies into fast and fallback:\n%s", text)
 	}
 }

@@ -4,18 +4,20 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mavr/internal/detrand"
 )
 
 // Monte-Carlo brute-force sweeps (§V-D). The experiments are
 // embarrassingly parallel: every trial is independent, so trials are
-// sharded into fixed-size chunks that run on a worker pool.
-// Determinism guarantee: chunk i always draws from its own RNG seeded
-// as a pure function of (seed, i), the chunk layout depends only on
-// the trial count, and per-chunk attempt totals are reduced in chunk
-// order after all workers finish — so for a fixed seed the result is
-// bit-identical regardless of worker count or goroutine scheduling.
+// sharded into fixed-size chunks that run on a pool of GOMAXPROCS
+// workers. Determinism guarantee: chunk i always draws from its own
+// RNG seeded as a pure function of (seed, i), the chunk layout depends
+// only on the trial count, and per-chunk attempt totals are reduced in
+// chunk order after all workers finish — so for a fixed seed the
+// result is bit-identical regardless of GOMAXPROCS or goroutine
+// scheduling.
 
 // bruteChunkTrials is the number of trials in one work unit. Small
 // enough to load-balance the geometric-tailed re-randomized trials,
@@ -57,55 +59,29 @@ func (r *bruteRNG) permInto(p []int) {
 	}
 }
 
-// runChunked executes trials of sim on a worker pool and returns the
-// mean attempts per trial. sim must return the summed attempts of the
-// count trials it runs with the chunk RNG it is given.
-func runChunked(seed int64, trials, workers int, sim func(rng *bruteRNG, count int) float64) float64 {
+// runChunked executes trials of sim on a pool of GOMAXPROCS workers
+// and returns the mean attempts per trial. sim must return the summed
+// attempts of the count trials it runs with the chunk RNG it is given.
+func runChunked(seed int64, trials int, sim func(rng *bruteRNG, count int) float64) float64 {
 	if trials <= 0 {
 		return 0
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	chunks := (trials + bruteChunkTrials - 1) / bruteChunkTrials
-	if workers > chunks {
-		workers = chunks
-	}
-	chunkTotal := func(ci int) float64 {
-		count := bruteChunkTrials
-		if rem := trials - ci*bruteChunkTrials; rem < count {
-			count = rem
-		}
-		rng := chunkRNG(seed, ci)
-		return sim(&rng, count)
-	}
 	totals := make([]float64, chunks)
-	if workers == 1 {
-		for ci := 0; ci < chunks; ci++ {
-			totals[ci] = chunkTotal(ci)
-		}
-	} else {
-		var next int64
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					mu.Lock()
-					ci := int(next)
-					next++
-					mu.Unlock()
-					if ci >= chunks {
-						return
-					}
-					totals[ci] = chunkTotal(ci)
-				}
-			}()
-		}
-		wg.Wait()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), chunks) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := int(next.Add(1) - 1); ci < chunks; ci = int(next.Add(1) - 1) {
+				count := min(bruteChunkTrials, trials-ci*bruteChunkTrials)
+				rng := chunkRNG(seed, ci)
+				totals[ci] = sim(&rng, count)
+			}
+		}()
 	}
+	wg.Wait()
 	var sum float64
 	for _, t := range totals { // fixed order: float addition is deterministic
 		sum += t
@@ -116,12 +92,11 @@ func runChunked(seed int64, trials, workers int, sim func(rng *bruteRNG, count i
 // SimulateBruteForceFixed measures the average number of guesses an
 // attacker needs against a fixed permutation when each failed guess is
 // eliminated (the software-only deployment of §VIII-A). The result
-// converges to (n!+1)/2. Trials run on workers goroutines (<= 0 selects
-// GOMAXPROCS); the result is a pure function of (seed, n, trials),
-// independent of the worker count.
-func SimulateBruteForceFixed(seed int64, n, trials, workers int) BruteForceResult {
+// converges to (n!+1)/2. It is a pure function of (seed, n, trials),
+// whatever GOMAXPROCS the trials run on.
+func SimulateBruteForceFixed(seed int64, n, trials int) BruteForceResult {
 	nPerm := factInt(n)
-	mean := runChunked(seed, trials, workers, func(rng *bruteRNG, count int) float64 {
+	mean := runChunked(seed, trials, func(rng *bruteRNG, count int) float64 {
 		order := make([]int, nPerm)
 		var total float64
 		for t := 0; t < count; t++ {
@@ -148,10 +123,10 @@ func SimulateBruteForceFixed(seed int64, n, trials, workers int) BruteForceResul
 // SimulateBruteForceRerandomized measures the average guesses against
 // MAVR: after every failed attempt the master processor re-randomizes,
 // so previous failures carry no information. The result converges to
-// n!. Workers and determinism are as for SimulateBruteForceFixed.
-func SimulateBruteForceRerandomized(seed int64, n, trials, workers int) BruteForceResult {
+// n!. Determinism is as for SimulateBruteForceFixed.
+func SimulateBruteForceRerandomized(seed int64, n, trials int) BruteForceResult {
 	nPerm := factInt(n)
-	mean := runChunked(seed, trials, workers, func(rng *bruteRNG, count int) float64 {
+	mean := runChunked(seed, trials, func(rng *bruteRNG, count int) float64 {
 		var total float64
 		for t := 0; t < count; t++ {
 			attempts := 0

@@ -2,40 +2,47 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
 // The worker-pool brute-force sweeps must be bit-identical for a fixed
 // seed no matter how many workers run them: chunk layout and per-chunk
 // RNG streams depend only on (seed, trials), and totals are reduced in
-// chunk order. The seed-1 means are known answers recorded before the
-// chunk streams moved onto internal/detrand (the mavr-bench §V-D table).
+// chunk order. The pool has GOMAXPROCS workers, so the test varies
+// GOMAXPROCS over 1, 2, 3 and 8. The seed-1 means are known answers
+// recorded before the chunk streams moved onto internal/detrand (the
+// mavr-bench §V-D table).
 func TestBruteForceParallelDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		n          int
-		fixed, rer float64
-	}{{3, 3.50175, 6.03175}, {4, 12.32225, 24.47125}, {5, 60.456, 119.7835}} {
-		f := SimulateBruteForceFixed(1, tc.n, 4000, 0)
-		r := SimulateBruteForceRerandomized(1, tc.n, 4000, 0)
-		if f.MeanAttempts != tc.fixed || r.MeanAttempts != tc.rer {
-			t.Errorf("n=%d seed 1: means %v/%v, want %v/%v", tc.n, f.MeanAttempts, r.MeanAttempts, tc.fixed, tc.rer)
-		}
-	}
-	for _, n := range []int{3, 4, 5} {
-		base := SimulateBruteForceFixed(7, n, 1000, 1)
-		for _, workers := range []int{2, 4, 8} {
-			got := SimulateBruteForceFixed(7, n, 1000, workers)
-			if got.MeanAttempts != base.MeanAttempts {
-				t.Errorf("fixed n=%d: workers=%d mean %v != workers=1 mean %v",
-					n, workers, got.MeanAttempts, base.MeanAttempts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			n          int
+			fixed, rer float64
+		}{{3, 3.50175, 6.03175}, {4, 12.32225, 24.47125}, {5, 60.456, 119.7835}} {
+			f := SimulateBruteForceFixed(1, tc.n, 4000)
+			r := SimulateBruteForceRerandomized(1, tc.n, 4000)
+			if f.MeanAttempts != tc.fixed || r.MeanAttempts != tc.rer {
+				t.Errorf("GOMAXPROCS=%d n=%d seed 1: means %v/%v, want %v/%v",
+					procs, tc.n, f.MeanAttempts, r.MeanAttempts, tc.fixed, tc.rer)
 			}
 		}
-		baseR := SimulateBruteForceRerandomized(7, n, 1000, 1)
-		for _, workers := range []int{2, 4, 8} {
-			got := SimulateBruteForceRerandomized(7, n, 1000, workers)
-			if got.MeanAttempts != baseR.MeanAttempts {
-				t.Errorf("rerandomized n=%d: workers=%d mean %v != workers=1 mean %v",
-					n, workers, got.MeanAttempts, baseR.MeanAttempts)
+	}
+	runtime.GOMAXPROCS(1)
+	var fixed, rer [6]float64
+	for n := 3; n <= 5; n++ {
+		fixed[n] = SimulateBruteForceFixed(7, n, 1000).MeanAttempts
+		rer[n] = SimulateBruteForceRerandomized(7, n, 1000).MeanAttempts
+	}
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for n := 3; n <= 5; n++ {
+			if got := SimulateBruteForceFixed(7, n, 1000).MeanAttempts; got != fixed[n] {
+				t.Errorf("fixed n=%d: GOMAXPROCS=%d mean %v != GOMAXPROCS=1 mean %v", n, procs, got, fixed[n])
+			}
+			if got := SimulateBruteForceRerandomized(7, n, 1000).MeanAttempts; got != rer[n] {
+				t.Errorf("rerandomized n=%d: GOMAXPROCS=%d mean %v != GOMAXPROCS=1 mean %v", n, procs, got, rer[n])
 			}
 		}
 	}
@@ -44,8 +51,8 @@ func TestBruteForceParallelDeterministic(t *testing.T) {
 // Different seeds must produce different streams (guards against a
 // chunkRNG regression that collapses seeds into one orbit position).
 func TestBruteForceParallelSeedSensitivity(t *testing.T) {
-	a := SimulateBruteForceFixed(1, 4, 2000, 4)
-	b := SimulateBruteForceFixed(2, 4, 2000, 4)
+	a := SimulateBruteForceFixed(1, 4, 2000)
+	b := SimulateBruteForceFixed(2, 4, 2000)
 	if a.MeanAttempts == b.MeanAttempts {
 		t.Errorf("seeds 1 and 2 produced identical means (%v); RNG streams not seed-dependent", a.MeanAttempts)
 	}
@@ -58,12 +65,12 @@ func TestBruteForceParallelSeedSensitivity(t *testing.T) {
 func TestBruteForceParallelMatchesModels(t *testing.T) {
 	const trials = 60_000
 	for _, n := range []int{3, 4} {
-		fixed := SimulateBruteForceFixed(11, n, trials, 8)
+		fixed := SimulateBruteForceFixed(11, n, trials)
 		if rel := math.Abs(fixed.MeanAttempts-fixed.ModelAttempts) / fixed.ModelAttempts; rel > 0.03 {
 			t.Errorf("fixed n=%d: mean %.3f vs model %.3f (rel err %.3f)",
 				n, fixed.MeanAttempts, fixed.ModelAttempts, rel)
 		}
-		rer := SimulateBruteForceRerandomized(11, n, trials, 8)
+		rer := SimulateBruteForceRerandomized(11, n, trials)
 		if rel := math.Abs(rer.MeanAttempts-rer.ModelAttempts) / rer.ModelAttempts; rel > 0.05 {
 			t.Errorf("rerandomized n=%d: mean %.3f vs model %.3f (rel err %.3f)",
 				n, rer.MeanAttempts, rer.ModelAttempts, rel)

@@ -1,8 +1,6 @@
 package staticverify
 
 import (
-	"sync/atomic"
-
 	"mavr/internal/avr"
 	"mavr/internal/core"
 	"mavr/internal/firmware"
@@ -12,22 +10,36 @@ import (
 // Base is the verifier of one base image under fixed options. It
 // computes once what verification derives from the original
 // (pre-randomization) image alone — the patch diff's index of its
-// direct transfers, the conservative CFG, the value-set analysis and
-// the shape of every gadget in the base image — and amortizes it across
-// arbitrarily many permutations of that image. Verify(pre, r, opts) is
-// NewBase(pre, opts).Verify(r).
+// direct transfers and data, the conservative CFG, the value-set
+// analysis and the shape of every gadget in the base image — and
+// amortizes it across arbitrarily many permutations of that image.
+// Verify(pre, r, opts) is NewBase(pre, opts).Verify(r).
 //
-// The soundness argument for reusing the base's results: a diff with no
-// findings proves the randomized image is, instruction for instruction,
-// the base image with blocks relocated and transfer targets remapped
-// through the permutation's bijection. Under that proof every CFG
-// classification (entry/fixed/interior/dangling, block leaders, call
-// edges, indirect sites) is invariant, so a base CFG with zero findings
-// implies a randomized CFG with zero findings and identical stats.
-// Any other outcome — a diff finding, base CFG findings whose
-// addresses would need textual translation, or an image that differs
-// from the base on a byte the cached analysis read — gets the
-// randomized image's own CFG and analysis instead.
+// The patch diff decides every outcome. A diff with no findings proves
+// the randomized image is, instruction for instruction and data byte
+// for data byte, the base image with blocks relocated and transfer
+// targets remapped through the permutation's bijection. Two conditions
+// make that proof carry the whole analysis over:
+//
+//   - No direct transfer lands on the second word of a jmp/call into a
+//     block. The randomizer rewrites that word, so the base and each
+//     permutation would execute different code there; the diff reports
+//     such a transfer as an error on every outcome.
+//   - The value-set analysis reads every flash byte below RegionEnd as
+//     top, since the fixed region's transfer words change per
+//     permutation too; the bytes above it that it does read are data
+//     the diff proves unchanged, or pointer slots it never concretizes.
+//
+// Under the proof every CFG classification (entry/fixed/interior/
+// dangling, block leaders, call edges, indirect sites) and every
+// abstract state is invariant, so the randomized image's CFG and
+// analysis are the base's, translated: a finding moves with its own
+// function — by block, not by the block holding its address, since a
+// fall-through finding sits at its function's end, the next block's
+// start — and any transfer target its detail names is remapped. That
+// holds whether or not the base CFG is clean. An outcome the diff
+// rejects is reported by the diff's findings alone: it is unflashable
+// whatever else might be said about it.
 //
 // The transfer index comes from the verifier's own decode of the base
 // image, never from the randomizer's relocation table, so a site the
@@ -40,16 +52,19 @@ type Base struct {
 
 	// regions index the base image for the patch diff: the fixed
 	// low-flash region followed by one region per block, in pre.Blocks
-	// order.
-	regions  []patchRegion
-	stats    CFGStats
-	cfgClean bool
-	vecEnd   uint32
+	// order. data are the byte ranges past the code region outside the
+	// pointer slots.
+	regions []patchRegion
+	data    []byteRange
+	vecEnd  uint32
 
-	// vsaRes is the base-image value-set analysis (opts.VSA on a clean
-	// base CFG). Its addresses are function-relative and its details
-	// address-free, so it translates exactly to any permutation whose
-	// diff passes and whose image agrees with the base on vsaRes.Reads.
+	// stats and found are the base image's CFG summary and findings.
+	stats CFGStats
+	found []cfgFinding
+
+	// vsaRes is the base-image value-set analysis (opts.VSA). Its
+	// addresses are function-relative and its details address-free, so
+	// it translates exactly to any permutation whose diff passes.
 	// fixedEntries reconstructs the translated entry-target set.
 	vsaRes       *vsa.Result
 	fixedEntries []uint32
@@ -57,11 +72,6 @@ type Base struct {
 	// gadgets is the base image's gadget census when opts.Gadgets is
 	// set.
 	gadgets *gadgetCensus
-
-	fast          atomic.Uint64
-	fallbackBase  atomic.Uint64
-	fallbackDiff  atomic.Uint64
-	fallbackReads atomic.Uint64
 }
 
 // baseRegion is the linear decode of one function extent.
@@ -73,24 +83,6 @@ type baseRegion struct {
 	// clean is false when linear decoding stopped early (invalid opcode
 	// or extent overrun).
 	clean bool
-}
-
-// BaseStats counts how Base.Verify resolved its calls.
-type BaseStats struct {
-	// FastVerifies reused the base's CFG and analysis end to end.
-	FastVerifies uint64
-	// FallbackVerifies recovered the randomized image's own CFG (and
-	// analysis): the sum of the three causes below.
-	FallbackVerifies uint64
-	// FallbackBaseFindings: the base CFG has findings, so no cached
-	// result translates.
-	FallbackBaseFindings uint64
-	// FallbackDiffDivergence: the patch diff found a divergence from the
-	// base (including a size mismatch or a malformed layout).
-	FallbackDiffDivergence uint64
-	// FallbackVSAReadsChanged: the image differs from the base on a
-	// flash byte the cached value-set analysis read.
-	FallbackVSAReadsChanged uint64
 }
 
 // NewBase builds the verifier for one preprocessed base image under
@@ -111,10 +103,11 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	// already decoded each block: the diff and the analysis reuse it.
 	g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd)
 	b.regions = patchIndex(pre, g)
+	b.data = dataRanges(pre)
 	b.stats = cfgStats(g)
-	b.cfgClean = len(g.Findings) == 0
+	b.found = g.found
 
-	if opts.VSA && b.cfgClean {
+	if opts.VSA {
 		// The base graph's function order is pre.Blocks order, so result
 		// index i translates through r.NewStart[i].
 		b.vsaRes = vsa.Analyze(VSAInput(pre.Image, g, pre))
@@ -159,28 +152,16 @@ func decodeRegion(img []byte, start, size uint32) baseRegion {
 	return reg
 }
 
-// Stats returns how many Verify calls took the fast vs. fallback path.
-func (b *Base) Stats() BaseStats {
-	st := BaseStats{
-		FastVerifies:            b.fast.Load(),
-		FallbackBaseFindings:    b.fallbackBase.Load(),
-		FallbackDiffDivergence:  b.fallbackDiff.Load(),
-		FallbackVSAReadsChanged: b.fallbackReads.Load(),
-	}
-	st.FallbackVerifies = st.FallbackBaseFindings + st.FallbackDiffDivergence + st.FallbackVSAReadsChanged
-	return st
-}
-
 // Verify runs the full static verification of one randomization
 // outcome of the handle's base image: the patch-completeness diff
-// against the base, the CFG of the randomized image, and (per the
-// handle's options) the value-set analysis and the residual gadget
-// audit. A clean outcome of a clean base reuses the base's CFG stats
-// and translated analysis; any other outcome recovers the randomized
-// image's own CFG and analysis, so defective images are reported with
-// full findings. The gadget census takes one path for every outcome:
-// it reuses each base gadget whose window the outcome left unchanged,
-// byte for byte, and recomputes the rest.
+// against the base and, per the handle's options, the residual gadget
+// audit. A clean diff's report carries the base's CFG stats and
+// findings and (per the options) its value-set analysis, translated
+// into the outcome's layout; a defective outcome's report carries the
+// diff's findings and stats, a zero CFG and no analysis. The gadget
+// census takes one path for every outcome: it reuses each base gadget
+// whose window the outcome left unchanged, byte for byte, and
+// recomputes the rest.
 func (b *Base) Verify(r *core.Randomized) *Report {
 	pre := b.pre
 	rep := &Report{
@@ -188,42 +169,17 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 		RegionStart: pre.RegionStart,
 		RegionEnd:   pre.RegionEnd,
 	}
-	diffFindings, diffStats, laidOut := b.diff(r)
-	rep.Diff = diffStats
+	rep.Findings, rep.Diff = b.diff(r)
 
-	fast := false
-	switch {
-	case !b.cfgClean:
-		b.fallbackBase.Add(1)
-	case len(diffFindings) > 0:
-		b.fallbackDiff.Add(1)
-	case b.opts.VSA && !b.vsaRes.ReadsEqual(pre.Image, r.Image):
-		// The analysis depended on a flash byte the permutation changed
-		// outside what the structural diff models; re-analyze fresh.
-		b.fallbackReads.Add(1)
-	default:
-		b.fast.Add(1)
-		fast = true
-	}
-
-	var graphFindings, vsaFindings []Finding
 	demote := false
-	switch {
-	case fast:
+	if len(rep.Findings) == 0 {
 		rep.CFG = b.stats
-		if b.opts.VSA {
+		var vsaFindings []Finding
+		if b.vsaRes != nil {
 			rep.VSA, vsaFindings, demote = renderVSA(b.vsaRes, b.translatedLayout(r))
 		}
-	case laidOut: // a layout that failed the entry check gets no graph either
-		g := Recover(r.Image, RelocatedBlocks(pre, r), pre.RegionStart, pre.RegionEnd)
-		rep.CFG = cfgStats(g)
-		graphFindings = g.Findings
-		if b.opts.VSA {
-			res := vsa.Analyze(VSAInput(r.Image, g, pre))
-			rep.VSA, vsaFindings, demote = renderVSA(res, graphLayout(r.Image, g))
-		}
+		rep.Findings = mergeFindings(b.translatedFindings(r), vsaFindings)
 	}
-	rep.Findings = mergeFindings(diffFindings, graphFindings, vsaFindings)
 
 	if b.opts.Gadgets {
 		audit, gfs := b.gadgets.audit(pre, r, demote)
@@ -234,9 +190,25 @@ func (b *Base) Verify(r *core.Randomized) *Report {
 	return rep
 }
 
+// translatedFindings renders the base CFG's findings in the layout of
+// an outcome the diff passed.
+func (b *Base) translatedFindings(r *core.Randomized) []Finding {
+	if len(b.found) == 0 {
+		return nil
+	}
+	out := make([]Finding, len(b.found))
+	for i, f := range b.found {
+		var delta uint32
+		if f.fn >= 0 {
+			delta = r.NewStart[f.fn] - b.pre.Blocks[f.fn].Start
+		}
+		out[i] = f.at(delta, func(t uint32) uint32 { return remap(b.pre, r, t) })
+	}
+	return out
+}
+
 // mergeFindings concatenates finding lists, keeping the first finding
-// per (kind, address, block): the diff and the CFG both flag spm and
-// undecodable sites.
+// per (kind, address, block), as the reference verifier does.
 func mergeFindings(lists ...[]Finding) []Finding {
 	type key struct {
 		kind  Kind
@@ -288,8 +260,8 @@ func (b *Base) translatedLayout(r *core.Randomized) vsaLayout {
 
 // VSASummary reports the cached base analysis' site resolution: how
 // many indirect sites the image has and how many resolved to proven
-// target sets. ok is false when the handle has no cached analysis
-// (VSA disabled, or the base CFG was not clean).
+// target sets. ok is false when the handle has no cached analysis (VSA
+// disabled).
 func (b *Base) VSASummary() (sites, resolved int, ok bool) {
 	if b.vsaRes == nil {
 		return 0, 0, false

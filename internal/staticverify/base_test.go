@@ -47,7 +47,7 @@ func invalidWord() uint16 {
 // TestBaseVerifyMatchesFresh proves the equivalence contract on clean
 // randomizations: NewBase(pre, opts).Verify(r) must be byte-identical
 // to the reference refVerify(pre, r, opts), across seeds and with the
-// gadget audit both off and on, and must resolve via the fast path.
+// gadget audit both off and on.
 func TestBaseVerifyMatchesFresh(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
 	if err != nil {
@@ -71,19 +71,50 @@ func TestBaseVerifyMatchesFresh(t *testing.T) {
 			}
 			requireSameReport(t, fresh, cached, "clean outcome")
 		}
-		st := base.Stats()
-		if st.FastVerifies != 5 || st.FallbackVerifies != 0 {
-			t.Fatalf("opts %+v: want 5 fast / 0 fallback verifies, got %+v", opts, st)
-		}
 	}
 }
 
-// TestBaseVerifyFallbackMatchesFresh injects every rewriter-defect
-// class the diff must catch and proves the handle still returns
-// exactly the reference report (via its fallback path) — defects never
-// get a different (or rosier) report because a cache was involved —
-// and counts each fallback under its cause.
-func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
+// requireContract holds Base.Verify to the reference verifier on one
+// outcome: the same verdict; where the diff is clean, the same report
+// byte for byte; otherwise the diff's findings and stats are the
+// reference diff's, and the report is those findings and stats, a zero
+// CFG, no analysis and the gadget census.
+func requireContract(t *testing.T, base *Base, r *core.Randomized, ctx string) {
+	t.Helper()
+	ref, got := refVerify(base.pre, r, base.opts), base.Verify(r)
+	if ref.OK() != got.OK() {
+		t.Fatalf("%s: verdict OK=%v, reference OK=%v\nfindings: %v\nreference: %v", ctx, got.OK(), ref.OK(), got.Findings, ref.Findings)
+	}
+	fs, st := base.diff(r)
+	if len(fs) == 0 {
+		requireSameReport(t, ref, got, ctx)
+		return
+	}
+	if wantFs, wantSt := refVerifyPatches(base.pre, r); !reflect.DeepEqual(fs, wantFs) || st != wantSt {
+		t.Fatalf("%s: diff = %v, %+v; reference %v, %+v", ctx, fs, st, wantFs, wantSt)
+	}
+	if got.CFG != (CFGStats{}) || got.VSA != nil || got.Diff != st {
+		t.Fatalf("%s: defective report has cfg %+v, vsa %v, diff %+v", ctx, got.CFG, got.VSA != nil, got.Diff)
+	}
+	var own []Finding
+	for _, f := range got.Findings {
+		if f.Kind != KindStableGadget {
+			own = append(own, f)
+		}
+	}
+	sortFindings(fs)
+	if !reflect.DeepEqual(own, fs) {
+		t.Fatalf("%s: report findings %v, want the diff's %v", ctx, own, fs)
+	}
+}
+
+// TestBaseVerifyDefectiveOutcomes injects every rewriter-defect class
+// the diff must catch — an unpatched transfer or pointer, a corrupted
+// code word, a changed data byte past the code region (one the
+// analysis reads as a table), a truncated image — and a base whose own
+// CFG has an error, and holds each report to requireContract: defects
+// never get a rosier verdict because a cache was involved.
+func TestBaseVerifyDefectiveOutcomes(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +130,9 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 		}
 		return r
 	}
+	vsaOpts := DefaultOptions()
+	vsaOpts.VSA = true
+	bases := []*Base{NewBase(pre, Options{}), NewBase(pre, vsaOpts)}
 	cases := []struct {
 		name   string
 		tamper func(r *core.Randomized)
@@ -118,45 +152,36 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 			// happens to land on a transfer the diff still catches it.
 			r.Image[(pre.RegionStart+pre.RegionEnd)/2] ^= 0x55
 		}},
+		{"table byte changed", func(r *core.Randomized) {
+			// The first byte of a pointer table past the first pointer
+			// slot: data the analysis concretizes.
+			off := pre.PtrTables[0].FlashOff + 2
+			if slices.Contains(pre.PtrOffsets, off) || off < pre.RegionEnd {
+				t.Fatalf("table byte 0x%X is a pointer slot or code", off)
+			}
+			r.Image[off] ^= 0xFF
+		}},
+		{"last data byte changed", func(r *core.Randomized) {
+			r.Image[len(r.Image)-1] ^= 0x01
+		}},
 		{"truncated image", func(r *core.Randomized) {
 			r.Image = r.Image[:len(r.Image)-2]
 		}},
 	}
-	base := NewBase(pre, DefaultOptions())
 	for _, tc := range cases {
 		r := mk(7)
 		tc.tamper(r)
-		fresh := refVerify(pre, r, DefaultOptions())
-		cached := base.Verify(r)
-		if fresh.OK() {
-			t.Fatalf("%s: fresh verification missed the injected defect", tc.name)
+		for _, base := range bases {
+			if base.Verify(r).OK() {
+				t.Fatalf("%s: verification missed the injected defect", tc.name)
+			}
+			requireContract(t, base, r, tc.name)
 		}
-		requireSameReport(t, fresh, cached, tc.name)
-	}
-	n := uint64(len(cases))
-	if st := base.Stats(); st != (BaseStats{FallbackVerifies: n, FallbackDiffDivergence: n}) {
-		t.Fatalf("want %d fallbacks, all diff divergences, got %+v", n, st)
 	}
 
-	// A clean outcome whose image differs from the base on a flash byte
-	// the cached analysis read: the structural diff passes (the byte is
-	// data past the shuffled region), so only the read check falls back.
-	vsaOpts := DefaultOptions()
-	vsaOpts.VSA = true
-	vbase := NewBase(pre, vsaOpts)
-	if len(vbase.vsaRes.Reads) == 0 || vbase.vsaRes.Reads[0].Off < pre.RegionEnd {
-		t.Fatalf("want a cached read past the shuffled region, got %+v", vbase.vsaRes.Reads)
-	}
-	r := mk(7)
-	r.Image[vbase.vsaRes.Reads[0].Off] ^= 0xFF
-	requireSameReport(t, refVerify(pre, r, vsaOpts), vbase.Verify(r), "vsa read changed")
-	if st := vbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackVSAReadsChanged: 1}) {
-		t.Fatalf("want one VSA-reads fallback, got %+v", st)
-	}
-
-	// A base whose own CFG has a finding: an invalid opcode over the
-	// first plain instruction of the first block. The randomizer refuses
-	// such a base, so verify the clean base's outcome against it.
+	// A base whose own CFG has an error finding: an invalid opcode over
+	// the first plain instruction of the first block. The randomizer
+	// refuses such a base, so verify the clean base's outcome against it.
 	bad := *pre
 	bad.Image = append([]byte(nil), pre.Image...)
 	invalid := invalidWord()
@@ -166,11 +191,212 @@ func TestBaseVerifyFallbackMatchesFresh(t *testing.T) {
 			break
 		}
 	}
-	bbase := NewBase(&bad, DefaultOptions())
-	r = mk(7)
-	requireSameReport(t, refVerify(&bad, r, DefaultOptions()), bbase.Verify(r), "base findings")
-	if st := bbase.Stats(); st != (BaseStats{FallbackVerifies: 1, FallbackBaseFindings: 1}) {
-		t.Fatalf("want one base-findings fallback, got %+v", st)
+	for _, opts := range []Options{{}, vsaOpts} {
+		requireContract(t, NewBase(&bad, opts), mk(7), "base findings")
+	}
+}
+
+// TestBaseVerifyTranslatesBaseFindings holds the translation of a base
+// CFG that is not clean to the reference on every outcome, clean or
+// not: bases with a transfer onto a jmp/call's target word, an rjmp
+// into another function's interior, or a function whose final ret is a
+// nop, on the test application and permutation seeds 1–10. Each kind
+// shows up in the reports: the transfer is an error on every outcome,
+// and the other two are warnings whose clean outcomes keep them at
+// their translated addresses.
+func TestBaseVerifyTranslatesBaseFindings(t *testing.T) {
+	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := core.Preprocess(img.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vsaOpts := DefaultOptions()
+	vsaOpts.VSA = true
+	for kind := baseMutation(1); kind < baseMutations; kind++ {
+		mpre := mutateBase(pre, kind, 0)
+		if mpre == nil {
+			t.Fatalf("%s: no site in the test application", kind)
+		}
+		bases := []*Base{NewBase(mpre, Options{}), NewBase(mpre, vsaOpts)}
+		clean := 0
+		for seed := int64(1); seed <= 10; seed++ {
+			r, err := core.Randomize(mpre, core.Permutation(rand.New(rand.NewSource(seed)), len(mpre.Blocks)))
+			if err != nil {
+				continue
+			}
+			for _, base := range bases {
+				requireContract(t, base, r, fmt.Sprintf("%s, seed %d", kind, seed))
+			}
+			rep := bases[0].Verify(r)
+			if kind == mutOperandCall {
+				if rep.OK() {
+					t.Fatalf("%s, seed %d: verified clean", kind, seed)
+				}
+				continue
+			}
+			if rep.OK() {
+				clean++
+				if rep.Warnings() == 0 {
+					t.Fatalf("%s, seed %d: clean report without the base's warning", kind, seed)
+				}
+			}
+		}
+		if kind != mutOperandCall && clean == 0 {
+			t.Fatalf("%s: no seed randomized to a clean outcome", kind)
+		}
+	}
+}
+
+// baseMutation is a change to a base image that the randomizer still
+// lays out, leaving the base CFG not clean.
+type baseMutation uint8
+
+const (
+	mutNone baseMutation = iota
+	// mutOperandCall: a function's first instruction becomes an rcall
+	// to the target word of a jmp/call into a block in the same
+	// function.
+	mutOperandCall
+	// mutInteriorJump: a function's first instruction becomes an rjmp
+	// to the second instruction of the next function.
+	mutInteriorJump
+	// mutFallThrough: a function's final ret becomes a nop.
+	mutFallThrough
+	baseMutations
+)
+
+func (m baseMutation) String() string {
+	return [...]string{"none", "rcall onto a target word", "rjmp into an interior", "ret turned nop"}[m]
+}
+
+// baseSite is where a base mutation writes, and the word it writes.
+type baseSite struct {
+	at   uint32
+	word uint16
+}
+
+// baseSites lists the sites of base mutation kind in pre: functions in
+// pre.Blocks order whose first instruction is one word and, for
+// mutOperandCall, that hold a jmp/call into a block within rcall reach
+// of it (the first such one is the target), for mutInteriorJump, whose
+// next function's second instruction is within rjmp reach, and for
+// mutFallThrough, whose last word is a ret.
+func baseSites(pre *core.Preprocessed, kind baseMutation) []baseSite {
+	var sites []baseSite
+	rel := func(from, to uint32) (uint16, bool) {
+		k := int(to/2) - int(from/2) - 1
+		return uint16(k & 0xFFF), k >= -2048 && k < 2048
+	}
+	for i, b := range pre.Blocks {
+		if b.Size == 0 || avr.DecodeAt(pre.Image, b.Start/2).Words != 1 {
+			continue
+		}
+		switch kind {
+		case mutOperandCall:
+			for pc := b.Start/2 + 1; pc < b.End()/2; {
+				in := avr.DecodeAt(pre.Image, pc)
+				if in.Op == avr.OpInvalid {
+					break
+				}
+				if k, ok := rel(b.Start, (pc+1)*2); ok && (in.Op == avr.OpJMP || in.Op == avr.OpCALL) &&
+					pre.BlockIndex(in.Target*2) >= 0 {
+					sites = append(sites, baseSite{b.Start, 0xD000 | k})
+					break
+				}
+				pc += uint32(in.Words)
+			}
+		case mutInteriorJump:
+			if i+1 < len(pre.Blocks) {
+				nb := pre.Blocks[i+1]
+				to := nb.Start + uint32(avr.DecodeAt(pre.Image, nb.Start/2).Words)*2
+				if k, ok := rel(b.Start, to); ok && to < nb.End() {
+					sites = append(sites, baseSite{b.Start, 0xC000 | k})
+				}
+			}
+		case mutFallThrough:
+			if last := b.End() - 2; wordAt(pre.Image, last/2) == 0x9508 {
+				sites = append(sites, baseSite{last, 0x0000})
+			}
+		}
+	}
+	return sites
+}
+
+// mutateBase applies the n-th site (modulo their number) of base
+// mutation kind to a copy of pre, or returns nil when pre has none.
+func mutateBase(pre *core.Preprocessed, kind baseMutation, n int) *core.Preprocessed {
+	sites := baseSites(pre, kind)
+	if len(sites) == 0 {
+		return nil
+	}
+	s := sites[n%len(sites)]
+	out := *pre
+	out.Image = slices.Clone(pre.Image)
+	out.Image[s.at], out.Image[s.at+1] = byte(s.word), byte(s.word>>8)
+	return &out
+}
+
+// arduplaneOperandBase is ArduPlane with the push that opens
+// AP_Navigation_apply_rate_3 (0x3F8) replaced by an rcall to 0x438,
+// the target word of the call 0x2DA at 0x436 into a block. Its CFG is
+// clean: the rcall stays inside the function.
+func arduplaneOperandBase(t testing.TB) *core.Preprocessed {
+	t.Helper()
+	img, err := firmware.Generate(firmware.Arduplane(), firmware.ModeMAVR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := core.Preprocess(img.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := pre.BlockIndex(0x3F8)
+	if i < 0 || pre.Blocks[i].Name != "AP_Navigation_apply_rate_3" || pre.Blocks[i].Start != 0x3F8 ||
+		avr.DecodeAt(pre.Image, 0x3F8/2).Op != avr.OpPUSH || avr.DecodeAt(pre.Image, 0x436/2).Op != avr.OpCALL {
+		t.Fatal("ArduPlane no longer has the push at 0x3F8 and the call at 0x436")
+	}
+	mod := *pre
+	mod.Image = slices.Clone(pre.Image)
+	rcall := uint16(0xD000 | (0x438/2 - 0x3F8/2 - 1))
+	mod.Image[0x3F8], mod.Image[0x3F9] = byte(rcall), byte(rcall>>8)
+	return &mod
+}
+
+// TestOperandTargetFailsEveryOutcome is the regression test for a
+// transfer onto a jmp/call's target word: the randomizer rewrites that
+// word, so base and permutation execute different code there, and a
+// clean diff on a clean base proves nothing about the randomized CFG.
+// Before the diff reported such a transfer, Base.Verify passed this
+// ArduPlane base at seeds 1–30 while the reference verifier, which
+// recovers each randomized image's own CFG, failed 3 of them. Both
+// must now fail every seed, at the transfer.
+func TestOperandTargetFailsEveryOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale image in -short mode")
+	}
+	pre := arduplaneOperandBase(t)
+	if g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd); len(g.Findings) != 0 {
+		t.Fatalf("the base CFG has findings: %v", g.Findings)
+	}
+	base := NewBase(pre, DefaultOptions())
+	for seed := int64(1); seed <= 30; seed++ {
+		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := remap(pre, r, 0x3F8)
+		rep := base.Verify(r)
+		if !slices.ContainsFunc(rep.Findings, func(f Finding) bool {
+			return f.Kind == KindDanglingEdge && f.Severity == SevError && f.Addr == at
+		}) {
+			t.Fatalf("seed %d: no dangling-edge error at 0x%X: %v", seed, at, rep.Findings)
+		}
+		if ref := refVerify(pre, r, DefaultOptions()); ref.OK() {
+			t.Fatalf("seed %d: the reference verifier passed the outcome", seed)
+		}
 	}
 }
 
@@ -197,7 +423,7 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 	check := func(base *Base, r *core.Randomized, what string) {
 		t.Helper()
 		wantFs, wantSt := refVerifyPatches(base.pre, r)
-		fs, st, _ := base.diff(r)
+		fs, st := base.diff(r)
 		if !reflect.DeepEqual(fs, wantFs) || st != wantSt {
 			t.Fatalf("%s: diff = %v, %+v; reference %v, %+v", what, fs, st, wantFs, wantSt)
 		}
@@ -213,7 +439,7 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 	spm := *pre
 	spm.Image = append([]byte(nil), pre.Image...)
 	spm.Image[0], spm.Image[1], spm.Image[2], spm.Image[3] = 0xE8, 0x95, 0, 0 // spm; nop
-	if sb := NewBase(&spm, Options{}); !sb.cfgClean {
+	if sb := NewBase(&spm, Options{}); len(sb.found) != 0 {
 		t.Fatal("spm base has CFG findings; only the diff should flag it")
 	} else {
 		check(sb, randomize(&spm), "spm in the fixed region")
@@ -279,7 +505,7 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 		atEnd.NewStart[0] = pre.RegionEnd - size0
 		tb := NewBase(&tail, Options{})
 		check(tb, atEnd, fmt.Sprintf("word 0x%04X at the image end", w))
-		if fs, _, _ := tb.diff(atEnd); !slices.ContainsFunc(fs, func(f Finding) bool { return f.Addr == pre.RegionEnd-2 }) {
+		if fs, _ := tb.diff(atEnd); !slices.ContainsFunc(fs, func(f Finding) bool { return f.Addr == pre.RegionEnd-2 }) {
 			t.Fatalf("word 0x%04X at the image end: no finding at 0x%X: %v", w, pre.RegionEnd-2, fs)
 		}
 	}
@@ -293,18 +519,27 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 		}
 	}
 	r.NewStart[biggest] = uint32(len(r.Image)) - 2
-	fs, st, laidOut := base.diff(&r)
-	if laidOut || len(fs) != 1 || fs[0].Kind != KindBadLayout || st != (DiffStats{}) {
-		t.Fatalf("block past the image end: diff = %v, %+v, laid out %v; want one %s finding",
-			fs, st, laidOut, KindBadLayout)
+	if fs, st := base.diff(&r); len(fs) != 1 || fs[0].Kind != KindBadLayout || st != (DiffStats{}) {
+		t.Fatalf("block past the image end: diff = %v, %+v; want one %s finding", fs, st, KindBadLayout)
+	}
+
+	// Every base mutation's first site, on its own outcome.
+	for kind := baseMutation(1); kind < baseMutations; kind++ {
+		mpre := mutateBase(pre, kind, 0)
+		for seed := int64(1); seed <= 10; seed++ {
+			if mr, err := core.Randomize(mpre, core.Permutation(rand.New(rand.NewSource(seed)), len(mpre.Blocks))); err == nil {
+				check(NewBase(mpre, Options{}), mr, fmt.Sprintf("%s, seed %d", kind, seed))
+			}
+		}
 	}
 }
 
 // TestSingleBitFlipsAreFindings requires the patch diff to report
-// every single-bit change of a clean randomization below the region
-// end: on the test application each such bit is flipped in turn; on
-// ArduPlane the three status-flag bits of every conditional branch are,
-// plus a seeded sample of the other bits.
+// every single-bit change of a clean randomization: on the test
+// application each bit of the image is flipped in turn, pointer slots
+// and data included; on ArduPlane the three status-flag bits of every
+// conditional branch are, plus a seeded sample of the other bits below
+// the region end and one of the bits of the data past it.
 func TestSingleBitFlipsAreFindings(t *testing.T) {
 	for _, spec := range []firmware.AppSpec{firmware.TestApp(), firmware.Arduplane()} {
 		exhaustive := spec.Name == firmware.TestApp().Name
@@ -326,7 +561,7 @@ func TestSingleBitFlipsAreFindings(t *testing.T) {
 		base := NewBase(pre, Options{})
 		var bits []int
 		if exhaustive {
-			for bit := 0; bit < int(pre.RegionEnd)*8; bit++ {
+			for bit := 0; bit < len(r.Image)*8; bit++ {
 				bits = append(bits, bit)
 			}
 		} else {
@@ -345,14 +580,18 @@ func TestSingleBitFlipsAreFindings(t *testing.T) {
 				t.Fatalf("%s: no conditional branch", spec.Name)
 			}
 			rng := rand.New(rand.NewSource(1))
+			code, data := int(pre.RegionEnd)*8, (len(r.Image)-int(pre.RegionEnd))*8
 			for i := 0; i < 4000; i++ {
-				bits = append(bits, rng.Intn(int(pre.RegionEnd)*8))
+				bits = append(bits, rng.Intn(code))
+			}
+			for i := 0; i < 2000; i++ {
+				bits = append(bits, code+rng.Intn(data))
 			}
 		}
 		var clean []int
 		for _, bit := range bits {
 			r.Image[bit/8] ^= 1 << (bit % 8)
-			if fs, _, _ := base.diff(r); len(fs) == 0 {
+			if fs, _ := base.diff(r); len(fs) == 0 {
 				clean = append(clean, bit)
 			}
 			r.Image[bit/8] ^= 1 << (bit % 8)
@@ -429,13 +668,18 @@ func TestCheckLayoutTiling(t *testing.T) {
 }
 
 // FuzzBaseVerify holds the verifier to the reference stateless one on
-// mutated randomizations: a seeded permutation of the test application
-// or ArduPlane, then no mutation, byte flips anywhere in the image, one
-// reverted transfer or pointer patch, one flipped bit, or a ret word
-// planted at a random word. For Options{} and for the armory's options
-// (gadget audit and VSA), NewBase(pre, opts).Verify(r) must render
-// exactly the report refVerify(pre, r, opts) does, whichever path it
-// takes; refVerify's gadget audit is the full-scan census.
+// mutated bases and randomizations. The base is the test application
+// or ArduPlane, as generated or with one base mutation (a function's
+// first instruction turned into an rcall onto a jmp/call's target word
+// or an rjmp into the next function's interior, or its final ret into
+// a nop); inputs whose base the randomizer refuses are skipped. The
+// outcome is a seeded permutation of it, then no mutation, byte flips
+// anywhere in the image, one reverted transfer or pointer patch, one
+// flipped bit, or a ret word planted at a random word. For Options{}
+// and for the armory's options (gadget audit and VSA), Base.Verify
+// must keep requireContract: the reference's verdict, its report byte
+// for byte where the diff is clean, and otherwise its diff findings.
+// refVerify's gadget audit is the full-scan census.
 func FuzzBaseVerify(f *testing.F) {
 	type subject struct {
 		pre   *core.Preprocessed
@@ -443,7 +687,10 @@ func FuzzBaseVerify(f *testing.F) {
 	}
 	vsaOpts := DefaultOptions()
 	vsaOpts.VSA = true
-	var subjects []subject
+	newSubject := func(pre *core.Preprocessed) *subject {
+		return &subject{pre, []*Base{NewBase(pre, Options{}), NewBase(pre, vsaOpts)}}
+	}
+	var apps []*core.Preprocessed
 	for _, spec := range []firmware.AppSpec{firmware.TestApp(), firmware.Arduplane()} {
 		img, err := firmware.Generate(spec, firmware.ModeMAVR)
 		if err != nil {
@@ -453,27 +700,60 @@ func FuzzBaseVerify(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		subjects = append(subjects, subject{pre, []*Base{NewBase(pre, Options{}), NewBase(pre, vsaOpts)}})
+		apps = append(apps, pre)
 	}
+	// subjects caches each (app, base mutation) pair's bases.
+	type key struct {
+		app int
+		mut uint8
+	}
+	subjects := make(map[key]*subject)
+
 	const mutations = 6
 	for mutation := uint64(0); mutation < 4*mutations; mutation++ {
-		f.Add(uint8(0), int64(7), mutation)
+		f.Add(uint8(0), int64(7), mutation, uint8(0))
 	}
 	for mutation := uint64(0); mutation < mutations; mutation++ {
-		f.Add(uint8(1), int64(7), mutation)
+		f.Add(uint8(1), int64(7), mutation, uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, app uint8, seed int64, mutation uint64) {
-		sub := subjects[int(app)%len(subjects)]
+	for kind := uint8(1); kind < uint8(baseMutations); kind++ {
+		f.Add(uint8(0), int64(7), uint64(0), kind)
+	}
+	// ArduPlane with the rcall at 0x3F8 onto the target word of the call
+	// at 0x436 (arduplaneOperandBase), at seed 4.
+	for n, s := range baseSites(apps[1], mutOperandCall) {
+		if s.at == 0x3F8 && n < 256/int(baseMutations) {
+			f.Add(uint8(1), int64(4), uint64(0), uint8(n)*uint8(baseMutations)+uint8(mutOperandCall))
+		}
+	}
+	f.Fuzz(func(t *testing.T, app uint8, seed int64, mutation uint64, baseMut uint8) {
+		k := key{int(app) % len(apps), baseMut}
+		if k.mut%uint8(baseMutations) == 0 {
+			k.mut = 0
+		}
+		sub := subjects[k]
+		if sub == nil {
+			pre := apps[k.app]
+			if k.mut != 0 {
+				if pre = mutateBase(pre, baseMutation(k.mut%uint8(baseMutations)), int(k.mut/uint8(baseMutations))); pre == nil {
+					t.Skip("no site for the base mutation")
+				}
+			}
+			sub = newSubject(pre)
+			subjects[k] = sub
+		}
 		pre := sub.pre
 		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks)))
 		if err != nil {
+			if k.mut != 0 {
+				t.Skip("the randomizer refuses the mutated base:", err)
+			}
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(mutation / mutations)))
 		switch mutation % mutations {
 		case 1:
-			// Flips above the shuffled region leave the diff passing, so
-			// the fast path must render a mutated image too.
+			// Flips above the shuffled region hit data; below it, code.
 			lo := 0
 			if rng.Intn(2) == 0 {
 				lo = int(pre.RegionEnd)
@@ -491,7 +771,7 @@ func FuzzBaseVerify(f *testing.F) {
 			plantRet(r.Image, uint32(rng.Intn(len(r.Image)/2)))
 		}
 		for _, base := range sub.bases {
-			requireSameReport(t, refVerify(pre, r, base.opts), base.Verify(r), "mutated randomization")
+			requireContract(t, base, r, "mutated randomization")
 		}
 	})
 }
@@ -516,11 +796,7 @@ func TestBaseVerifyMatchesFreshArduplane(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{} // the pre-flash gate configuration the master uses
-	base := NewBase(pre, opts)
-	requireSameReport(t, refVerify(pre, r, opts), base.Verify(r), "arduplane")
-	if st := base.Stats(); st.FastVerifies != 1 {
-		t.Fatalf("want fast path, got %+v", st)
-	}
+	requireSameReport(t, refVerify(pre, r, opts), NewBase(pre, opts).Verify(r), "arduplane")
 }
 
 // BenchmarkNewBase measures the armory's cold path on an

@@ -73,25 +73,38 @@ type Graph struct {
 	EntryTargets []uint32
 	// Findings are structural problems discovered during recovery.
 	Findings []Finding
+	// found holds Findings in the form that translates to any
+	// permutation of the image.
+	found []cfgFinding
 }
 
-// RelocatedBlocks maps the preprocessed block list through a
-// randomization outcome: the same functions at their new starts, sorted
-// by new address.
-func RelocatedBlocks(pre *core.Preprocessed, r *core.Randomized) []core.Block {
-	out := make([]core.Block, len(pre.Blocks))
-	for i, b := range pre.Blocks {
-		out[i] = core.Block{Name: b.Name, Start: r.NewStart[i], Size: b.Size}
+// cfgFinding is one recovery finding as a permutation of its image
+// would report it: the index of the function it belongs to (-1 in the
+// fixed region), whose relocation moves its address, and the transfer
+// target its detail names, if any, which the permutation remaps.
+type cfgFinding struct {
+	Finding
+	fn int
+	// named: Detail is a format with one %X verb, for target.
+	named  bool
+	target uint32
+}
+
+// at renders the finding with its address moved by delta and its
+// target mapped through remap.
+func (f cfgFinding) at(delta uint32, remap func(uint32) uint32) Finding {
+	out := f.Finding
+	out.Addr += delta
+	if f.named {
+		out.Detail = fmt.Sprintf(f.Detail, remap(f.target))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
 // Recover builds the conservative CFG of img. blocks must be the
-// function blocks tiling [regionStart, regionEnd) in this image (for a
-// randomized image, RelocatedBlocks). Code below regionStart is the
-// fixed vector/stub region; bytes at regionEnd and above are opaque
-// data.
+// function blocks tiling [regionStart, regionEnd) in this image. Code
+// below regionStart is the fixed vector/stub region; bytes at regionEnd
+// and above are opaque data.
 func Recover(img []byte, blocks []core.Block, regionStart, regionEnd uint32) *Graph {
 	g := &Graph{RegionStart: regionStart, RegionEnd: regionEnd}
 
@@ -107,21 +120,24 @@ func Recover(img []byte, blocks []core.Block, regionStart, regionEnd uint32) *Gr
 		in := avr.DecodeAt(img, pc)
 		g.FixedEntries = append(g.FixedEntries, pc*2)
 		if in.Op == avr.OpInvalid {
-			g.Findings = append(g.Findings, Finding{
+			g.found = append(g.found, cfgFinding{fn: -1, Finding: Finding{
 				Kind: KindUndecodable, Severity: SevError, Addr: pc * 2,
 				Detail: "invalid opcode in fixed vector/stub region",
-			})
+			}})
 			break
 		}
 		pc += uint32(in.Words)
 	}
 
 	indirect := 0
-	for _, b := range blocks {
-		fn, fs := recoverFunc(img, b, entries, regionStart, regionEnd)
+	for i, b := range blocks {
+		fn, fs := recoverFunc(img, b, i, entries, regionStart, regionEnd)
 		g.Funcs = append(g.Funcs, fn)
-		g.Findings = append(g.Findings, fs...)
+		g.found = append(g.found, fs...)
 		indirect += fn.IndirectSites
+	}
+	for _, f := range g.found {
+		g.Findings = append(g.Findings, f.at(0, func(t uint32) uint32 { return t }))
 	}
 	if indirect > 0 {
 		g.EntryTargets = append(g.EntryTargets, g.FixedEntries...)
@@ -133,13 +149,25 @@ func Recover(img []byte, blocks []core.Block, regionStart, regionEnd uint32) *Gr
 	return g
 }
 
-// recoverFunc linearly decodes one function extent and structures it
-// into basic blocks. The linear walk is sound on AVR: instruction
-// streams are word-aligned and cannot overlap within a function the
-// assembler emitted.
-func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart, regionEnd uint32) (*Func, []Finding) {
+// recoverFunc linearly decodes one function extent, the fi-th block,
+// and structures it into basic blocks. The linear walk is sound on
+// AVR: instruction streams are word-aligned and cannot overlap within a
+// function the assembler emitted.
+func recoverFunc(img []byte, b core.Block, fi int, entries map[uint32]bool, regionStart, regionEnd uint32) (*Func, []cfgFinding) {
 	fn := &Func{Name: b.Name, Start: b.Start, End: b.End()}
-	var findings []Finding
+	var findings []cfgFinding
+	add := func(kind Kind, sev Severity, addr uint32, detail string) *cfgFinding {
+		findings = append(findings, cfgFinding{fn: fi, Finding: Finding{
+			Kind: kind, Severity: sev, Addr: addr, Block: b.Name, Detail: detail,
+		}})
+		return &findings[len(findings)-1]
+	}
+	// addTarget reports a finding whose detail names transfer target t
+	// through format.
+	addTarget := func(kind Kind, sev Severity, addr uint32, format string, t uint32) {
+		f := add(kind, sev, addr, format)
+		f.named, f.target = true, t
+	}
 	startW, endW := b.Start/2, b.End()/2
 
 	callSeen := make(map[uint32]bool)
@@ -154,16 +182,10 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 	checkTarget := func(pc uint32, t uint32, isCall bool) {
 		switch {
 		case t >= regionEnd || int(t) >= len(img):
-			findings = append(findings, Finding{
-				Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2, Block: b.Name,
-				Detail: fmt.Sprintf("transfer target 0x%X is outside the code region", t),
-			})
+			addTarget(KindDanglingEdge, SevError, pc*2, "transfer target 0x%X is outside the code region", t)
 			return
 		case avr.DecodeAt(img, t/2).Op == avr.OpInvalid:
-			findings = append(findings, Finding{
-				Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2, Block: b.Name,
-				Detail: fmt.Sprintf("transfer target 0x%X does not decode", t),
-			})
+			addTarget(KindDanglingEdge, SevError, pc*2, "transfer target 0x%X does not decode", t)
 			return
 		}
 		if t >= b.Start && t < b.End() {
@@ -173,13 +195,11 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 			addCall(t) // direct call, or tail transfer, to an entry
 			return
 		}
-		sev, detail := SevWarn, fmt.Sprintf("jump into function interior at 0x%X", t)
+		format := "jump into function interior at 0x%X"
 		if isCall {
-			detail = fmt.Sprintf("call into function interior at 0x%X", t)
+			format = "call into function interior at 0x%X"
 		}
-		findings = append(findings, Finding{
-			Kind: KindInteriorTarget, Severity: sev, Addr: pc * 2, Block: b.Name, Detail: detail,
-		})
+		addTarget(KindInteriorTarget, SevWarn, pc*2, format, t)
 	}
 
 	// checkExtended flags EIND-extended indirect transfers on images
@@ -196,11 +216,8 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		if len(img) <= zReachBytes {
 			return
 		}
-		findings = append(findings, Finding{
-			Kind: KindDanglingEdge, Severity: SevWarn, Addr: pc * 2, Block: b.Name,
-			Detail: "image exceeds 128 KiB: " + op.String() +
-				" target depends on EIND, which the entry-target approximation does not model",
-		})
+		add(KindDanglingEdge, SevWarn, pc*2, "image exceeds 128 KiB: "+op.String()+
+			" target depends on EIND, which the entry-target approximation does not model")
 	}
 
 	// relWrap reports a relative transfer whose computed target leaves
@@ -209,10 +226,8 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 	// intra-image transfer does. Reported explicitly instead of letting
 	// the uint32 conversion silently alias a wrapped address.
 	relWrap := func(pc uint32, k int) {
-		findings = append(findings, Finding{
-			Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2, Block: b.Name,
-			Detail: fmt.Sprintf("relative transfer offset %+d words wraps around the flash boundary", k),
-		})
+		add(KindDanglingEdge, SevError, pc*2,
+			fmt.Sprintf("relative transfer offset %+d words wraps around the flash boundary", k))
 	}
 
 	// Pass 1: decode linearly, collecting leaders and edges.
@@ -272,10 +287,8 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 			}
 		case avr.OpSPM:
 			fn.HasSPM = true
-			findings = append(findings, Finding{
-				Kind: KindUnverifiableSPM, Severity: SevError, Addr: pc * 2, Block: b.Name,
-				Detail: "function contains spm: self-modifying flash region is statically unverifiable",
-			})
+			add(KindUnverifiableSPM, SevError, pc*2,
+				"function contains spm: self-modifying flash region is statically unverifiable")
 		}
 		pc = next
 	}
@@ -287,9 +300,7 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		if avr.DecodeAt(img, pc).Op == avr.OpInvalid {
 			detail = "invalid opcode inside function body; CFG truncated here"
 		}
-		findings = append(findings, Finding{
-			Kind: KindUndecodable, Severity: SevError, Addr: pc * 2, Block: b.Name, Detail: detail,
-		})
+		add(KindUndecodable, SevError, pc*2, detail)
 	}
 
 	// Pass 2: cut basic blocks at leaders and terminators.
@@ -357,10 +368,7 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		fn.Blocks = append(fn.Blocks, bb)
 	}
 	if n := len(fn.Blocks); n > 0 && fn.Blocks[n-1].Term == TermFall {
-		findings = append(findings, Finding{
-			Kind: KindDanglingEdge, Severity: SevWarn, Addr: fn.Blocks[n-1].End, Block: b.Name,
-			Detail: "execution falls through the end of the function",
-		})
+		add(KindDanglingEdge, SevWarn, fn.Blocks[n-1].End, "execution falls through the end of the function")
 	}
 
 	sort.Slice(fn.Calls, func(i, j int) bool { return fn.Calls[i] < fn.Calls[j] })

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mavr/internal/avr"
 	"mavr/internal/core"
@@ -53,6 +54,10 @@ type patchSite struct {
 	// flag is a conditional branch's status-flag index (zero for
 	// rjmp/rcall).
 	flag uint8
+	// intoOperand marks a transfer whose target is the second word of a
+	// jmp/call into a block: a word the randomizer rewrites, so what
+	// executes there differs per permutation.
+	intoOperand bool
 }
 
 // siteAt describes the base instruction in decoded at word offset pc of
@@ -96,7 +101,44 @@ func patchIndex(pre *core.Preprocessed, g *Graph) []patchRegion {
 		}
 		regs = append(regs, indexRegion(pre.Image, blk.Start, blk.Size, code))
 	}
+
+	operands := make(map[uint32]bool)
+	for _, reg := range regs {
+		for _, s := range reg.sites {
+			if (s.op == avr.OpJMP || s.op == avr.OpCALL) && pre.BlockIndex(s.target) >= 0 {
+				operands[reg.oldStart+(s.pc+1)*2] = true
+			}
+		}
+	}
+	for _, reg := range regs {
+		for i := range reg.sites {
+			s := &reg.sites[i]
+			s.intoOperand = isTransfer(s.op) && operands[s.target]
+		}
+	}
 	return regs
+}
+
+// byteRange is the half-open byte range [lo, hi).
+type byteRange struct{ lo, hi uint32 }
+
+// dataRanges splits the image past the code region at the pointer
+// slots: the bytes every permutation must leave unchanged.
+func dataRanges(pre *core.Preprocessed) []byteRange {
+	slots := slices.Clone(pre.PtrOffsets)
+	slices.Sort(slots)
+	var out []byteRange
+	lo, n := uint64(pre.RegionEnd), uint64(len(pre.Image))
+	for _, off := range slots {
+		if o := uint64(off); o > lo && lo < n {
+			out = append(out, byteRange{uint32(lo), uint32(min(o, n))})
+		}
+		lo = max(lo, uint64(off)+2)
+	}
+	if lo < n {
+		out = append(out, byteRange{uint32(lo), uint32(n)})
+	}
+	return out
 }
 
 // indexRegion walks size bytes of base-image code at byte address start
@@ -215,14 +257,14 @@ type patchDiff struct {
 	block      string
 }
 
-// remap is the address mapping the randomization outcome applied: old
+// remap is the address mapping a randomization outcome applied: old
 // byte address -> new byte address.
-func (d *patchDiff) remap(old uint32) uint32 {
-	i := d.pre.BlockIndex(old)
+func remap(pre *core.Preprocessed, r *core.Randomized, old uint32) uint32 {
+	i := pre.BlockIndex(old)
 	if i < 0 {
 		return old
 	}
-	return d.r.NewStart[i] + (old - d.pre.Blocks[i].Start)
+	return r.NewStart[i] + (old - pre.Blocks[i].Start)
 }
 
 func (d *patchDiff) add(kind Kind, addr uint32, block, detail string) {
@@ -232,9 +274,8 @@ func (d *patchDiff) add(kind Kind, addr uint32, block, detail string) {
 // diff proves patch-completeness of a randomization outcome: every
 // direct control transfer, vector entry and tabled function pointer
 // was rewritten to exactly its relocated target, and nothing else
-// changed. The findings are empty iff the rewrite is provably complete
-// and faithful. laidOut is false when the layout check failed and no
-// walk ran.
+// changed, data past the code region included. The findings are empty
+// iff the rewrite is provably complete and faithful.
 //
 // Each region is walked from its start as a lockstep walk of the base
 // and randomized streams would: the randomized image is decoded only at
@@ -242,11 +283,11 @@ func (d *patchDiff) add(kind Kind, addr uint32, block, detail string) {
 // byte. A run that differs is stepped through instruction by
 // instruction to report its first changed instruction, where the
 // region's walk stops.
-func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidOut bool) {
+func (b *Base) diff(r *core.Randomized) ([]Finding, DiffStats) {
 	pre := b.pre
 	starts, fs := checkLayout(pre, r)
 	if fs != nil {
-		return fs, st, false
+		return fs, DiffStats{}
 	}
 	d := patchDiff{pre: pre, r: r, vecEnd: b.vecEnd}
 	for ri := range b.regions {
@@ -267,7 +308,7 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 		d.st.PointersChecked++
 		oldW := uint32(pre.Image[off]) | uint32(pre.Image[off+1])<<8
 		newW := uint32(r.Image[off]) | uint32(r.Image[off+1])<<8
-		want := d.remap(oldW*2) / 2
+		want := remap(pre, r, oldW*2) / 2
 		if newW != want {
 			d.add(KindUnpatchedPointer, off, "", fmt.Sprintf("pointer 0x%X should be 0x%X after relocation, found 0x%X",
 				oldW*2, want*2, newW*2))
@@ -276,6 +317,22 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 		if t := want * 2; !starts.has(t) && t >= pre.RegionStart {
 			d.add(KindDanglingEdge, off, "", fmt.Sprintf("relocated pointer 0x%X is not a function entry", t))
 		}
+	}
+
+	// Every other byte past the code region is data the randomizer
+	// copies verbatim: one finding per changed range, at its first
+	// changed byte.
+	for _, rg := range b.data {
+		old, got := pre.Image[rg.lo:rg.hi], r.Image[rg.lo:rg.hi]
+		if bytes.Equal(old, got) {
+			continue
+		}
+		i := 0
+		for old[i] == got[i] {
+			i++
+		}
+		d.add(KindDataChanged, rg.lo+uint32(i), "", fmt.Sprintf("data byte 0x%02X changed to 0x%02X, the first change in [0x%X,0x%X)",
+			old[i], got[i], rg.lo, rg.hi))
 	}
 
 	// The vector table occupies the first NumVectors two-word jmp slots;
@@ -291,7 +348,7 @@ func (b *Base) diff(r *core.Randomized) (findings []Finding, st DiffStats, laidO
 			d.add(KindDanglingEdge, pc*2, "", fmt.Sprintf("vector %d target 0x%X is not a function entry", pc/2, t))
 		}
 	}
-	return d.findings, d.st, true
+	return d.findings, d.st
 }
 
 // region diffs the region being walked until its end or the first
@@ -355,22 +412,26 @@ func (d *patchDiff) step(s patchSite) uint32 {
 	switch s.op {
 	case avr.OpJMP, avr.OpCALL:
 		d.st.TransfersChecked++
-		want := d.remap(s.target)
+		want := remap(d.pre, d.r, s.target)
 		if got := nin.Target * 2; got != want {
 			d.add(kind, addr, block, fmt.Sprintf("%s 0x%X should be patched to 0x%X, found 0x%X",
 				s.op, s.target, want, got))
 		} else if avr.DecodeAt(d.r.Image, want/2).Op == avr.OpInvalid {
 			d.add(KindDanglingEdge, addr, block, fmt.Sprintf("patched %s target 0x%X does not decode", s.op, want))
+		} else if s.intoOperand {
+			d.add(KindDanglingEdge, addr, block, operandDetail(s.op, want))
 		}
 	case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
 		d.st.TransfersChecked++
 		newAbs := uint32(int64(newW+s.pc)+1+int64(nin.K)) * 2
-		if want := d.remap(s.target); newAbs != want {
+		if want := remap(d.pre, d.r, s.target); newAbs != want {
 			d.add(kind, addr, block, fmt.Sprintf("%s to 0x%X should reach 0x%X after relocation, found 0x%X",
 				s.op, s.target, want, newAbs))
 		} else if nin.D != int(s.flag) {
 			d.add(KindOpcodeMismatch, addr, block, fmt.Sprintf("%s condition changed from flag %c to flag %c",
 				s.op, sregFlags[s.flag], sregFlags[nin.D]))
+		} else if s.intoOperand {
+			d.add(KindDanglingEdge, addr, block, operandDetail(s.op, want))
 		}
 	case avr.OpSPM:
 		d.add(KindUnverifiableSPM, addr, block,
@@ -386,6 +447,13 @@ func (d *patchDiff) step(s patchSite) uint32 {
 		}
 	}
 	return s.words
+}
+
+// operandDetail explains a transfer that lands on a jmp/call's
+// rewritten target word.
+func operandDetail(op avr.Op, target uint32) string {
+	return fmt.Sprintf("%s target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation",
+		op, target)
 }
 
 // Fault-injection errors.

@@ -24,13 +24,15 @@
 //   - Patch-completeness diff: proves that every direct transfer,
 //     interrupt-vector entry and tabled function pointer was remapped
 //     to exactly its relocated target, with a conditional branch's
-//     condition unchanged, and that nothing else changed. It walks an
-//     index of the original image's direct transfers: the randomized
-//     image is decoded only at those sites, and the words between them
-//     are compared byte for byte. Any unpatched, mispatched or
-//     dangling edge is a structured Finding, and a layout whose
-//     relocated blocks do not tile the code region is one finding
-//     before any walk runs.
+//     condition unchanged, and that nothing else changed, data past
+//     the code region included. It walks an index of the original
+//     image's direct transfers: the randomized image is decoded only
+//     at those sites, the words between them are compared byte for
+//     byte, and so is the data between the pointer slots. Any
+//     unpatched, mispatched or dangling edge, a transfer onto a
+//     jmp/call's rewritten target word, and any changed data byte is a
+//     structured Finding; a layout whose relocated blocks do not tile
+//     the code region is one finding before any walk runs.
 //
 //   - Residual gadget audit (AuditGadgets): the randomized image's
 //     gadget census, reporting gadget addresses that survive
@@ -50,7 +52,12 @@
 // what depends only on the original image once (the transfer index,
 // its CFG, its value-set analysis and gadget shapes) and reuses it for
 // every permutation; Verify(pre, r, opts) is
-// NewBase(pre, opts).Verify(r). cmd/mavr-verify is the CLI;
+// NewBase(pre, opts).Verify(r). The diff decides each outcome: a clean
+// one proves the randomized image is the original relocated, so its
+// report carries the original's CFG and analysis translated into its
+// layout, and a defective one is reported by the diff's findings.
+// CFG recovery and the analysis run on original images only.
+// cmd/mavr-verify is the CLI;
 // mavr-randomize runs Verify as an opt-out post-pass; the armory keeps
 // one Base per cached image; and board.Master refuses to flash any
 // image with error-severity findings.

@@ -68,12 +68,18 @@ const (
 	// not rewritten to its relocated target.
 	KindUnpatchedPointer Kind = "unpatched-pointer"
 	// KindDanglingEdge: a control transfer or pointer whose target does
-	// not decode, lands in a non-code region, or misses every function
-	// entry it should hit.
+	// not decode, lands in a non-code region or on a word the
+	// randomizer rewrites, or misses every function entry it should
+	// hit.
 	KindDanglingEdge Kind = "dangling-edge"
 	// KindOpcodeMismatch: the instruction streams of original and
 	// randomized image diverge beyond target patching.
 	KindOpcodeMismatch Kind = "opcode-mismatch"
+	// KindDataChanged: a byte past the code region, outside every
+	// patched pointer slot, differs from the original. That data —
+	// initialised variables, calibration values — must survive a
+	// permutation unchanged.
+	KindDataChanged Kind = "data-changed"
 	// KindUndecodable: an invalid opcode inside a function body — the
 	// instruction walk desynchronized, nothing after it is verifiable.
 	KindUndecodable Kind = "undecodable"

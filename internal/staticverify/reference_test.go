@@ -3,6 +3,7 @@ package staticverify
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"mavr/internal/avr"
 	"mavr/internal/core"
@@ -19,13 +20,41 @@ import (
 // refDiffRange), so the equivalence tests, the patch-diff test and
 // FuzzBaseVerify hold the indexed diff and the cached handle to the
 // code they replaced. remapper is the address mapping they share. The
-// one change since: refDiffRange also compares a conditional branch's
-// status flag once its target checks out, as the indexed diff does.
+// changes since, each matching one in the indexed diff: refDiffRange
+// compares a conditional branch's status flag once its target checks
+// out, and reports a transfer onto the target word of a jmp/call into
+// a block (refOperandWords); refVerifyPatches compares the data past
+// the code region byte for byte between the pointer slots.
 //
 // auditGadgetsAgainst and gadgetIndex, the full-scan gadget census that
 // scanned every randomized image, are kept verbatim too: refVerify
 // calls them, and TestCensusMatchesFullScan holds the incremental
-// census to them.
+// census to them. RelocatedBlocks and graphLayout, which only a
+// verifier that recovers a randomized image's own graph needs, moved
+// here from the package.
+
+// RelocatedBlocks maps the preprocessed block list through a
+// randomization outcome: the same functions at their new starts, sorted
+// by new address.
+func RelocatedBlocks(pre *core.Preprocessed, r *core.Randomized) []core.Block {
+	out := make([]core.Block, len(pre.Blocks))
+	for i, b := range pre.Blocks {
+		out[i] = core.Block{Name: b.Name, Start: r.NewStart[i], Size: b.Size}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+// graphLayout is the layout of an analysis run directly on the image a
+// graph was recovered from.
+func graphLayout(img []byte, g *Graph) vsaLayout {
+	return vsaLayout{
+		img:     img,
+		name:    func(i int) string { return g.Funcs[i].Name },
+		start:   func(i int) uint32 { return g.Funcs[i].Start },
+		entries: g.EntryTargets,
+	}
+}
 
 // remapper rebuilds the address mapping a randomization outcome
 // applied: old byte address -> new byte address.
@@ -122,6 +151,7 @@ func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, Di
 		}}, st
 	}
 	remap := remapper(pre, r)
+	operands := refOperandWords(pre)
 	newStarts := make(map[uint32]bool, len(pre.Blocks))
 	for i := range pre.Blocks {
 		newStarts[r.NewStart[i]] = true
@@ -137,12 +167,12 @@ func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, Di
 
 	// Fixed low-flash region: same location in both images, but targets
 	// into moved blocks must be remapped.
-	findings = append(findings, refDiffRange(pre.Image, r.Image, 0, 0, pre.RegionStart, "", vecEnd, remap, &st)...)
+	findings = append(findings, refDiffRange(pre.Image, r.Image, 0, 0, pre.RegionStart, "", vecEnd, remap, operands, &st)...)
 
 	// Every relocated block, walked at its old and new location.
 	for i, b := range pre.Blocks {
 		findings = append(findings,
-			refDiffRange(pre.Image, r.Image, b.Start, r.NewStart[i], b.Size, b.Name, vecEnd, remap, &st)...)
+			refDiffRange(pre.Image, r.Image, b.Start, r.NewStart[i], b.Size, b.Name, vecEnd, remap, operands, &st)...)
 	}
 
 	// Data-section function pointers (16-bit word addresses).
@@ -174,6 +204,35 @@ func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, Di
 		}
 	}
 
+	// Data past the code region: each run of bytes between pointer
+	// slots must be unchanged; a changed run is one finding, at its
+	// first changed byte.
+	slot := make(map[uint32]bool, 2*len(pre.PtrOffsets))
+	for _, off := range pre.PtrOffsets {
+		slot[off], slot[off+1] = true, true
+	}
+	for lo := pre.RegionEnd; lo < uint32(len(pre.Image)); {
+		if slot[lo] {
+			lo++
+			continue
+		}
+		hi := lo
+		for hi < uint32(len(pre.Image)) && !slot[hi] {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			if pre.Image[i] != r.Image[i] {
+				findings = append(findings, Finding{
+					Kind: KindDataChanged, Severity: SevError, Addr: i,
+					Detail: fmt.Sprintf("data byte 0x%02X changed to 0x%02X, the first change in [0x%X,0x%X)",
+						pre.Image[i], r.Image[i], lo, hi),
+				})
+				break
+			}
+		}
+		lo = hi
+	}
+
 	// Vector entries must land on relocated function entries (or fixed
 	// code) in the new layout.
 	for pc := uint32(0); pc*2 < vecEnd; pc += 2 {
@@ -192,11 +251,35 @@ func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, Di
 	return findings, st
 }
 
+// refOperandWords marks, by byte address, the second word of every
+// jmp/call into a block in a linear decode of the original image's
+// fixed region and blocks: the words the randomizer rewrites.
+func refOperandWords(pre *core.Preprocessed) map[uint32]bool {
+	words := make(map[uint32]bool)
+	mark := func(start, size uint32) {
+		for pc := start / 2; pc < (start+size)/2; {
+			in := avr.DecodeAt(pre.Image, pc)
+			if in.Op == avr.OpInvalid {
+				return
+			}
+			if (in.Op == avr.OpJMP || in.Op == avr.OpCALL) && pre.BlockIndex(in.Target*2) >= 0 {
+				words[(pc+1)*2] = true
+			}
+			pc += uint32(in.Words)
+		}
+	}
+	mark(0, pre.RegionStart)
+	for _, b := range pre.Blocks {
+		mark(b.Start, b.Size)
+	}
+	return words
+}
+
 // refDiffRange lockstep-walks size bytes of code living at oldStart in the
 // original image and newStart in the randomized one. block names the
 // function ("" for the fixed region); vecEnd bounds the vector table in
-// the fixed region.
-func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block string, vecEnd uint32, remap func(uint32) uint32, st *DiffStats) []Finding {
+// the fixed region; operands are refOperandWords.
+func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block string, vecEnd uint32, remap func(uint32) uint32, operands map[uint32]bool, st *DiffStats) []Finding {
 	var findings []Finding
 	oldW, newW := oldStart/2, newStart/2
 	endW := size / 2
@@ -240,6 +323,12 @@ func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block strin
 					Kind: KindDanglingEdge, Severity: SevError, Addr: addr, Block: block,
 					Detail: fmt.Sprintf("patched %s target 0x%X does not decode", oin.Op, want),
 				})
+			} else if operands[oin.Target*2] {
+				findings = append(findings, Finding{
+					Kind: KindDanglingEdge, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation",
+						oin.Op, want),
+				})
 			}
 		case avr.OpRJMP, avr.OpRCALL, avr.OpBRBS, avr.OpBRBC:
 			st.TransfersChecked++
@@ -256,6 +345,12 @@ func refDiffRange(orig, rnd []byte, oldStart, newStart, size uint32, block strin
 					Kind: KindOpcodeMismatch, Severity: SevError, Addr: addr, Block: block,
 					Detail: fmt.Sprintf("%s condition changed from flag %c to flag %c",
 						oin.Op, sregFlags[oin.D], sregFlags[nin.D]),
+				})
+			} else if operands[oldAbs] {
+				findings = append(findings, Finding{
+					Kind: KindDanglingEdge, Severity: SevError, Addr: addr, Block: block,
+					Detail: fmt.Sprintf("%s target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation",
+						oin.Op, newAbs),
 				})
 			}
 		case avr.OpSPM:

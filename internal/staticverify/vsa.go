@@ -87,24 +87,13 @@ type vsaLayout struct {
 	entries []uint32
 }
 
-// graphLayout is the layout of an analysis run directly on the image a
-// graph was recovered from.
-func graphLayout(img []byte, g *Graph) vsaLayout {
-	return vsaLayout{
-		img:     img,
-		name:    func(i int) string { return g.Funcs[i].Name },
-		start:   func(i int) uint32 { return g.Funcs[i].Start },
-		entries: g.EntryTargets,
-	}
-}
-
 // renderVSA renders an analysis result against a layout, producing the
 // report section, the findings to merge, and whether the residual
 // gadget audit may demote in-region stable gadgets: true exactly when
 // every indirect site resolved and every proven target is a legitimate
 // entry, i.e. no abstractly-reachable indirect edge lands anywhere a
-// gadget could start. Base.Verify renders both the translated base
-// analysis and a fresh one through it, so the two paths report alike.
+// gadget could start. Base.Verify renders the translated base analysis
+// through it, and the reference verifier in the tests a fresh one.
 func renderVSA(res *vsa.Result, lay vsaLayout) (*VSAInfo, []Finding, bool) {
 	info := &VSAInfo{EntryTargets: len(lay.entries)}
 	var fs []Finding

@@ -51,17 +51,13 @@ type Table struct {
 }
 
 // Result is a whole-image analysis. Every address in it is relative to
-// its function's start, and every Detail string is address-free, so a
-// result computed on one image layout translates exactly to any
-// permutation of the same base (the cached-verifier fast path).
+// its function's start, every Detail string is address-free, and no
+// flash byte below RegionEnd shapes it, so a result computed on the
+// base image translates exactly to any permutation the patch diff
+// passes (the cached verifier).
 type Result struct {
 	Funcs []FuncResult
 	Sites []Site
-	// Reads are the flash ranges whose concrete bytes influenced the
-	// analysis. Two images that agree byte-for-byte on these ranges
-	// (and structurally via the patch diff) have isomorphic
-	// analyses.
-	Reads []Range
 }
 
 // FuncResult is the per-function stack-discipline verdict.
@@ -120,11 +116,6 @@ type HalfSource struct {
 	Set  []byte   `json:"set,omitempty"`
 }
 
-// Range is a half-open byte range [Off, Off+Len).
-type Range struct {
-	Off, Len uint32
-}
-
 // Caps on site resolution: a site stays unresolved rather than carry
 // an absurdly large proven set.
 const (
@@ -143,11 +134,10 @@ func Analyze(in *Input) *Result {
 // analyzeSharded runs Analyze on an explicit number of shards (tests
 // pin it). Shards claim functions from a shared counter, each with its
 // own Ctx and scratch state: the image, tables and patched set are
-// read-only, and everything a function's analysis writes — its read
-// set, findings and sites — is shard-local. Function results land in
-// their function-index slot and the per-shard read bitsets are
-// OR-merged, so neither the shard count nor the schedule can change the
-// Result.
+// read-only, and everything a function's analysis writes — its
+// findings and sites — is shard-local. Function results land in their
+// function-index slot, so neither the shard count nor the schedule can
+// change the Result.
 func analyzeSharded(in *Input, shards int) *Result {
 	shards = max(1, min(shards, len(in.Funcs)))
 	var patched bitset
@@ -160,12 +150,11 @@ func analyzeSharded(in *Input, shards int) *Result {
 	}
 	funcs := make([]FuncResult, len(in.Funcs))
 	sites := make([][]Site, len(in.Funcs))
-	reads := make([]bitset, shards)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for sh := range reads {
+	for range shards {
 		wg.Add(1)
-		go func(sh int) {
+		go func() {
 			defer wg.Done()
 			a := &funcAnalyzer{ctx: &Ctx{
 				Img:         in.Img,
@@ -173,7 +162,6 @@ func analyzeSharded(in *Input, shards int) *Result {
 				RegionEnd:   in.RegionEnd,
 				Tables:      in.Tables,
 				patched:     patched,
-				reads:       newBitset(len(in.Img)),
 			}}
 			for fi := int(next.Add(1) - 1); fi < len(in.Funcs); fi = int(next.Add(1) - 1) {
 				f := &in.Funcs[fi]
@@ -183,8 +171,7 @@ func analyzeSharded(in *Input, shards int) *Result {
 				}
 				funcs[fi], sites[fi] = a.run(f, fi)
 			}
-			reads[sh] = a.ctx.reads
-		}(sh)
+		}()
 	}
 	wg.Wait()
 
@@ -195,10 +182,6 @@ func analyzeSharded(in *Input, shards int) *Result {
 	for _, s := range sites {
 		res.Sites = append(res.Sites, s...)
 	}
-	for _, r := range reads[1:] {
-		reads[0].or(r)
-	}
-	res.Reads = reads[0].ranges()
 	return res
 }
 
@@ -217,31 +200,6 @@ func (b bitset) set(i uint32) {
 func (b bitset) has(i uint32) bool {
 	w := int(i / 64)
 	return w < len(b) && b[w]&(1<<(i%64)) != 0
-}
-
-// or adds every member of o (same bound) to b.
-func (b bitset) or(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-// ranges folds the members into sorted, coalesced byte ranges (nil
-// when empty).
-func (b bitset) ranges() []Range {
-	var out []Range
-	for wi, w := range b {
-		for w != 0 {
-			off := uint32(wi*64 + trailingZeros(w))
-			w &= w - 1
-			if n := len(out); n > 0 && out[n-1].Off+out[n-1].Len == off {
-				out[n-1].Len++
-				continue
-			}
-			out = append(out, Range{Off: off, Len: 1})
-		}
-	}
-	return out
 }
 
 // funcAnalyzer runs one shard's functions, one at a time. Its buffers

@@ -1,7 +1,5 @@
 package vsa
 
-import "bytes"
-
 // Targets concretizes a resolved site against one verified image: the
 // sorted byte addresses its indirect transfer can reach. The cross
 // product of the pointer halves over-approximates the matched pairs a
@@ -72,21 +70,4 @@ func sortBytes(bs []byte) {
 			bs[j], bs[j-1] = bs[j-1], bs[j]
 		}
 	}
-}
-
-// ReadsEqual reports whether two images agree byte-for-byte on every
-// flash range the analysis concretized — the condition (together with
-// the lockstep structural diff) under which a base analysis translates
-// exactly to another permutation's image.
-func (r *Result) ReadsEqual(a, b []byte) bool {
-	for _, rg := range r.Reads {
-		lo, hi := int(rg.Off), int(rg.Off+rg.Len)
-		if hi > len(a) || hi > len(b) {
-			return false
-		}
-		if !bytes.Equal(a[lo:hi], b[lo:hi]) {
-			return false
-		}
-	}
-	return true
 }

@@ -6,20 +6,18 @@ import "mavr/internal/avr"
 // image, the validated pointer tables, and which flash bytes the
 // pointer patcher rewrites per permutation (their values must never be
 // baked into the analysis — they stay symbolic table provenance). The
-// image, tables and patched set are shared read-only; the read set and
-// the finding sink are per shard, so one Ctx serves one goroutine.
+// image, tables and patched set are shared read-only; the finding sink
+// is per shard, so one Ctx serves one goroutine.
 type Ctx struct {
 	Img []byte
-	// RegionStart/RegionEnd delimit the shuffleable code region whose
-	// bytes differ between permutations; reads from it are top.
+	// RegionStart/RegionEnd delimit the shuffleable code region. Every
+	// flash byte below RegionEnd differs between permutations (the
+	// fixed region's transfer words are patched too), so reads there
+	// are top.
 	RegionStart, RegionEnd uint32
 	Tables                 []Table
 	// patched marks flash byte offsets rewritten per permutation.
 	patched bitset
-	// reads records flash offsets whose concrete bytes influenced the
-	// analysis (nil: don't record). The cached base path byte-compares
-	// these ranges before reusing a base analysis for another image.
-	reads bitset
 	// report is set during the reporting pass, which appends structured
 	// findings at function-relative offset off (the instruction being
 	// stepped) to findings. Fixpoint iteration and fuzzing leave it
@@ -677,22 +675,12 @@ func (c *Ctx) flashLoad(st *State, d int, addrs []uint16) {
 }
 
 // flashByte abstracts one flash byte read. Bytes the patcher rewrites
-// and bytes inside the shuffleable region differ per permutation and
-// are top; everything else is the image's byte, recorded so the cached
-// base path can prove two images agree on every byte the analysis
-// consumed.
+// and every byte below the region end (code, whose transfer words
+// differ per permutation) are top; everything else is the image's
+// byte, which the patch diff proves every permutation keeps.
 func (c *Ctx) flashByte(off uint32) ByteSet {
-	if c.patched.has(off) {
+	if c.patched.has(off) || off < c.RegionEnd || int(off) >= len(c.Img) {
 		return Top()
-	}
-	if off >= c.RegionStart && off < c.RegionEnd {
-		return Top()
-	}
-	if int(off) >= len(c.Img) {
-		return Top()
-	}
-	if c.reads != nil {
-		c.reads.set(off)
 	}
 	return Const(c.Img[off])
 }
