@@ -81,7 +81,7 @@ func run() error {
 		return err
 	}
 	defer ln.Close()
-	srv := &http.Server{Handler: armory.Handler(svc)}
+	srv := newServer(svc)
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Printf("armory: serving on http://%s (workers=%d, gadget audit=%v)\n",
@@ -109,6 +109,15 @@ func run() error {
 	}
 }
 
+// newServer serves the armory API for svc under fixed timeouts. An
+// upload is at most armory.MaxImageBytes, which a LAN or loopback
+// client sends in well under a second; a peer that stalls a request or
+// idles a connection past them is dropped instead of holding it open.
+func newServer(svc *armory.Service) *http.Server {
+	const readHeader, read, idle = 5 * time.Second, 30 * time.Second, time.Minute
+	return &http.Server{Handler: armory.Handler(svc), ReadHeaderTimeout: readHeader, ReadTimeout: read, IdleTimeout: idle}
+}
+
 // runSoak is the CI batch smoke: N concurrent HTTP submissions of one
 // base image for N distinct vehicles must produce N distinct verified
 // permutations off a single preprocessing pass.
@@ -129,7 +138,7 @@ func runSoak(n int, cfg armory.Config) error {
 		return err
 	}
 	defer ln.Close()
-	srv := &http.Server{Handler: armory.Handler(svc)}
+	srv := newServer(svc)
 	go srv.Serve(ln)
 	defer srv.Close()
 

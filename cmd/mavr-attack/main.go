@@ -1,16 +1,24 @@
 // mavr-attack runs one of the paper's attack generations against a
 // simulated board and reports the outcome as seen by the board and the
-// ground station.
+// ground station. The attack is one scenario.Spec: in process,
+// scenario.Run flies it; with -connect, its packets (scenario.Packets)
+// ride a real UDP uplink.
 //
 // Usage:
 //
 //	mavr-attack [-v 1|2|3] [-protect] [-value 0x7F]
 //	mavr-attack -connect host:port [-sysid 1]   # inject over a mavr-fleetd socket
 //
+// V1 and V2 write the gyro configuration byte. V3 stages its chain in
+// free SRAM and performs four writes from 0x1800: four writes from the
+// gyro byte would run over the pulse sequence counter and give the
+// attack away.
+//
 // With -connect the attack rides a real UDP uplink to a running
 // mavr-fleetd vehicle instead of an in-process board; the outcome is
 // reported from the attacker's own ground-station view (fleetd's
-// -metrics endpoint has the vehicle.N.gyrocfg ground truth).
+// -metrics endpoint has the vehicle.N.gyrocfg ground truth of V1 and
+// V2).
 package main
 
 import (
@@ -20,10 +28,9 @@ import (
 	"time"
 
 	"mavr/internal/attack"
-	"mavr/internal/board"
 	"mavr/internal/firmware"
-	"mavr/internal/gcs"
 	"mavr/internal/netlink"
+	"mavr/internal/scenario"
 )
 
 func main() {
@@ -33,53 +40,46 @@ func main() {
 	}
 }
 
+// attacks maps -v to the injection it sends 100ms into the flight.
+var attacks = map[int]scenario.Injection{
+	1: {Kind: scenario.InjectV1},
+	2: {Kind: scenario.InjectV2},
+	3: {Kind: scenario.InjectV3, Addr: 0x1800, StageWrites: 4, Spacing: 60 * time.Millisecond},
+}
+
 func run() error {
 	version := flag.Int("v", 2, "attack generation: 1 (basic), 2 (stealthy), 3 (trampoline)")
 	protect := flag.Bool("protect", false, "attack a MAVR-protected board instead of a plain APM")
-	value := flag.Int("value", 0x7F, "gyro configuration byte to write")
+	value := flag.Int("value", 0x7F, "byte to write: the gyro configuration (-v 1, 2) or the first at 0x1800 (-v 3)")
 	trace := flag.Bool("trace", false, "print the Fig. 6 stack progression of the V2 chain")
 	connect := flag.String("connect", "", "inject over a mavr-fleetd UDP socket at host:port instead of in-process")
 	sysid := flag.Int("sysid", 1, "target vehicle system id (with -connect)")
 	flag.Parse()
 
-	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
-	if err != nil {
-		return err
-	}
-	a, err := attack.Analyze(img.ELF)
-	if err != nil {
-		return err
-	}
-
-	var payloads [][]byte
-	switch *version {
-	case 1:
-		p, err := attack.BuildV1(a, attack.GyroCfgWrite(byte(*value)))
-		if err != nil {
-			return err
-		}
-		payloads = [][]byte{p}
-	case 2:
-		p, err := attack.BuildV2(a, attack.GyroCfgWrite(byte(*value)))
-		if err != nil {
-			return err
-		}
-		payloads = [][]byte{p}
-	case 3:
-		big := []attack.Write{attack.GyroCfgWrite(byte(*value))}
-		for i := 0; i < 12; i++ {
-			big = append(big, attack.Write{Addr: 0x1800 + uint16(3*i), Vals: [3]byte{0xDE, 0xAD, byte(i)}})
-		}
-		ps, err := attack.BuildV3(a, big, firmware.AddrFreeMem)
-		if err != nil {
-			return err
-		}
-		payloads = ps
-	default:
+	inj, ok := attacks[*version]
+	if !ok {
 		return fmt.Errorf("unknown attack version %d", *version)
+	}
+	inj.At, inj.Value = 100*time.Millisecond, byte(*value)
+	spec := scenario.Spec{Name: fmt.Sprintf("mavr-attack-v%d", *version), Board: scenario.BoardUnprotected,
+		Injections: []scenario.Injection{inj}}
+	if *protect {
+		spec.Board, spec.Seed, spec.WatchdogTimeout = scenario.BoardMAVR, 7, 20*time.Millisecond
+	}
+	pkts, err := scenario.Packets(spec)
+	if err != nil {
+		return err
 	}
 
 	if *trace {
+		img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+		if err != nil {
+			return err
+		}
+		a, err := attack.Analyze(img.ELF)
+		if err != nil {
+			return err
+		}
 		snaps, err := attack.TraceV2(a, img.Flash, attack.GyroCfgWrite(byte(*value)))
 		if err != nil {
 			return err
@@ -91,65 +91,38 @@ func run() error {
 	}
 
 	if *connect != "" {
-		return overSocket(*connect, byte(*sysid), *version, byte(*value), payloads)
+		return overSocket(*connect, byte(*sysid), *version, inj, pkts)
 	}
 
-	cfg := board.SystemConfig{Unprotected: true}
-	if *protect {
-		cfg = board.SystemConfig{Master: board.MasterConfig{Seed: 7, WatchdogTimeout: 20 * time.Millisecond}}
-	}
-	sys := board.NewSystem(cfg)
-	if err := sys.FlashFirmware(img); err != nil {
-		return err
-	}
-	if _, err := sys.Boot(); err != nil {
-		return err
-	}
-	g := gcs.NewGroundStation(sys)
-
-	fly := func(d time.Duration) error {
-		for e := time.Duration(0); e < d; e += 10 * time.Millisecond {
-			if err := g.Step(10 * time.Millisecond); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := fly(100 * time.Millisecond); err != nil {
-		return err
-	}
+	// Fly 60ms past the last packet, then 3s more.
+	spec.Run = pkts[len(pkts)-1].At + 60*time.Millisecond + 3*time.Second
 	fmt.Printf("attacking with V%d (%d packet(s), %d payload bytes total)\n",
-		*version, len(payloads), totalLen(payloads))
-	for _, p := range payloads {
-		g.SendFrame(attack.Frame(p))
-		if err := fly(60 * time.Millisecond); err != nil {
-			return err
-		}
-	}
-	if err := fly(3 * time.Second); err != nil {
+		*version, len(pkts), totalLen(pkts))
+	res, err := scenario.Run(spec)
+	if err != nil {
 		return err
 	}
-
-	got := sys.App.CPU.Data[firmware.AddrGyroCfg]
-	fmt.Printf("result: gyro-config=0x%02X (wanted 0x%02X) — attack %s\n",
-		got, *value, map[bool]string{true: "SUCCEEDED", false: "FAILED"}[got == byte(*value)])
-	fmt.Printf("board fault: %v\n", sys.LastFault())
+	v := res.Verdict
+	target, addr := "gyro-config", uint16(firmware.AddrGyroCfg)
+	if inj.Addr != 0 {
+		target, addr = fmt.Sprintf("data[0x%04X]", inj.Addr), inj.Addr
+	}
+	fmt.Printf("result: %s=0x%02X (wanted 0x%02X) — attack %s\n",
+		target, res.Sys.App.CPU.Data[addr], *value, map[bool]string{true: "SUCCEEDED", false: "FAILED"}[v.AttackLanded])
+	fmt.Printf("board fault: %v\n", res.Sys.LastFault())
 	fmt.Printf("GCS view: pulses=%d gaps=%d garbage=%d max-silence=%v detected=%v\n",
-		g.Mon.Pulses, g.Mon.SeqGaps, g.Mon.Garbage, g.Mon.MaxSilence.Round(time.Millisecond),
-		g.Mon.CompromiseDetected(200*time.Millisecond))
+		res.Mon.Pulses, res.Mon.SeqGaps, res.Mon.Garbage, res.Mon.MaxSilence.Round(time.Millisecond), v.Compromised)
 	if *protect {
-		st := sys.Master.Stats()
-		fmt.Printf("master: failures detected=%d, randomizations=%d\n",
-			st.FailuresDetected, st.Randomizations)
+		fmt.Printf("master: failures detected=%d, randomizations=%d\n", v.FailuresDetected, v.Final.Epoch)
 	}
 	return nil
 }
 
-// overSocket delivers the attack frames through a mavr-fleetd UDP
+// overSocket delivers the attack packets through a mavr-fleetd UDP
 // session and reports what a ground station sharing that socket would
 // see. The fleet paces its own simulation, so cruise phases are waited
 // out on the vehicle's sim clock as carried by received datagrams.
-func overSocket(addr string, sysid byte, version int, value byte, payloads [][]byte) error {
+func overSocket(addr string, sysid byte, version int, inj scenario.Injection, pkts []scenario.Packet) error {
 	c, err := netlink.DialClient(addr, netlink.ClientConfig{SysID: sysid})
 	if err != nil {
 		return err
@@ -173,9 +146,9 @@ func overSocket(addr string, sysid byte, version int, value byte, payloads [][]b
 		return err
 	}
 	fmt.Printf("attacking vehicle %d at %s with V%d (%d packet(s), %d payload bytes total)\n",
-		sysid, addr, version, len(payloads), totalLen(payloads))
-	for _, p := range payloads {
-		c.SendFrame(attack.Frame(p))
+		sysid, addr, version, len(pkts), totalLen(pkts))
+	for _, p := range pkts {
+		c.SendFrame(attack.Frame(p.Payload))
 		if err := waitSim(60 * time.Millisecond); err != nil {
 			return err
 		}
@@ -191,15 +164,17 @@ func overSocket(addr string, sysid byte, version int, value byte, payloads [][]b
 	fmt.Printf("GCS view: pulses=%d gaps=%d/%d(link) garbage=%d last-gyro=%d max-silence=%v detected=%v\n",
 		mon.Pulses, mon.SeqGaps, mon.LinkGaps, mon.Garbage, mon.LastGyro,
 		mon.MaxSilence.Round(time.Millisecond), mon.CompromiseDetected(200*time.Millisecond))
-	fmt.Printf("ground truth: check vehicle.%d.gyrocfg on fleetd's -metrics endpoint (wanted %d)\n",
-		sysid, value)
+	if inj.Addr == 0 { // fleetd exports the gyro byte, not V3's SRAM
+		fmt.Printf("ground truth: check vehicle.%d.gyrocfg on fleetd's -metrics endpoint (wanted %d)\n",
+			sysid, inj.Value)
+	}
 	return nil
 }
 
-func totalLen(ps [][]byte) int {
+func totalLen(pkts []scenario.Packet) int {
 	n := 0
-	for _, p := range ps {
-		n += len(p)
+	for _, p := range pkts {
+		n += len(p.Payload)
 	}
 	return n
 }

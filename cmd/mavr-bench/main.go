@@ -32,8 +32,8 @@ import (
 	"mavr/internal/core"
 	"mavr/internal/firmware"
 	"mavr/internal/gadget"
-	"mavr/internal/gcs"
 	"mavr/internal/mavlink"
+	"mavr/internal/scenario"
 )
 
 func main() {
@@ -206,59 +206,21 @@ func effectiveness(w io.Writer) error {
 	}
 	gs := gadget.Scan(img.Flash, 24)
 	fmt.Fprintf(w, "  gadget census on the test application: %d (paper: 953)\n", len(gs))
-
-	small, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+	specs := scenario.Effectiveness()
+	open, err := scenario.Run(specs[0])
 	if err != nil {
 		return err
 	}
-	a, err := attack.Analyze(small.ELF)
+	fmt.Fprintf(w, "  %s:  attack %s, GCS detected: %v\n", specs[0].Notes,
+		okfail(open.Verdict.GyroCfg == 0x7F), open.Verdict.Compromised)
+	res, err := scenario.Run(specs[1])
 	if err != nil {
 		return err
 	}
-	payload, err := attack.BuildV2(a, attack.GyroCfgWrite(0x7F))
-	if err != nil {
-		return err
-	}
-
-	// Stealthy attack vs the unprotected board.
-	open, og, err := attackBoard(board.SystemConfig{Unprotected: true}, small, payload, 400*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  unprotected board:  attack %s, GCS detected: %v\n",
-		okfail(open.App.CPU.Data[firmware.AddrGyroCfg] == 0x7F),
-		og.Mon.CompromiseDetected(200*time.Millisecond))
-
-	// Same payload vs the randomized board.
-	sys, _, err := attackBoard(board.SystemConfig{Master: board.MasterConfig{Seed: 5, WatchdogTimeout: 20 * time.Millisecond}},
-		small, payload, 4*time.Second)
-	if err != nil {
-		return err
-	}
-	st := sys.Master.Stats()
-	fmt.Fprintf(w, "  MAVR board:         attack %s, failures detected=%d, reflashes=%d\n\n",
-		okfail(sys.App.CPU.Data[firmware.AddrGyroCfg] == 0x7F),
-		st.FailuresDetected, st.Randomizations-1)
+	v := res.Verdict
+	fmt.Fprintf(w, "  %s:         attack %s, failures detected=%d, reflashes=%d\n\n", specs[1].Notes,
+		okfail(v.GyroCfg == 0x7F), v.FailuresDetected, v.Reflashes)
 	return nil
-}
-
-// attackBoard flashes and boots fw on a board built from cfg, flies it
-// for 100 ms, sends payload in one oversize PARAM_SET frame and flies d
-// more.
-func attackBoard(cfg board.SystemConfig, fw *firmware.Image, payload []byte, d time.Duration) (*board.System, *gcs.GroundStation, error) {
-	sys := board.NewSystem(cfg)
-	if err := sys.FlashFirmware(fw); err != nil {
-		return nil, nil, err
-	}
-	if _, err := sys.Boot(); err != nil {
-		return nil, nil, err
-	}
-	g := gcs.NewGroundStation(sys)
-	if err := g.Fly(100 * time.Millisecond); err != nil {
-		return nil, nil, err
-	}
-	g.SendFrame(attack.Frame(payload))
-	return sys, g, g.Fly(d)
 }
 
 func okfail(ok bool) string {
@@ -268,74 +230,23 @@ func okfail(ok bool) string {
 	return "FAILED"
 }
 
-// matrix runs the stale stealthy attack against every deployment
-// configuration the paper discusses and tabulates the outcomes.
+// matrix runs scenario.Matrix, the stale stealthy attack against every
+// deployment configuration the paper discusses, and tabulates the
+// verdicts.
 func matrix(w io.Writer) error {
 	fmt.Fprintln(w, "DEPLOYMENT MATRIX — stale stealthy (V2) attack vs configuration")
-	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
-	if err != nil {
-		return err
-	}
-	patchedSpec := firmware.TestApp()
-	patchedSpec.Vulnerable = false
-	patched, err := firmware.Generate(patchedSpec, firmware.ModeMAVR)
-	if err != nil {
-		return err
-	}
-	a, err := attack.Analyze(img.ELF)
-	if err != nil {
-		return err
-	}
-	payload, err := attack.BuildV2(a, attack.GyroCfgWrite(0x7F))
-	if err != nil {
-		return err
-	}
-	bootA := *a
-	if err := bootA.UseFixedGadgets(img.Bootloader, firmware.BootloaderStart); err != nil {
-		return err
-	}
-	bootPayload, err := attack.BuildV1(&bootA, attack.GyroCfgWrite(0x7F))
-	if err != nil {
-		return err
-	}
-	persistPayload, err := attack.BuildV1(&bootA,
-		attack.EEPROMCfgWrites(firmware.EEPROMCfgAddr, 0x7F)...)
-	if err != nil {
-		return err
-	}
-
-	type row struct {
-		name    string
-		fw      *firmware.Image
-		cfg     board.SystemConfig
-		payload []byte
-	}
-	mavrCfg := board.SystemConfig{Master: board.MasterConfig{Seed: 5, WatchdogTimeout: 20 * time.Millisecond}}
-	rows := []row{
-		{"unprotected APM, vulnerable FW, V2", img,
-			board.SystemConfig{Unprotected: true}, payload},
-		{"unprotected APM, patched FW, V2", patched,
-			board.SystemConfig{Unprotected: true}, payload},
-		{"software-only randomization, V2", img,
-			board.SystemConfig{SoftwareOnly: true, SoftwareSeed: 3}, payload},
-		{"MAVR, V2", img, mavrCfg, payload},
-		{"MAVR + serial bootloader, boot-gadget V1", img, mavrCfg, bootPayload},
-		{"MAVR + bootloader, boot-gadget EEPROM V1", img, mavrCfg, persistPayload},
-	}
 	fmt.Fprintln(w, "  configuration                              write  board-alive  master-recovered")
-	for _, r := range rows {
-		sys, _, err := attackBoard(r.cfg, r.fw, r.payload, 3*time.Second)
+	for _, spec := range scenario.Matrix() {
+		res, err := scenario.Run(spec)
 		if err != nil {
 			return err
 		}
-		landed := sys.App.CPU.Data[firmware.AddrGyroCfg] == 0x7F
-		alive := sys.App.Running()
+		v := res.Verdict
 		recovered := "-"
-		if sys.Master != nil {
-			recovered = fmt.Sprintf("%v (%d reflashes)",
-				sys.Master.Stats().FailuresDetected > 0, sys.Master.Stats().Randomizations-1)
+		if spec.Board == scenario.BoardMAVR {
+			recovered = fmt.Sprintf("%v (%d reflashes)", v.FailuresDetected > 0, v.Reflashes)
 		}
-		fmt.Fprintf(w, "  %-42s %-6v %-12v %s\n", r.name, landed, alive, recovered)
+		fmt.Fprintf(w, "  %-42s %-6v %-12v %s\n", spec.Notes, v.GyroCfg == 0x7F, v.BoardAlive, recovered)
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -3,6 +3,12 @@
 // health, and — optionally — a mid-flight stealthy attack, on either an
 // unprotected APM or a MAVR-protected board.
 //
+// The attack packet comes from scenario.Packets, the expansion
+// scenario.Run sends. The timeline itself flies on
+// gcs.GroundStation.Fly rather than as a scenario: it prints the gyro
+// and heading readings every 250ms, which a trace's checkpoints do not
+// carry.
+//
 // Usage:
 //
 //	mavr-sim [-duration 3s] [-protect] [-attack v1|v2|nav] [-at 1s]
@@ -18,6 +24,7 @@ import (
 	"mavr/internal/board"
 	"mavr/internal/firmware"
 	"mavr/internal/gcs"
+	"mavr/internal/scenario"
 )
 
 func main() {
@@ -39,25 +46,19 @@ func run() error {
 		return err
 	}
 
-	var payload []byte
+	var pkts []scenario.Packet
 	if *attackKind != "" {
-		a, err := attack.Analyze(img.ELF)
-		if err != nil {
-			return err
+		attacks := map[string]scenario.Injection{
+			"v1":  {Kind: scenario.InjectV1, Value: 0x7F},
+			"v2":  {Kind: scenario.InjectV2, Value: 0x7F},
+			"nav": {Kind: scenario.InjectV2, Addr: img.Layout.WaypointsAddr, Value: 0xEE},
 		}
-		switch *attackKind {
-		case "v1":
-			payload, err = attack.BuildV1(a, attack.GyroCfgWrite(0x7F))
-		case "v2":
-			payload, err = attack.BuildV2(a, attack.GyroCfgWrite(0x7F))
-		case "nav":
-			payload, err = attack.BuildV2(a, attack.Write{
-				Addr: img.Layout.WaypointsAddr, Vals: [3]byte{0xEE, 0x00, 0x00},
-			})
-		default:
+		inj, ok := attacks[*attackKind]
+		if !ok {
 			return fmt.Errorf("unknown attack %q", *attackKind)
 		}
-		if err != nil {
+		inj.At = *attackAt
+		if pkts, err = scenario.Packets(scenario.Spec{Injections: []scenario.Injection{inj}}); err != nil {
 			return err
 		}
 	}
@@ -83,13 +84,12 @@ func run() error {
 	sys.AttachFlightProfile(board.DefaultFlightProfile())
 	g := gcs.NewGroundStation(sys)
 	fmt.Println("  t      pulses  gyro(truth)  hdg  heartbeats  status  anomalies")
-	injected := false
 	for elapsed := time.Duration(0); elapsed < *duration; elapsed += 250 * time.Millisecond {
-		if payload != nil && !injected && elapsed >= *attackAt {
-			g.SendFrame(attack.Frame(payload))
+		for len(pkts) > 0 && elapsed >= pkts[0].At {
+			g.SendFrame(attack.Frame(pkts[0].Payload))
 			fmt.Printf("%6s  >>> attack packet injected (%s, %d bytes)\n",
-				elapsed.Round(time.Millisecond), *attackKind, len(payload))
-			injected = true
+				elapsed.Round(time.Millisecond), *attackKind, len(pkts[0].Payload))
+			pkts = pkts[1:]
 		}
 		if err := g.Fly(250 * time.Millisecond); err != nil {
 			return err

@@ -34,15 +34,6 @@ func run() error {
 		return err
 	}
 
-	fly := func(g *gcs.GroundStation, d time.Duration) error {
-		for e := time.Duration(0); e < d; e += 10 * time.Millisecond {
-			if err := g.Step(10 * time.Millisecond); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Control: the attack succeeds against the unprotected board.
 	open := board.NewSystem(board.SystemConfig{Unprotected: true})
 	if err := open.FlashFirmware(img); err != nil {
@@ -52,11 +43,11 @@ func run() error {
 		return err
 	}
 	og := gcs.NewGroundStation(open)
-	if err := fly(og, 100*time.Millisecond); err != nil {
+	if err := og.Fly(100 * time.Millisecond); err != nil {
 		return err
 	}
 	og.SendFrame(attack.Frame(payload))
-	if err := fly(og, 400*time.Millisecond); err != nil {
+	if err := og.Fly(400 * time.Millisecond); err != nil {
 		return err
 	}
 	fmt.Printf("unprotected board: gyro-config=0x%02X (attack %s)\n",
@@ -79,11 +70,11 @@ func run() error {
 		len(sys.Master.CurrentPerm()), rep.Total.Round(time.Millisecond))
 
 	g := gcs.NewGroundStation(sys)
-	if err := fly(g, 100*time.Millisecond); err != nil {
+	if err := g.Fly(100 * time.Millisecond); err != nil {
 		return err
 	}
 	g.SendFrame(attack.Frame(payload))
-	if err := fly(g, 4*time.Second); err != nil {
+	if err := g.Fly(4 * time.Second); err != nil {
 		return err
 	}
 	st := sys.Master.Stats()
@@ -94,7 +85,7 @@ func run() error {
 	fmt.Printf("  master detected %d failed attack(s), re-randomized %d time(s)\n",
 		st.FailuresDetected, st.Randomizations-1)
 	before := g.Mon.Pulses
-	if err := fly(g, 200*time.Millisecond); err != nil {
+	if err := g.Fly(200 * time.Millisecond); err != nil {
 		return err
 	}
 	fmt.Printf("  vehicle recovered in flight: %d fresh telemetry pulses\n", g.Mon.Pulses-before)

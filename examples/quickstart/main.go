@@ -56,10 +56,8 @@ func run() error {
 	// 4. Fly for a second of simulated time and set a parameter.
 	station := gcs.NewGroundStation(sys)
 	station.SetParam("RATE_RLL_P", 1.5)
-	for i := 0; i < 100; i++ {
-		if err := station.Step(10 * time.Millisecond); err != nil {
-			return err
-		}
+	if err := station.Fly(time.Second); err != nil {
+		return err
 	}
 	fmt.Printf("flew 1s: %d telemetry pulses, gyro=%d, anomalies: garbage=%d gaps=%d\n",
 		station.Mon.Pulses, station.Mon.LastGyro, station.Mon.Garbage, station.Mon.SeqGaps)

@@ -41,14 +41,6 @@ func run() error {
 	fmt.Printf("  vulnerable buffer at 0x%04X, frame %dB, handler returns to 0x%X\n\n",
 		a.BufAddr, a.FrameBytes, a.OrigRet*2)
 
-	fly := func(g *gcs.GroundStation, d time.Duration) error {
-		for e := time.Duration(0); e < d; e += 10 * time.Millisecond {
-			if err := g.Step(10 * time.Millisecond); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	newVictim := func() (*gcs.GroundStation, error) {
 		sys := board.NewSystem(board.SystemConfig{Unprotected: true})
 		if err := sys.FlashFirmware(img); err != nil {
@@ -58,7 +50,7 @@ func run() error {
 			return nil, err
 		}
 		g := gcs.NewGroundStation(sys)
-		return g, fly(g, 100*time.Millisecond)
+		return g, g.Fly(100 * time.Millisecond)
 	}
 	report := func(name string, g *gcs.GroundStation) {
 		cfg := g.Sys.App.CPU.Data[firmware.AddrGyroCfg]
@@ -78,7 +70,7 @@ func run() error {
 		return err
 	}
 	g.SendFrame(attack.Frame(p1))
-	if err := fly(g, 600*time.Millisecond); err != nil {
+	if err := g.Fly(600 * time.Millisecond); err != nil {
 		return err
 	}
 	report("V1 (basic ROP)     ", g)
@@ -93,7 +85,7 @@ func run() error {
 		return err
 	}
 	g.SendFrame(attack.Frame(p2))
-	if err := fly(g, 600*time.Millisecond); err != nil {
+	if err := g.Fly(600 * time.Millisecond); err != nil {
 		return err
 	}
 	report("V2 (stealthy)      ", g)
@@ -115,11 +107,11 @@ func run() error {
 		attack.StagedChainLen(a, len(big)), len(packets))
 	for _, p := range packets {
 		g.SendFrame(attack.Frame(p))
-		if err := fly(g, 60*time.Millisecond); err != nil {
+		if err := g.Fly(60 * time.Millisecond); err != nil {
 			return err
 		}
 	}
-	if err := fly(g, 300*time.Millisecond); err != nil {
+	if err := g.Fly(300 * time.Millisecond); err != nil {
 		return err
 	}
 	report("V3 (trampoline)    ", g)

@@ -51,10 +51,12 @@
 //	{"base_digest":"…",…,"report":{…}}\n<image bytes>
 //
 // Content-Length covers head and image, so the client reads the body
-// into one exact-size buffer, unmarshals only the head and takes the
-// rest as the image; the server reads an upload the same way and
-// answers 413, unread, to a declared length above MaxImageBytes. Every
-// body either side reads is bounded. Error bodies and GET /report/ are
+// by its declared length, unmarshals only the head and takes the rest
+// as the image; the server reads an upload the same way and answers
+// 413, unread, to a declared length above MaxImageBytes. Either side
+// grows its buffer as bytes arrive, so a declared length pins no
+// memory the peer has not sent. Every body either side reads is
+// bounded, and mavr-armory's server times out idle and slow peers. Error bodies and GET /report/ are
 // plain JSON. The client re-hashes the image and the permutation,
 // checks the holder and verifies the signature before it returns an
 // artifact.

@@ -13,10 +13,10 @@ import (
 	"mavr/internal/staticverify"
 )
 
-// MaxImageBytes bounds a POST /randomize body: generously above any AVR
-// flash image (256 KiB parts), small enough that a confused client
-// cannot exhaust the server.
-const MaxImageBytes = 8 << 20
+// MaxImageBytes bounds a POST /randomize body: four times the
+// ATmega2560's 256 KiB of flash, and over three times the largest real
+// upload (ArduCopter's ELF, 289,670 bytes).
+const MaxImageBytes = 1 << 20
 
 // errorResponse is the JSON body of every non-2xx response.
 type errorResponse struct {
@@ -34,8 +34,9 @@ type errorResponse struct {
 // A 200 answer to /randomize is the artifact format (wire.go): the
 // signed Artifact's JSON head without its image, a newline, then the
 // image's raw bytes, with Content-Length set. The upload is read by
-// its Content-Length into one buffer; a declared length above
-// MaxImageBytes is a 413 before any of it is read. Every other answer,
+// its Content-Length into a buffer that grows as bytes arrive; a
+// declared length above MaxImageBytes is a 413 before any of it is
+// read. Every other answer,
 // errors included, is one JSON value.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // maxResponseBytes bounds every body the client reads: the largest
@@ -18,21 +19,51 @@ const maxResponseBytes = MaxImageBytes + 1<<20
 // errTooLarge is readBody's answer to a body over its limit.
 var errTooLarge = errors.New("body too large")
 
+// readChunk is the buffer readBody starts a declared-length body in.
+const readChunk = 64 << 10
+
+// firstChunks recycles the buffers the first readChunk bytes of a
+// longer body arrive in: readBody copies them out when it grows, so the
+// usual upload or artifact allocates only its full-size buffer.
+var firstChunks = sync.Pool{New: func() any { return new([readChunk]byte) }}
+
 // readBody reads an HTTP body of declared length (-1 when unknown, as
 // for a chunked body) that may hold at most limit bytes. A declared
-// length above limit fails before anything is read; a declared length
-// is read into one buffer of exactly that size; an unknown one is read
-// until EOF or one byte past limit.
+// length above limit fails before anything is read. A declared length
+// is read into a buffer that starts at readChunk bytes and quadruples
+// as bytes arrive, its last size exactly the declared one, so a peer
+// that declares the limit and sends little pins little: at most four
+// times what it sent, or readChunk. Quadrupling rather than doubling
+// reads a body of up to 256 KiB, every artifact and most uploads, with
+// a single 64 KiB copy. An unknown length is read until EOF or one
+// byte past limit.
 func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
 	if declared > limit {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errTooLarge, declared, limit)
 	}
 	if declared >= 0 {
-		buf := make([]byte, declared)
-		if _, err := io.ReadFull(body, buf); err != nil {
-			return nil, err
+		var buf []byte
+		if declared > readChunk { // outgrown before readBody returns
+			chunk := firstChunks.Get().(*[readChunk]byte)
+			defer firstChunks.Put(chunk)
+			buf = chunk[:]
+		} else {
+			buf = make([]byte, declared)
 		}
-		return buf, nil
+		for n := 0; ; {
+			if _, err := io.ReadFull(body, buf[n:]); err != nil {
+				if err == io.EOF && n > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+			if n = len(buf); int64(n) == declared {
+				return buf, nil
+			}
+			grown := make([]byte, min(4*int64(n), declared))
+			copy(grown, buf)
+			buf = grown
+		}
 	}
 	buf, err := io.ReadAll(io.LimitReader(body, limit+1))
 	if err != nil {

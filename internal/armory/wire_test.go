@@ -2,8 +2,11 @@ package armory
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -88,4 +91,35 @@ func FuzzArtifactWire(f *testing.F) {
 			t.Fatalf("encoding is not a fixed point:\n%q\n%q", first[:bytes.IndexByte(first, '\n')], second[:bytes.IndexByte(second, '\n')])
 		}
 	})
+}
+
+// TestReadBodyPinsOnlyWhatArrives: a body that declares MaxImageBytes,
+// delivers a few bytes and ends must fail having allocated a small
+// bounded amount, not the declared length, as must one that ends on a
+// buffer boundary. Bodies of each size around the boundaries read back
+// exactly, into a buffer of exactly the declared size.
+func TestReadBodyPinsOnlyWhatArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readBody(bytes.NewReader([]byte("abc")), MaxImageBytes, MaxImageBytes)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("3 bytes of a declared %d: err = %v, want unexpected EOF", MaxImageBytes, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readChunk {
+		t.Fatalf("3 bytes of a declared %d allocated %d bytes, want at most %d", MaxImageBytes, grew, 2*readChunk)
+	}
+	if _, err := readBody(bytes.NewReader(make([]byte, readChunk)), 2*readChunk, MaxImageBytes); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a body ending on the first buffer's end: err = %v, want unexpected EOF", err)
+	}
+	for _, n := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 5, MaxImageBytes} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		got, err := readBody(bytes.NewReader(body), int64(n), MaxImageBytes)
+		if err != nil || !bytes.Equal(got, body) || cap(got) != n {
+			t.Fatalf("%d-byte body: err = %v, equal = %v, cap = %d", n, err, bytes.Equal(got, body), cap(got))
+		}
+	}
 }

@@ -33,6 +33,20 @@ func testFirmware(t testing.TB) *firmware.Image {
 	return imgVal
 }
 
+// waitClientSim blocks until c has received a datagram stamped at sim
+// time target or later, so the downlink a monitor assertion reads has
+// landed up to target.
+func waitClientSim(t testing.TB, c *Client, target time.Duration) {
+	t.Helper()
+	end := time.Now().Add(time.Minute)
+	for c.SimTime() < target {
+		if time.Now().After(end) {
+			t.Fatalf("client %d sim clock stalled at %v, want %v", c.cfg.SysID, c.SimTime(), target)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // waitSim blocks until every vehicle's sim clock reaches target.
 func waitSim(t testing.TB, f *Fleet, target time.Duration, deadline time.Duration) {
 	t.Helper()
@@ -99,10 +113,8 @@ func TestFleetLoopback64(t *testing.T) {
 	if got := f.Sessions(); got != vehicles {
 		t.Errorf("sessions = %d, want %d", got, vehicles)
 	}
-	// Let in-flight datagrams land before judging the monitors.
-	time.Sleep(200 * time.Millisecond)
-
 	for i, c := range clients {
+		waitClientSim(t, c, simTarget)
 		mon := c.Monitor()
 		st := c.Stats()
 		if st.DatagramsIn == 0 {
@@ -160,7 +172,7 @@ func TestFleetLossyLinkStaysHealthy(t *testing.T) {
 	defer c.Close()
 
 	waitSim(t, f, 1100*time.Millisecond, 2*time.Minute)
-	time.Sleep(250 * time.Millisecond) // let delayed datagrams drain
+	waitClientSim(t, c, 1100*time.Millisecond)
 
 	sess := f.sessions.all()
 	if len(sess) != 1 {
@@ -236,7 +248,7 @@ func TestStealthyAttackOverSocketEvadesMonitor(t *testing.T) {
 
 	// Fly on: the stealthy chain must keep telemetry flowing.
 	waitSim(t, f, landedAt+400*time.Millisecond, time.Minute)
-	time.Sleep(100 * time.Millisecond)
+	waitClientSim(t, c, landedAt+400*time.Millisecond)
 
 	mon := c.Monitor()
 	if mon.Pulses == 0 || mon.Heartbeats == 0 {
@@ -301,7 +313,7 @@ func TestV1CrashOverSocketIsDetected(t *testing.T) {
 	c.SendFrame(attack.Frame(payload))
 	start := f.Vehicle(1).Snapshot().SimTime
 	waitSim(t, f, start+900*time.Millisecond, time.Minute)
-	time.Sleep(100 * time.Millisecond)
+	waitClientSim(t, c, start+900*time.Millisecond)
 
 	mon := c.Monitor()
 	if !mon.VehicleSilent(300 * time.Millisecond) {

@@ -52,7 +52,7 @@ func TestFleetSupervisionRecoversPanics(t *testing.T) {
 	defer c.Close()
 
 	waitSim(t, f, 1100*time.Millisecond, 2*time.Minute)
-	time.Sleep(100 * time.Millisecond)
+	waitClientSim(t, c, 1100*time.Millisecond)
 
 	v := f.Vehicle(1)
 	if got := v.Restarts(); got < scheduled {
@@ -270,7 +270,7 @@ func TestChaosCorruptionDegradesToLoss(t *testing.T) {
 	defer c.Close()
 
 	waitSim(t, f, 1100*time.Millisecond, 2*time.Minute)
-	time.Sleep(100 * time.Millisecond)
+	waitClientSim(t, c, 1100*time.Millisecond)
 
 	st := c.Stats()
 	if st.CorruptDatagrams == 0 {

@@ -116,6 +116,49 @@ func Builtin() []Spec {
 	}
 }
 
+// Effectiveness returns the two §VII-A effectiveness runs, in print
+// order: the stealthy V2 payload built against the stock image, sent
+// 100ms into the flight of the unprotected board, then of the MAVR
+// board. Each run's Notes is its label in mavr-bench's output.
+func Effectiveness() []Spec {
+	v2 := []Injection{{At: 100 * time.Millisecond, Kind: InjectV2, Value: 0x7F}}
+	return []Spec{
+		{Name: "effectiveness-unprotected", Notes: "unprotected board", Board: BoardUnprotected,
+			Run: 500 * time.Millisecond, Injections: v2},
+		{Name: "effectiveness-mavr", Notes: "MAVR board", Board: BoardMAVR, Seed: 5,
+			WatchdogTimeout: 20 * time.Millisecond, Run: 4100 * time.Millisecond, Injections: v2},
+	}
+}
+
+// Matrix returns the deployment-matrix rows, in print order: a payload
+// made against the stock vulnerable build, sent 100ms into a 3.1s
+// flight, against every deployment configuration the paper discusses.
+// Each row's Notes is its label in mavr-bench's table.
+func Matrix() []Spec {
+	inj := func(kind string) []Injection {
+		return []Injection{{At: 100 * time.Millisecond, Kind: kind, Value: 0x7F}}
+	}
+	mavr := func(name, notes, kind string) Spec {
+		return Spec{Name: name, Notes: notes, Board: BoardMAVR, Seed: 5,
+			WatchdogTimeout: 20 * time.Millisecond, Run: 3100 * time.Millisecond, Injections: inj(kind)}
+	}
+	return []Spec{
+		{Name: "matrix-unprotected", Notes: "unprotected APM, vulnerable FW, V2", Board: BoardUnprotected,
+			Run: 3100 * time.Millisecond, Injections: inj(InjectV2)},
+		{Name: "matrix-unprotected-patched", Notes: "unprotected APM, patched FW, V2", Board: BoardUnprotected,
+			Patched: true, Run: 3100 * time.Millisecond, Injections: inj(InjectV2)},
+		{Name: "matrix-software-only", Notes: "software-only randomization, V2", Board: BoardSoftwareOnly,
+			Seed: 3, Run: 3100 * time.Millisecond, Injections: inj(InjectV2)},
+		mavr("matrix-mavr", "MAVR, V2", InjectV2),
+		// §VI-B4: the resident bootloader is never randomized, so its
+		// gadgets outlive every permutation. The plain write lands but
+		// dies with the crash and the recovery reflash; the EEPROM write
+		// persists through it.
+		mavr("matrix-mavr-boot-v1", "MAVR + serial bootloader, boot-gadget V1", InjectBootV1),
+		mavr("matrix-mavr-boot-eeprom", "MAVR + bootloader, boot-gadget EEPROM V1", InjectBootEEPROM),
+	}
+}
+
 // Lookup resolves a builtin scenario by name.
 func Lookup(name string) (Spec, error) {
 	for _, s := range Builtin() {

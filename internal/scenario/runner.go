@@ -28,12 +28,48 @@ type Result struct {
 // Trace renders the canonical JSONL trace.
 func (r *Result) Trace() string { return TraceString(r.Records) }
 
-// send is one uplink packet scheduled by the injection plan.
-type send struct {
-	at      time.Duration // sim time relative to run start
-	note    string
-	payload []byte // raw overflow payload (pre-framing)
-	landed  func(*board.System) bool
+// Packet is one attack packet of a Spec's injection plan.
+type Packet struct {
+	// At is the send time, in sim time from the end of boot.
+	At time.Duration
+	// Note describes the packet in the trace's inject record.
+	Note string
+	// Payload is the raw overflow payload, before PARAM_SET framing
+	// (attack.Frame).
+	Payload []byte
+	// landed reports whether the packet's write is in place at the end
+	// of the run (nil for a probe, which is expected to miss).
+	landed func(*board.System) bool
+}
+
+// Packets expands spec's injections into the packets Run sends, in
+// send order, for callers that deliver them over their own link.
+func Packets(spec Spec) ([]Packet, error) {
+	_, pkts, err := plan(spec.withDefaults())
+	return pkts, err
+}
+
+// plan builds the image Run flashes and the packets it sends. The
+// attacker analyzes the vulnerable stock build of spec.App (the paper's
+// threat model: the stock image is public, the randomized one is not),
+// so a Patched spec flashes a different build from the one its
+// payloads were made for.
+func plan(spec Spec) (*firmware.Image, []Packet, error) {
+	app, err := firmware.Profile(spec.App)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: %w", err)
+	}
+	img, err := firmware.Generate(app, firmware.ModeMAVR)
+	if err != nil {
+		return nil, nil, err
+	}
+	pkts, err := buildSends(spec, img)
+	if err != nil || !spec.Patched {
+		return img, pkts, err
+	}
+	app.Vulnerable = false
+	img, err = firmware.Generate(app, firmware.ModeMAVR)
+	return img, pkts, err
 }
 
 // Run executes the scenario and returns its trace. It is strictly
@@ -41,15 +77,7 @@ type send struct {
 // byte-identical trace.
 func Run(spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
-	app, err := firmware.Profile(spec.App)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	img, err := firmware.Generate(app, firmware.ModeMAVR)
-	if err != nil {
-		return nil, err
-	}
-	sends, err := buildSends(spec, img)
+	img, sends, err := plan(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +171,9 @@ func Run(spec Spec) (*Result, error) {
 
 	startNote := fmt.Sprintf("%s board=%s app=%s seed=%d drop=%g dup=%g injections=%d",
 		spec.Name, spec.Board, spec.App, spec.Seed, spec.Link.DropRate, spec.Link.DupRate, len(spec.Injections))
+	if spec.Patched {
+		startNote += " patched"
+	}
 	if chaosOn {
 		startNote += fmt.Sprintf(" chaos(partition=%g window=%d corrupt=%g)",
 			spec.Chaos.PartitionRate, spec.Chaos.PartitionWindow, spec.Chaos.CorruptRate)
@@ -158,15 +189,15 @@ func Run(spec Spec) (*Result, error) {
 		now := sys.Now()
 		elapsed := now - start
 		// Fire injections that are due before this step.
-		for sent < len(sends) && sends[sent].at <= elapsed {
+		for sent < len(sends) && sends[sent].At <= elapsed {
 			s := sends[sent]
-			f := attack.Frame(s.payload)
+			f := attack.Frame(s.Payload)
 			f.Seq = mavSeq
 			mavSeq++
 			wire := f.MarshalOversize()
 			sys.SendToUAV(wire)
 			r.Records = append(r.Records, Record{
-				T: int64(now), Kind: "inject", Note: s.note,
+				T: int64(now), Kind: "inject", Note: s.Note,
 				N: len(wire), Payload: fnvDigest(wire),
 			})
 			sent++
@@ -237,18 +268,14 @@ func Run(spec Spec) (*Result, error) {
 		v.Reflashes = len(sys.Reflashes())
 		v.VerifyRejections = st.VerifyRejections
 	}
-	landedAll := false
 	for _, s := range sends {
 		if s.landed == nil {
 			continue
 		}
-		if !s.landed(sys) {
-			landedAll = false
+		if v.AttackLanded = s.landed(sys); !v.AttackLanded {
 			break
 		}
-		landedAll = true
 	}
-	v.AttackLanded = landedAll
 	r.Verdict = v
 	r.Records = append(r.Records, Record{T: int64(sys.Now()), Kind: "verdict", Verdict: &v})
 	return r, nil
@@ -272,10 +299,9 @@ func buildSystem(spec Spec) (*board.System, error) {
 	return nil, fmt.Errorf("scenario: unknown board mode %q", spec.Board)
 }
 
-// buildSends expands the injection plan into concrete payloads. The
-// attacker analyzes the unprotected application binary (the paper's
-// threat model: the stock image is public, the randomized one is not).
-func buildSends(spec Spec, img *firmware.Image) ([]send, error) {
+// buildSends expands the injection plan into concrete payloads
+// against img, the build the attacker analyzed.
+func buildSends(spec Spec, img *firmware.Image) ([]Packet, error) {
 	if len(spec.Injections) == 0 {
 		return nil, nil
 	}
@@ -283,51 +309,40 @@ func buildSends(spec Spec, img *firmware.Image) ([]send, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The synthesized chain is searched for once per Spec (it depends
-	// only on the binary and the seed) and reused by every synth
-	// injection.
+	// The synthesized chain (a function of the binary and the seed) and
+	// the bootloader-gadget analysis are built once per Spec, by the
+	// first injection that needs them.
 	var synth *attack.Synthesis
-	synthesize := func() (*attack.Synthesis, error) {
-		if synth != nil {
-			return synth, nil
-		}
-		s, err := attack.Synthesize(img.ELF, attack.SynthOptions{Stealth: true, Seed: spec.Seed})
-		if err != nil {
-			return nil, err
-		}
-		synth = s
-		return s, nil
-	}
-	var sends []send
+	var boot *attack.Analysis
+	var sends []Packet
 	for idx, inj := range spec.Injections {
 		inj = inj.withDefaults()
 		w := attack.Write{Addr: inj.Addr, Vals: [3]byte{inj.Value, 0, 0}}
-		landedAt := func(addr uint16, val byte) func(*board.System) bool {
-			return func(s *board.System) bool { return s.App.CPU.Data[addr] == val }
+		pkt := Packet{
+			At:     inj.At,
+			Note:   fmt.Sprintf("%s write 0x%04X=0x%02X", inj.Kind, inj.Addr, inj.Value),
+			landed: func(s *board.System) bool { return s.App.CPU.Data[inj.Addr] == inj.Value },
 		}
 		switch inj.Kind {
 		case InjectV1:
-			p, err := attack.BuildV1(a, w)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
-			}
-			sends = append(sends, send{
-				at:      inj.At,
-				note:    fmt.Sprintf("v1 write 0x%04X=0x%02X", inj.Addr, inj.Value),
-				payload: p,
-				landed:  landedAt(inj.Addr, inj.Value),
-			})
+			pkt.Payload, err = attack.BuildV1(a, w)
 		case InjectV2:
-			p, err := attack.BuildV2(a, w)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
+			pkt.Payload, err = attack.BuildV2(a, w)
+		case InjectBootV1, InjectBootEEPROM:
+			if boot == nil {
+				b := *a
+				if err = b.UseFixedGadgets(img.Bootloader, firmware.BootloaderStart); err != nil {
+					break
+				}
+				boot = &b
 			}
-			sends = append(sends, send{
-				at:      inj.At,
-				note:    fmt.Sprintf("v2 write 0x%04X=0x%02X", inj.Addr, inj.Value),
-				payload: p,
-				landed:  landedAt(inj.Addr, inj.Value),
-			})
+			writes := []attack.Write{w}
+			if inj.Kind == InjectBootEEPROM {
+				writes = attack.EEPROMCfgWrites(firmware.EEPROMCfgAddr, inj.Value)
+				pkt.Note = fmt.Sprintf("boot-eeprom write EEPROM 0x%04X=0x%02X", firmware.EEPROMCfgAddr, inj.Value)
+				pkt.landed = func(s *board.System) bool { return s.App.CPU.EEPROM[firmware.EEPROMCfgAddr] == inj.Value }
+			}
+			pkt.Payload, err = attack.BuildV1(boot, writes...)
 		case InjectV3:
 			var big []attack.Write
 			for i := 0; i < inj.StageWrites; i++ {
@@ -336,62 +351,51 @@ func buildSends(spec Spec, img *firmware.Image) ([]send, error) {
 					Vals: [3]byte{inj.Value, byte(i), byte(i + 100)},
 				})
 			}
-			packets, err := attack.BuildV3(a, big, inj.StageAddr)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
+			var packets [][]byte
+			if packets, err = attack.BuildV3(a, big, inj.StageAddr); err != nil {
+				break
 			}
 			for i, p := range packets {
-				sends = append(sends, send{
-					at:      inj.At + time.Duration(i)*inj.Spacing,
-					note:    fmt.Sprintf("v3 packet %d/%d stage 0x%04X", i+1, len(packets), inj.StageAddr),
-					payload: p,
-					landed:  landedAt(inj.Addr, inj.Value),
+				sends = append(sends, Packet{
+					At:      inj.At + time.Duration(i)*inj.Spacing,
+					Note:    fmt.Sprintf("v3 packet %d/%d stage 0x%04X", i+1, len(packets), inj.StageAddr),
+					Payload: p,
+					landed:  pkt.landed,
 				})
 			}
+			continue
 		case InjectSynth:
-			s, err := synthesize()
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
+			if synth == nil {
+				if synth, err = attack.Synthesize(img.ELF, attack.SynthOptions{Stealth: true, Seed: spec.Seed}); err != nil {
+					break
+				}
 			}
-			if !s.Found {
-				return nil, fmt.Errorf("scenario: injection %d: synthesis found no chain (%d attempts)", idx, s.Attempts)
+			if !synth.Found {
+				return nil, fmt.Errorf("scenario: injection %d: synthesis found no chain (%d attempts)", idx, synth.Attempts)
 			}
-			p, err := s.PayloadFor(w)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
-			}
+			pkt.Payload, err = synth.PayloadFor(w)
 			grade := "landing"
-			if s.Stealthy {
+			if synth.Stealthy {
 				grade = "stealthy"
 			}
-			note := fmt.Sprintf("synth %s load=0x%06X store=0x%06X", grade, s.Writer.LoadAddr, s.Writer.StoreAddr)
-			if s.Pivot != nil {
-				note += fmt.Sprintf(" pivot=0x%06X", s.Pivot.Addr)
+			pkt.Note = fmt.Sprintf("synth %s load=0x%06X store=0x%06X", grade, synth.Writer.LoadAddr, synth.Writer.StoreAddr)
+			if synth.Pivot != nil {
+				pkt.Note += fmt.Sprintf(" pivot=0x%06X", synth.Pivot.Addr)
 			}
-			note += fmt.Sprintf(" attempts=%d write 0x%04X=0x%02X", s.Attempts, inj.Addr, inj.Value)
-			sends = append(sends, send{
-				at:      inj.At,
-				note:    note,
-				payload: p,
-				landed:  landedAt(inj.Addr, inj.Value),
-			})
+			pkt.Note += fmt.Sprintf(" attempts=%d write 0x%04X=0x%02X", synth.Attempts, inj.Addr, inj.Value)
 		case InjectProbe:
-			p, err := attack.BuildV1(a.AssumeWriteMem(inj.Candidate), w)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
-			}
-			sends = append(sends, send{
-				at:      inj.At,
-				note:    fmt.Sprintf("probe candidate 0x%06X write 0x%04X=0x%02X", inj.Candidate, inj.Addr, inj.Value),
-				payload: p,
-				// A probe is expected to miss; it never counts toward
-				// AttackLanded.
-			})
+			pkt.Payload, err = attack.BuildV1(a.AssumeWriteMem(inj.Candidate), w)
+			pkt.Note = fmt.Sprintf("probe candidate 0x%06X write 0x%04X=0x%02X", inj.Candidate, inj.Addr, inj.Value)
+			pkt.landed = nil // a probe never counts toward AttackLanded
 		default:
 			return nil, fmt.Errorf("scenario: injection %d: unknown kind %q", idx, inj.Kind)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario: injection %d: %w", idx, err)
+		}
+		sends = append(sends, pkt)
 	}
-	sort.SliceStable(sends, func(i, j int) bool { return sends[i].at < sends[j].at })
+	sort.SliceStable(sends, func(i, j int) bool { return sends[i].At < sends[j].At })
 	return sends, nil
 }
 

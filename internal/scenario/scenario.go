@@ -44,6 +44,11 @@ type Spec struct {
 	// App is the firmware profile name: "testapp" (default),
 	// "arduplane", "arducopter" or "ardurover".
 	App string `json:"app,omitempty"`
+	// Patched flashes the build with the PARAM_SET length check (the
+	// profile's Vulnerable cleared). The attacker still analyzes the
+	// vulnerable build, so the payloads are the ones that would own an
+	// unpatched vehicle.
+	Patched bool `json:"patched,omitempty"`
 	// Seed drives every random choice in the scenario: the master's
 	// permutation source (or the software-only flash-time permutation).
 	Seed int64 `json:"seed"`
@@ -128,10 +133,13 @@ type Injection struct {
 	At time.Duration `json:"atNs"`
 	// Kind selects the payload generation: "v1" (§IV-C crash-after
 	// write), "v2" (§IV-D stealthy clean return), "v3" (§IV-E
-	// trampoline) or "probe" (§VIII-A blind gadget guess at Candidate).
+	// trampoline), "probe" (§VIII-A blind gadget guess at Candidate),
+	// "synth" (a synthesized chain) or one of the two §VI-B4
+	// boot-gadget kinds, "boot-v1" and "boot-eeprom".
 	Kind string `json:"kind"`
 	// Addr is the data-space address of the 3-byte write (default
-	// firmware.AddrGyroCfg).
+	// firmware.AddrGyroCfg). A "boot-eeprom" injection writes the
+	// EEPROM cell firmware.EEPROMCfgAddr instead.
 	Addr uint16 `json:"addr,omitempty"`
 	// Value is the first written byte.
 	Value byte `json:"value"`
@@ -165,6 +173,16 @@ const (
 	// payload comes from whatever pivot/writer shapes the search found,
 	// seeded by the Spec's Seed.
 	InjectSynth = "synth"
+	// InjectBootV1 is V1 over the gadgets of the resident serial
+	// bootloader, which sits at a fixed address MAVR never randomizes
+	// (§VI-B4): the write lands on every permutation.
+	InjectBootV1 = "boot-v1"
+	// InjectBootEEPROM is the same boot-gadget V1 driving the EEPROM
+	// controller (attack.EEPROMCfgWrites): Value persists at
+	// firmware.EEPROMCfgAddr, and the firmware loads it into the gyro
+	// configuration at every boot, the master's recovery reflash
+	// included.
+	InjectBootEEPROM = "boot-eeprom"
 )
 
 func (s Spec) withDefaults() Spec {

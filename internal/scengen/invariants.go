@@ -48,7 +48,7 @@ func verdictOf(recs []scenario.Record) *scenario.Verdict {
 	return last.Verdict
 }
 
-// injectionKinds collects the distinct injection kinds of a spec.
+// hasKind reports whether any injection of spec is of kind.
 func hasKind(spec scenario.Spec, kind string) bool {
 	for _, inj := range spec.Injections {
 		if inj.Kind == kind {
@@ -117,7 +117,8 @@ func Invariants() []Invariant {
 			Name:  "stealthy-attack-invisible",
 			Claim: "§IV-D/§VII-A: clean-return attacks on an unprotected board land and leave no compromise evidence",
 			Applies: func(spec scenario.Spec) bool {
-				return spec.Board == scenario.BoardUnprotected && len(spec.Injections) > 0 &&
+				// A patched build bounds the PARAM_SET copy: nothing lands.
+				return spec.Board == scenario.BoardUnprotected && !spec.Patched && len(spec.Injections) > 0 &&
 					kindsWithin(spec, scenario.InjectV2, scenario.InjectV3) && quiet(spec)
 			},
 			Check: func(spec scenario.Spec, recs []scenario.Record) *scenario.Divergence {
@@ -183,8 +184,12 @@ func Invariants() []Invariant {
 			Name:  "stale-chain-neutralized",
 			Claim: "§V/§VIII-A: a chain built against the stock layout never reaches its payload on a randomized board",
 			Applies: func(spec scenario.Spec) bool {
+				// Boot-gadget chains are not stale: the bootloader is
+				// never randomized (§VI-B4), and an EEPROM write
+				// survives the recovery reflash by design.
 				return spec.Board != scenario.BoardUnprotected && len(spec.Injections) > 0 &&
-					!kindsWithin(spec, scenario.InjectProbe)
+					!kindsWithin(spec, scenario.InjectProbe) &&
+					!hasKind(spec, scenario.InjectBootV1) && !hasKind(spec, scenario.InjectBootEEPROM)
 			},
 			Check: func(spec scenario.Spec, recs []scenario.Record) *scenario.Divergence {
 				if v := verdictOf(recs); v != nil && v.AttackLanded {

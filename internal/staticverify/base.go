@@ -21,10 +21,11 @@ import (
 // targets remapped through the permutation's bijection. Two conditions
 // make that proof carry the whole analysis over:
 //
-//   - No direct transfer lands on the second word of a jmp/call into a
-//     block. The randomizer rewrites that word, so the base and each
-//     permutation would execute different code there; the diff reports
-//     such a transfer as an error on every outcome.
+//   - No direct transfer, vector or tabled function pointer lands on
+//     the second word of a jmp/call into a block. The randomizer
+//     rewrites that word, so the base and each permutation would
+//     execute different code there; the diff reports such a target as
+//     an error on every outcome.
 //   - The value-set analysis reads every flash byte below RegionEnd as
 //     top, since the fixed region's transfer words change per
 //     permutation too; the bytes above it that it does read are data
@@ -57,6 +58,9 @@ type Base struct {
 	regions []patchRegion
 	data    []byteRange
 	vecEnd  uint32
+	// operands marks the target words of jmp/calls into blocks, which
+	// no transfer, pointer or vector may target (patchIndex).
+	operands map[uint32]bool
 
 	// stats and found are the base image's CFG summary and findings.
 	stats CFGStats
@@ -102,7 +106,7 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	// The graph's function order is pre.Blocks order, and CFG recovery
 	// already decoded each block: the diff and the analysis reuse it.
 	g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd)
-	b.regions = patchIndex(pre, g)
+	b.regions, b.operands = patchIndex(pre, g)
 	b.data = dataRanges(pre)
 	b.stats = cfgStats(g)
 	b.found = g.found

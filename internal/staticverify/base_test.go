@@ -365,37 +365,80 @@ func arduplaneOperandBase(t testing.TB) *core.Preprocessed {
 	return &mod
 }
 
+// testappOperandBases are the test application with one word pointed
+// at word 3 (byte 0x6), the target word of vector 1's jmp into a block:
+// first its first tabled function pointer, then vector 2's jmp. Both
+// CFGs are clean. It returns the two bases and the byte addresses of
+// the pointer slot and of vector 2.
+func testappOperandBases(t testing.TB) (ptr, vec *core.Preprocessed, slot, vector uint32) {
+	t.Helper()
+	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := core.Preprocess(img.ELF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := avr.DecodeAt(pre.Image, 2)
+	if v1.Op != avr.OpJMP || pre.BlockIndex(v1.Target*2) < 0 || avr.DecodeAt(pre.Image, 4).Op != avr.OpJMP {
+		t.Fatal("vector 1 no longer jumps into a block, or vector 2 is no jmp")
+	}
+	ptr, vec = new(core.Preprocessed), new(core.Preprocessed)
+	*ptr, *vec = *pre, *pre
+	ptr.Image, vec.Image = slices.Clone(pre.Image), slices.Clone(pre.Image)
+	slot, vector = pre.PtrOffsets[0], 8
+	ptr.Image[slot], ptr.Image[slot+1] = 3, 0
+	vec.Image[vector+2], vec.Image[vector+3] = 3, 0 // jmp's target word
+	return ptr, vec, slot, vector
+}
+
 // TestOperandTargetFailsEveryOutcome is the regression test for a
-// transfer onto a jmp/call's target word: the randomizer rewrites that
-// word, so base and permutation execute different code there, and a
-// clean diff on a clean base proves nothing about the randomized CFG.
-// Before the diff reported such a transfer, Base.Verify passed this
-// ArduPlane base at seeds 1–30 while the reference verifier, which
-// recovers each randomized image's own CFG, failed 3 of them. Both
-// must now fail every seed, at the transfer.
+// transfer, function pointer or vector onto a jmp/call's target word:
+// the randomizer rewrites that word, so base and permutation execute
+// different code there, and a clean diff on a clean base proves nothing
+// about the randomized CFG. Before the diff reported such a transfer,
+// Base.Verify passed an ArduPlane base with an rcall onto one at seeds
+// 1–30 while the reference verifier, which recovers each randomized
+// image's own CFG, failed 3 of them; before it reported such a pointer,
+// both passed the test application with its first function pointer
+// onto vector 1's target word at every seed. A vector's jmp is a
+// transfer the diff walks, so the transfer check covers it. All must
+// now fail every seed, at the transfer, pointer slot or vector.
 func TestOperandTargetFailsEveryOutcome(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale image in -short mode")
 	}
-	pre := arduplaneOperandBase(t)
-	if g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd); len(g.Findings) != 0 {
-		t.Fatalf("the base CFG has findings: %v", g.Findings)
-	}
-	base := NewBase(pre, DefaultOptions())
-	for seed := int64(1); seed <= 30; seed++ {
-		r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks)))
-		if err != nil {
-			t.Fatal(err)
+	ptr, vec, slot, vector := testappOperandBases(t)
+	for _, c := range []struct {
+		name string
+		pre  *core.Preprocessed
+		at   func(*core.Preprocessed, *core.Randomized) uint32
+	}{
+		{"ArduPlane rcall", arduplaneOperandBase(t), func(pre *core.Preprocessed, r *core.Randomized) uint32 { return remap(pre, r, 0x3F8) }},
+		{"testapp pointer", ptr, func(*core.Preprocessed, *core.Randomized) uint32 { return slot }},
+		{"testapp vector", vec, func(*core.Preprocessed, *core.Randomized) uint32 { return vector }},
+	} {
+		pre := c.pre
+		if g := Recover(pre.Image, pre.Blocks, pre.RegionStart, pre.RegionEnd); len(g.Findings) != 0 {
+			t.Fatalf("%s: the base CFG has findings: %v", c.name, g.Findings)
 		}
-		at := remap(pre, r, 0x3F8)
-		rep := base.Verify(r)
-		if !slices.ContainsFunc(rep.Findings, func(f Finding) bool {
-			return f.Kind == KindDanglingEdge && f.Severity == SevError && f.Addr == at
-		}) {
-			t.Fatalf("seed %d: no dangling-edge error at 0x%X: %v", seed, at, rep.Findings)
-		}
-		if ref := refVerify(pre, r, DefaultOptions()); ref.OK() {
-			t.Fatalf("seed %d: the reference verifier passed the outcome", seed)
+		base := NewBase(pre, DefaultOptions())
+		for seed := int64(1); seed <= 30; seed++ {
+			r, err := core.Randomize(pre, core.Permutation(rand.New(rand.NewSource(seed)), len(pre.Blocks)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := c.at(pre, r)
+			rep := base.Verify(r)
+			if !slices.ContainsFunc(rep.Findings, func(f Finding) bool {
+				return f.Kind == KindDanglingEdge && f.Severity == SevError && f.Addr == at
+			}) {
+				t.Fatalf("%s, seed %d: no dangling-edge error at 0x%X: %v", c.name, seed, at, rep.Findings)
+			}
+			if ref := refVerify(pre, r, DefaultOptions()); ref.OK() {
+				t.Fatalf("%s, seed %d: the reference verifier passed the outcome", c.name, seed)
+			}
 		}
 	}
 }
@@ -408,8 +451,9 @@ func TestOperandTargetFailsEveryOutcome(t *testing.T) {
 // with spm in its fixed region, which CFG recovery does not flag; and
 // on bases whose linear decode stops early in block 0, at an invalid
 // opcode or a two-word instruction overrunning the block, also with
-// block 0 placed last in an image that ends with the region. A block
-// placed past the image end fails the layout check instead: one
+// block 0 placed last in an image that ends with the region; and on
+// bases with a function pointer or a vector onto a jmp's target word. A
+// block placed past the image end fails the layout check instead: one
 // bad-layout finding, and no walk.
 func TestPatchDiffMatchesReference(t *testing.T) {
 	img, err := firmware.Generate(firmware.TestApp(), firmware.ModeMAVR)
@@ -522,6 +566,11 @@ func TestPatchDiffMatchesReference(t *testing.T) {
 	if fs, st := base.diff(&r); len(fs) != 1 || fs[0].Kind != KindBadLayout || st != (DiffStats{}) {
 		t.Fatalf("block past the image end: diff = %v, %+v; want one %s finding", fs, st, KindBadLayout)
 	}
+
+	// A function pointer and a vector onto a jmp's target word.
+	ptr, vec, _, _ := testappOperandBases(t)
+	check(NewBase(ptr, Options{}), randomize(ptr), "pointer onto a jmp's target word")
+	check(NewBase(vec, Options{}), randomize(vec), "vector onto a jmp's target word")
 
 	// Every base mutation's first site, on its own outcome.
 	for kind := baseMutation(1); kind < baseMutations; kind++ {

@@ -90,9 +90,11 @@ func isTransfer(op avr.Op) bool {
 // patchIndex indexes the base image for the patch diff: the fixed
 // region, then one region per block in pre.Blocks order. g, when not
 // nil, is the base image's graph; its per-function decode is reused
-// instead of decoding the blocks again.
-func patchIndex(pre *core.Preprocessed, g *Graph) []patchRegion {
-	regs := make([]patchRegion, 0, len(pre.Blocks)+1)
+// instead of decoding the blocks again. operands marks, by byte
+// address, the target word of every jmp/call into a block: the words
+// the randomizer rewrites.
+func patchIndex(pre *core.Preprocessed, g *Graph) (regs []patchRegion, operands map[uint32]bool) {
+	regs = make([]patchRegion, 0, len(pre.Blocks)+1)
 	regs = append(regs, indexRegion(pre.Image, 0, pre.RegionStart, nil))
 	for i, blk := range pre.Blocks {
 		var code []avr.Instr
@@ -102,7 +104,7 @@ func patchIndex(pre *core.Preprocessed, g *Graph) []patchRegion {
 		regs = append(regs, indexRegion(pre.Image, blk.Start, blk.Size, code))
 	}
 
-	operands := make(map[uint32]bool)
+	operands = make(map[uint32]bool)
 	for _, reg := range regs {
 		for _, s := range reg.sites {
 			if (s.op == avr.OpJMP || s.op == avr.OpCALL) && pre.BlockIndex(s.target) >= 0 {
@@ -116,7 +118,7 @@ func patchIndex(pre *core.Preprocessed, g *Graph) []patchRegion {
 			s.intoOperand = isTransfer(s.op) && operands[s.target]
 		}
 	}
-	return regs
+	return regs, operands
 }
 
 // byteRange is the half-open byte range [lo, hi).
@@ -316,6 +318,8 @@ func (b *Base) diff(r *core.Randomized) ([]Finding, DiffStats) {
 		}
 		if t := want * 2; !starts.has(t) && t >= pre.RegionStart {
 			d.add(KindDanglingEdge, off, "", fmt.Sprintf("relocated pointer 0x%X is not a function entry", t))
+		} else if t < pre.RegionStart && b.operands[t] {
+			d.add(KindDanglingEdge, off, "", operandDetail("pointer", t))
 		}
 	}
 
@@ -449,11 +453,11 @@ func (d *patchDiff) step(s patchSite) uint32 {
 	return s.words
 }
 
-// operandDetail explains a transfer that lands on a jmp/call's
-// rewritten target word.
-func operandDetail(op avr.Op, target uint32) string {
-	return fmt.Sprintf("%s target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation",
-		op, target)
+// operandDetail explains a transfer (its op) or a function pointer
+// (what) that lands on a jmp/call's rewritten target word.
+func operandDetail(what any, target uint32) string {
+	return fmt.Sprintf("%v target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation",
+		what, target)
 }
 
 // Fault-injection errors.
@@ -476,7 +480,8 @@ func RevertPatch(pre *core.Preprocessed, r *core.Randomized, n int) (uint32, err
 		return 0, fmt.Errorf("staticverify: %s", fs[0].Detail)
 	}
 	seen := 0
-	for ri, reg := range patchIndex(pre, nil) {
+	regs, _ := patchIndex(pre, nil)
+	for ri, reg := range regs {
 		oldW, newW := reg.oldStart/2, reg.oldStart/2
 		if ri > 0 {
 			newW = r.NewStart[ri-1] / 2

@@ -29,8 +29,9 @@
 //     image's direct transfers: the randomized image is decoded only
 //     at those sites, the words between them are compared byte for
 //     byte, and so is the data between the pointer slots. Any
-//     unpatched, mispatched or dangling edge, a transfer onto a
-//     jmp/call's rewritten target word, and any changed data byte is a
+//     unpatched, mispatched or dangling edge, a transfer or tabled
+//     pointer onto a jmp/call's rewritten target word (a vector is a
+//     walked transfer), and any changed data byte is a
 //     structured Finding; a layout whose relocated blocks do not tile
 //     the code region is one finding before any walk runs.
 //

@@ -134,7 +134,8 @@ func plantRet(img []byte, w uint32) {
 // the operand word of every jmp and call in the patch index.
 func operandWords(pre *core.Preprocessed, r *core.Randomized) []uint32 {
 	var ws []uint32
-	for ri, reg := range patchIndex(pre, nil) {
+	regs, _ := patchIndex(pre, nil)
+	for ri, reg := range regs {
 		newW := reg.oldStart / 2
 		if ri > 0 {
 			newW = r.NewStart[ri-1] / 2

@@ -201,6 +201,11 @@ func refVerifyPatches(pre *core.Preprocessed, r *core.Randomized) ([]Finding, Di
 				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
 				Detail: fmt.Sprintf("relocated pointer 0x%X is not a function entry", t),
 			})
+		} else if t < pre.RegionStart && operands[t] {
+			findings = append(findings, Finding{
+				Kind: KindDanglingEdge, Severity: SevError, Addr: off,
+				Detail: fmt.Sprintf("pointer target 0x%X is the target word of a jmp/call the randomizer rewrites; what executes there differs per permutation", t),
+			})
 		}
 	}
 
