@@ -148,7 +148,7 @@ func overSocket(addr string, sysid byte, version int, inj scenario.Injection, pk
 	fmt.Printf("attacking vehicle %d at %s with V%d (%d packet(s), %d payload bytes total)\n",
 		sysid, addr, version, len(pkts), totalLen(pkts))
 	for _, p := range pkts {
-		c.SendFrame(attack.Frame(p.Payload))
+		c.SendFrame(p.Frame())
 		if err := waitSim(60 * time.Millisecond); err != nil {
 			return err
 		}

@@ -204,7 +204,7 @@ func effectiveness(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gs := gadget.Scan(img.Flash, 24)
+	gs := gadget.Scan(img.Flash, gadget.Window)
 	fmt.Fprintf(w, "  gadget census on the test application: %d (paper: 953)\n", len(gs))
 	specs := scenario.Effectiveness()
 	open, err := scenario.Run(specs[0])
@@ -328,7 +328,7 @@ func fig45(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	gs := gadget.Scan(img.Flash, 24)
+	gs := gadget.Scan(img.Flash, gadget.Window)
 	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		return err
@@ -397,7 +397,7 @@ func modularity(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  %9d  %7d  %13.1f\n", n, len(gadget.Scan(img.Flash, 24)), core.EntropyBits(n))
+		fmt.Fprintf(w, "  %9d  %7d  %13.1f\n", n, len(gadget.Scan(img.Flash, gadget.Window)), core.EntropyBits(n))
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -38,11 +38,11 @@ import (
 	"strings"
 	"time"
 
-	"mavr/internal/attack"
 	"mavr/internal/chaos"
 	"mavr/internal/firmware"
 	"mavr/internal/gcs"
 	"mavr/internal/netlink"
+	"mavr/internal/scenario"
 )
 
 type options struct {
@@ -54,7 +54,6 @@ type options struct {
 	protect  bool
 	rate     float64
 	step     time.Duration
-	drop     float64
 	attack   bool
 	silence  time.Duration
 	verbose  bool
@@ -83,7 +82,7 @@ func run() error {
 	flag.IntVar(&o.chaos.PartitionWindow, "window", 64, "partition window length in datagram sequence numbers")
 	flag.Float64Var(&o.chaos.CorruptRate, "corrupt", 0.03, "per-datagram corruption probability")
 	flag.Float64Var(&o.chaos.ChurnRate, "churn", 0.1, "per-interval station churn probability")
-	flag.Float64Var(&o.drop, "drop", 0, "link simulator datagram drop probability (both directions)")
+	flag.Float64Var(&o.chaos.DropRate, "drop", 0, "datagram drop probability (both directions)")
 	flag.IntVar(&o.budget, "budget", 64, "supervised restart budget per vehicle")
 	flag.BoolVar(&o.protect, "protect", false, "boot MAVR-protected boards")
 	flag.Float64Var(&o.rate, "rate", 0, "simulated seconds per wall second (0: free-run)")
@@ -156,7 +155,6 @@ func soak(o options, seed int64, img *firmware.Image) error {
 		MasterSeed:    seed,
 		Step:          o.step,
 		Rate:          o.rate,
-		Sim:           netlink.SimConfig{Seed: seed, DropRate: o.drop, DupRate: 0},
 		Chaos:         cfg,
 		RestartBudget: o.budget,
 	})
@@ -194,7 +192,7 @@ func soak(o options, seed int64, img *firmware.Image) error {
 
 	var atk *attacker
 	if o.attack {
-		atk, err = newAttacker(img)
+		atk, err = newAttacker()
 		if err != nil {
 			return err
 		}
@@ -318,30 +316,31 @@ func soak(o options, seed int64, img *firmware.Image) error {
 	return nil
 }
 
-// attacker holds the pre-built stale V2 payload (analyzed from the
+// attacker holds the pre-built stale V2 packet (analyzed from the
 // public unrandomized image — the paper's threat model) and its
 // delivery state.
 type attacker struct {
-	frame    []byte
+	pkt      scenario.Packet
 	sent     bool
 	detected bool
 	lastSend time.Time
 }
 
-func newAttacker(img *firmware.Image) (*attacker, error) {
-	a, err := attack.Analyze(img.ELF)
+// newAttacker takes the packet from scenario.Packets, the expansion
+// every attack driver sends: V2 writing 0x5A to the gyro byte of the
+// stock test application, the image the soak's fleet flies.
+func newAttacker() (*attacker, error) {
+	pkts, err := scenario.Packets(scenario.Spec{
+		Injections: []scenario.Injection{{Kind: scenario.InjectV2, Value: 0x5A}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	payload, err := attack.BuildV2(a, attack.GyroCfgWrite(0x5A))
-	if err != nil {
-		return nil, err
-	}
-	return &attacker{frame: payload}, nil
+	return &attacker{pkt: pkts[0]}, nil
 }
 
 func (a *attacker) inject(c *netlink.Client) {
-	c.SendFrame(attack.Frame(a.frame))
+	c.SendFrame(a.pkt.Frame())
 	a.sent = true
 	a.lastSend = time.Now()
 }

@@ -12,16 +12,18 @@
 //	mavr-fleetd [-n 8] [-addr 127.0.0.1:14550] [-metrics 127.0.0.1:9090]
 //	            [-protect] [-armory http://127.0.0.1:8737] [-armory-key <hex>]
 //	            [-seed 1] [-rate 1.0] [-step 10ms]
-//	            [-drop 0.0] [-dup 0.0] [-latency 0] [-jitter 0] [-simseed 1]
+//	            [-drop 0.0] [-dup 0.0] [-latency 0] [-jitter 0]
 //	            [-chaos-seed 0] [-chaos-panic 0] [-chaos-hang 0] [-chaos-stall 0]
 //	            [-chaos-partition-down 0] [-chaos-partition-up 0] [-chaos-corrupt 0]
 //	            [-restart-budget 8] [-session-timeout 5s] [-duration 0]
 //
-// The -chaos-* flags run the fleet under the deterministic chaos
-// engine (internal/chaos): scheduled driver panics are recovered by
-// the supervisor within -restart-budget consecutive restarts per
-// vehicle, after which the vehicle is parked as degraded (visible in
-// -metrics and the status line).
+// The link impairments (-drop, -dup, -latency, -jitter) and the
+// -chaos-* faults are one deterministic schedule (internal/chaos),
+// keyed by -chaos-seed: the same seed replays the same impairments.
+// Scheduled driver panics are recovered by the supervisor within
+// -restart-budget consecutive restarts per vehicle, after which the
+// vehicle is parked as degraded (visible in -metrics and the status
+// line).
 //
 // With -armory, protected masters provision their randomized images
 // from a mavr-armory daemon at the given base URL: each boot and each
@@ -70,13 +72,12 @@ func run() error {
 	seed := flag.Int64("seed", 1, "master randomization seed base (vehicle i adds i)")
 	rate := flag.Float64("rate", 1.0, "simulated seconds per wall second (0: free-run)")
 	step := flag.Duration("step", 10*time.Millisecond, "simulated time per vehicle tick")
-	drop := flag.Float64("drop", 0, "link simulator: datagram drop probability")
-	dup := flag.Float64("dup", 0, "link simulator: datagram duplication probability")
-	latency := flag.Duration("latency", 0, "link simulator: base one-way latency")
-	jitter := flag.Duration("jitter", 0, "link simulator: additional uniform random delay")
-	simSeed := flag.Int64("simseed", 1, "link simulator seed (fixed seed: same impairment schedule)")
 	var ch chaos.Config
-	flag.Int64Var(&ch.Seed, "chaos-seed", 0, "chaos schedule seed (same seed: same faults)")
+	flag.Float64Var(&ch.DropRate, "drop", 0, "link: datagram drop probability")
+	flag.Float64Var(&ch.DupRate, "dup", 0, "link: downlink datagram duplication probability")
+	flag.DurationVar(&ch.Latency, "latency", 0, "link: base one-way downlink latency")
+	flag.DurationVar(&ch.Jitter, "jitter", 0, "link: additional uniform random downlink delay")
+	flag.Int64Var(&ch.Seed, "chaos-seed", 0, "fault schedule seed for the link impairments and chaos faults (same seed: same faults)")
 	flag.Float64Var(&ch.PanicRate, "chaos-panic", 0, "chaos: per-tick board driver panic probability")
 	flag.Float64Var(&ch.HangRate, "chaos-hang", 0, "chaos: per-tick board hang probability")
 	flag.Float64Var(&ch.StallRate, "chaos-stall", 0, "chaos: per-tick sim-clock stall probability")
@@ -123,21 +124,14 @@ func run() error {
 	}
 
 	fleet, err := netlink.NewFleet(netlink.FleetConfig{
-		Vehicles:   *n,
-		Addr:       *addr,
-		Firmware:   fleetImg,
-		Protected:  *protect,
-		MasterSeed: *seed,
-		Provision:  provision,
-		Step:       *step,
-		Rate:       *rate,
-		Sim: netlink.SimConfig{
-			Seed:     *simSeed,
-			DropRate: *drop,
-			DupRate:  *dup,
-			Latency:  *latency,
-			Jitter:   *jitter,
-		},
+		Vehicles:       *n,
+		Addr:           *addr,
+		Firmware:       fleetImg,
+		Protected:      *protect,
+		MasterSeed:     *seed,
+		Provision:      provision,
+		Step:           *step,
+		Rate:           *rate,
 		Chaos:          ch,
 		RestartBudget:  *restartBudget,
 		SessionTimeout: *sessionTimeout,

@@ -20,7 +20,6 @@ import (
 	"os"
 	"time"
 
-	"mavr/internal/attack"
 	"mavr/internal/board"
 	"mavr/internal/firmware"
 	"mavr/internal/gcs"
@@ -86,7 +85,7 @@ func run() error {
 	fmt.Println("  t      pulses  gyro(truth)  hdg  heartbeats  status  anomalies")
 	for elapsed := time.Duration(0); elapsed < *duration; elapsed += 250 * time.Millisecond {
 		for len(pkts) > 0 && elapsed >= pkts[0].At {
-			g.SendFrame(attack.Frame(pkts[0].Payload))
+			g.SendFrame(pkts[0].Frame())
 			fmt.Printf("%6s  >>> attack packet injected (%s, %d bytes)\n",
 				elapsed.Round(time.Millisecond), *attackKind, len(pkts[0].Payload))
 			pkts = pkts[1:]

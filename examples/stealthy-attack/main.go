@@ -34,7 +34,7 @@ func run() error {
 	}
 	fmt.Printf("attacker analysis of the unprotected binary:\n")
 	fmt.Printf("  %d ret-gadgets; stk_move at byte 0x%X (pops %v);\n",
-		len(gadget.Scan(img.ELF.Text, 24)), a.StkMove.Addr*2, a.StkMove.PopRegs)
+		len(gadget.Scan(img.ELF.Text, gadget.Window)), a.StkMove.Addr*2, a.StkMove.PopRegs)
 	fmt.Printf("  write_mem at byte 0x%X (stores r%d,r%d,r%d; %d-register pop chain)\n",
 		a.WriteMem.StoreAddr*2, a.WriteMem.StoreRegs[0], a.WriteMem.StoreRegs[1],
 		a.WriteMem.StoreRegs[2], len(a.WriteMem.PopRegs))

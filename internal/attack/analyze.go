@@ -175,7 +175,7 @@ func (a *Analysis) probe(image []byte) error {
 // concrete: the prototype's serial bootloader sits at a constant
 // address, so its gadgets remain valid across every randomization.
 func (a *Analysis) UseFixedGadgets(code []byte, startByte uint32) error {
-	gs := gadget.Scan(code, 24)
+	gs := gadget.Scan(code, gadget.Window)
 	sm, err := gadget.FindStkMove(gs)
 	if err != nil {
 		return err

@@ -44,8 +44,6 @@ type SynthOptions struct {
 	// Write is the target write the synthesized payload performs; the
 	// zero value defaults to a 3-byte marker at the gyro config address.
 	Write Write
-	// GadgetWords is the scan window (default 24).
-	GadgetWords int
 }
 
 // synthMarker is the write a search lands when none is requested: a
@@ -58,9 +56,6 @@ func (o SynthOptions) withDefaults() SynthOptions {
 	}
 	if o.Write.Addr == 0 {
 		o.Write = synthMarker
-	}
-	if o.GadgetWords == 0 {
-		o.GadgetWords = 24
 	}
 	return o
 }
@@ -126,7 +121,7 @@ func SynthesizeAgainst(elf *elfobj.File, target []byte, opts SynthOptions) (*Syn
 	if err != nil {
 		return nil, err
 	}
-	gs := gadget.Scan(elf.Text, opts.GadgetWords)
+	gs := gadget.Scan(elf.Text, gadget.Window)
 	pivots := gadget.PivotShapes(gs)
 	writers := writerCandidates(gs)
 	orderWriters(writers, opts.Seed)

@@ -1,15 +1,17 @@
 // Package chaos is the deterministic, seeded fault-injection engine
-// behind the fleet's resilience surface. It schedules the faults a
-// deployed MAVR ground segment must survive — board panics and hangs,
-// clock stalls, link partitions (symmetric or asymmetric), datagram
-// corruption and session churn — as pure functions of
-// (seed, fault kind, entity, tick), exactly like the link simulator's
-// Fate (internal/netlink): no shared RNG state, no wall clock, so the
-// same seed always yields the same schedule regardless of goroutine
-// interleaving, worker counts or host machine. That purity is what
-// lets a chaos soak print a byte-identical schedule trace per seed
-// (cmd/mavr-chaos -schedule) and lets internal/scenario bake chaos
-// into golden conformance traces.
+// behind the fleet's resilience surface and the one fault schedule a
+// datagram draws from. It schedules the faults a deployed MAVR ground
+// segment must survive — board panics and hangs, clock stalls, link
+// partitions (symmetric or asymmetric), datagram corruption, loss,
+// duplication and delay, and session churn — as pure functions of
+// (seed, fault kind, entity, tick or sequence number): no shared RNG
+// state, no wall clock, so the same seed always yields the same
+// schedule regardless of goroutine interleaving, worker counts or host
+// machine. That purity is what lets a chaos soak print a
+// byte-identical schedule trace per seed (cmd/mavr-chaos -schedule),
+// keeps stealth-detection experiments over a lossy fleet link
+// reproducible, and lets internal/scenario bake link faults into
+// golden conformance traces.
 //
 // The engine only decides *what* goes wrong and *when*; realizing the
 // fault (panicking a driver goroutine, dropping a datagram, flipping a
@@ -50,11 +52,11 @@ const (
 	// FaultPanic crashes the board's driver (a supervised fleet
 	// recovers it; an unsupervised one dies — the point of the test).
 	FaultPanic
-	// FaultHang freezes the board entirely for Ticks ticks: no
+	// FaultHang freezes the board entirely for HoldTicks ticks: no
 	// simulation progress, no telemetry, no beacons. From the ground it
 	// is indistinguishable from a dead link.
 	FaultHang
-	// FaultStall freezes the board's simulated clock for Ticks ticks
+	// FaultStall freezes the board's simulated clock for HoldTicks ticks
 	// while the radio keeps beaconing: datagrams arrive carrying a
 	// frozen sim time — the signature of a wedged autopilot.
 	FaultStall
@@ -75,7 +77,8 @@ func (k BoardFaultKind) String() string {
 // BoardFault is one board's fate for one tick.
 type BoardFault struct {
 	Kind BoardFaultKind
-	// Ticks is the fault duration (hang/stall; 0 for panic).
+	// Ticks is the fault duration (HoldTicks for hang/stall; 0 for
+	// panic).
 	Ticks int
 }
 
@@ -88,6 +91,10 @@ type Corruption struct {
 	XOR byte
 }
 
+// HoldTicks is the length of every hang and stall window, in board
+// ticks.
+const HoldTicks = 25
+
 // Config declares a chaos schedule. The zero value injects nothing.
 // All rates are probabilities in [0, 1], evaluated independently per
 // (entity, tick/seq/window) from Seed.
@@ -98,13 +105,11 @@ type Config struct {
 	// PanicRate is the per-tick probability a board's driver panics.
 	PanicRate float64
 	// HangRate is the per-tick probability a board freezes entirely
-	// for HangTicks ticks (default 25).
-	HangRate  float64
-	HangTicks int
+	// for HoldTicks ticks.
+	HangRate float64
 	// StallRate is the per-tick probability a board's sim clock stalls
-	// for StallTicks ticks (default 25) while its radio keeps beaconing.
-	StallRate  float64
-	StallTicks int
+	// for HoldTicks ticks while its radio keeps beaconing.
+	StallRate float64
 
 	// PartitionDownRate / PartitionUpRate are the per-window
 	// probabilities that a vehicle's telemetry / command direction is
@@ -120,37 +125,26 @@ type Config struct {
 	// receiver — never garbage).
 	CorruptRate float64
 
+	// DropRate is the per-datagram loss probability.
+	DropRate float64
+	// DupRate is the probability a datagram is delivered twice.
+	DupRate float64
+	// Latency delays every datagram by this base amount.
+	Latency time.Duration
+	// Jitter adds a uniform [0, Jitter) extra delay per datagram;
+	// inverted delays between consecutive datagrams are what produce
+	// reordering.
+	Jitter time.Duration
+
 	// ChurnRate is the per-(station, interval) probability that a soak
 	// station tears its session down and rejoins — session-table
 	// pressure for cmd/mavr-chaos.
 	ChurnRate float64
 }
 
-// Active reports whether the schedule injects anything at all.
-func (c Config) Active() bool { return c.BoardActive() || c.LinkActive() || c.ChurnRate > 0 }
-
 // BoardActive reports whether any board fault is scheduled.
 func (c Config) BoardActive() bool {
 	return c.PanicRate > 0 || c.HangRate > 0 || c.StallRate > 0
-}
-
-// LinkActive reports whether any link fault is scheduled.
-func (c Config) LinkActive() bool {
-	return c.PartitionDownRate > 0 || c.PartitionUpRate > 0 || c.CorruptRate > 0
-}
-
-func (c Config) hangTicks() int {
-	if c.HangTicks > 0 {
-		return c.HangTicks
-	}
-	return 25
-}
-
-func (c Config) stallTicks() int {
-	if c.StallTicks > 0 {
-		return c.StallTicks
-	}
-	return 25
 }
 
 func (c Config) partitionWindow() uint64 {
@@ -179,19 +173,72 @@ func (c Config) BoardFate(sysID byte, tick uint64) BoardFault {
 		return BoardFault{Kind: FaultPanic}
 	}
 	if c.HangRate > 0 && detrand.Unit(detrand.Hash(k+2)) < c.HangRate {
-		return BoardFault{Kind: FaultHang, Ticks: c.hangTicks()}
+		return BoardFault{Kind: FaultHang, Ticks: HoldTicks}
 	}
 	if c.StallRate > 0 && detrand.Unit(detrand.Hash(k+3)) < c.StallRate {
-		return BoardFault{Kind: FaultStall, Ticks: c.stallTicks()}
+		return BoardFault{Kind: FaultStall, Ticks: HoldTicks}
 	}
 	return BoardFault{}
 }
 
-// Partitioned reports whether the datagram with sequence number seq on
+// Link names one direction of one vehicle's radio. Partitions and
+// corruption are keyed by (Dir, SysID); loss, duplication and delay by
+// Name (the fleet's "v<N>/down" and "v<N>/up", a scenario's "down"),
+// which deliberately excludes ephemeral peer ports so the schedule
+// replays across runs.
+type Link struct {
+	Dir   Dir
+	SysID byte
+	Name  string
+}
+
+// Fate is the scheduled treatment of one datagram.
+type Fate struct {
+	// Partitioned: the datagram falls in a dark window and is lost
+	// whole; no other field is set.
+	Partitioned bool
+	// Corrupted: the datagram is damaged in flight as Corruption says
+	// (the receiver's checksum turns it into loss).
+	Corrupted  bool
+	Corruption Corruption
+	// Drop discards the datagram entirely.
+	Drop bool
+	// Copies is the number of deliveries (1 normally, 2 when
+	// duplicated); 0 when dropped or partitioned.
+	Copies int
+	// Delay is the injected latency before (each) delivery.
+	Delay time.Duration
+}
+
+// Fate returns the treatment of the datagram with sequence number seq
+// on link l, decided in order: a partition swallows it; otherwise it
+// may be corrupted in flight, and then dropped, duplicated or delayed.
+// It is a pure function of (Seed, l, seq).
+func (c Config) Fate(l Link, seq uint32) Fate {
+	if c.partitioned(l.Dir, l.SysID, seq) {
+		return Fate{Partitioned: true}
+	}
+	f := Fate{Copies: 1, Delay: c.Latency}
+	f.Corruption, f.Corrupted = c.corrupt(l.Dir, l.SysID, seq)
+	base := detrand.Hash(uint64(c.Seed)) ^ detrand.FNV64(l.Name) ^ (uint64(seq) * detrand.Gamma)
+	if c.DropRate > 0 && detrand.Unit(detrand.Hash(base+1)) < c.DropRate {
+		f.Drop, f.Copies, f.Delay = true, 0, 0
+		return f
+	}
+	if c.DupRate > 0 && detrand.Unit(detrand.Hash(base+2)) < c.DupRate {
+		f.Copies = 2
+	}
+	if c.Jitter > 0 {
+		f.Delay += time.Duration(detrand.Unit(detrand.Hash(base+3)) * float64(c.Jitter))
+	}
+	return f
+}
+
+// partitioned reports whether the datagram with sequence number seq on
 // vehicle sysID's dir link falls in a partitioned window. Whole
 // windows of PartitionWindow consecutive sequence numbers share a
 // fate, so a partition is a contiguous outage, not i.i.d. loss.
-func (c Config) Partitioned(dir Dir, sysID byte, seq uint32) bool {
+func (c Config) partitioned(dir Dir, sysID byte, seq uint32) bool {
 	rate := c.PartitionDownRate
 	if dir == Up {
 		rate = c.PartitionUpRate
@@ -204,9 +251,9 @@ func (c Config) Partitioned(dir Dir, sysID byte, seq uint32) bool {
 	return detrand.Unit(detrand.Hash(k+4)) < rate
 }
 
-// Corrupt returns the scheduled damage for the datagram with sequence
+// corrupt returns the scheduled damage for the datagram with sequence
 // number seq on vehicle sysID's dir link, if any.
-func (c Config) Corrupt(dir Dir, sysID byte, seq uint32) (Corruption, bool) {
+func (c Config) corrupt(dir Dir, sysID byte, seq uint32) (Corruption, bool) {
 	if c.CorruptRate <= 0 {
 		return Corruption{}, false
 	}

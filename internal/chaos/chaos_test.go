@@ -19,11 +19,11 @@ func TestFatesDeterministic(t *testing.T) {
 		}
 	}
 	for seq := uint32(0); seq < 5000; seq++ {
-		if cfg.Partitioned(Down, 1, seq) != cfg.Partitioned(Down, 1, seq) {
+		if cfg.partitioned(Down, 1, seq) != cfg.partitioned(Down, 1, seq) {
 			t.Fatalf("seq %d: partition fate not stable", seq)
 		}
-		c1, ok1 := cfg.Corrupt(Up, 2, seq)
-		c2, ok2 := cfg.Corrupt(Up, 2, seq)
+		c1, ok1 := cfg.corrupt(Up, 2, seq)
+		c2, ok2 := cfg.corrupt(Up, 2, seq)
 		if ok1 != ok2 || c1 != c2 {
 			t.Fatalf("seq %d: corruption fate not stable", seq)
 		}
@@ -60,13 +60,13 @@ func TestRates(t *testing.T) {
 	always := Config{Seed: 7, PartitionDownRate: 1}
 	never := Config{Seed: 7, PartitionUpRate: 0.5}
 	for seq := uint32(0); seq < 1000; seq++ {
-		if !always.Partitioned(Down, 1, seq) {
+		if !always.partitioned(Down, 1, seq) {
 			t.Fatalf("rate-1 partition let seq %d through", seq)
 		}
-		if always.Partitioned(Up, 1, seq) {
+		if always.partitioned(Up, 1, seq) {
 			t.Fatalf("down-only partition hit the uplink at seq %d", seq)
 		}
-		if never.Partitioned(Down, 1, seq) {
+		if never.partitioned(Down, 1, seq) {
 			t.Fatalf("up-only partition hit the downlink at seq %d", seq)
 		}
 	}
@@ -77,9 +77,9 @@ func TestRates(t *testing.T) {
 func TestPartitionWindows(t *testing.T) {
 	cfg := Config{Seed: 3, PartitionDownRate: 0.3, PartitionWindow: 32}
 	transitions := 0
-	prev := cfg.Partitioned(Down, 1, 0)
+	prev := cfg.partitioned(Down, 1, 0)
 	for seq := uint32(1); seq < 32*200; seq++ {
-		cur := cfg.Partitioned(Down, 1, seq)
+		cur := cfg.partitioned(Down, 1, seq)
 		if cur != prev {
 			if seq%32 != 0 {
 				t.Fatalf("partition fate flipped mid-window at seq %d", seq)
@@ -98,7 +98,7 @@ func TestPartitionWindows(t *testing.T) {
 func TestCorruptMaskNonZero(t *testing.T) {
 	cfg := Config{Seed: 9, CorruptRate: 1}
 	for seq := uint32(0); seq < 2000; seq++ {
-		c, ok := cfg.Corrupt(Down, 1, seq)
+		c, ok := cfg.corrupt(Down, 1, seq)
 		if !ok {
 			t.Fatalf("rate-1 corruption skipped seq %d", seq)
 		}
@@ -111,14 +111,14 @@ func TestCorruptMaskNonZero(t *testing.T) {
 // The schedule enumerator skips fate checks inside hang/stall windows,
 // mirroring the driver contract.
 func TestBoardScheduleSkipsWindows(t *testing.T) {
-	cfg := Config{Seed: 5, HangRate: 0.05, HangTicks: 10}
+	cfg := Config{Seed: 5, HangRate: 0.05}
 	events := cfg.BoardSchedule(2, 5000)
 	if len(events) == 0 {
 		t.Fatal("no hang events at rate 0.05 over 5000 ticks")
 	}
 	var last map[byte]uint64 = map[byte]uint64{}
 	for _, e := range events {
-		if e.Kind != FaultHang || e.Ticks != 10 {
+		if e.Kind != FaultHang || e.Ticks != HoldTicks {
 			t.Fatalf("unexpected event %v", e)
 		}
 		if prev, ok := last[e.SysID]; ok && e.Tick <= prev+uint64(e.Ticks) {

@@ -1,4 +1,4 @@
-package netlink
+package chaos
 
 import (
 	"reflect"
@@ -7,21 +7,23 @@ import (
 	"time"
 )
 
-// The acceptance property: for a fixed seed the impairment schedule is
+// The acceptance property: for a fixed seed the datagram schedule is
 // identical across runs and worker counts. Fate is a pure function of
 // (seed, link, seq), so we verify (a) sequential and parallel
 // regeneration agree exactly, and (b) the schedule is insensitive to
 // evaluation order.
-func TestLinkSimDeterministicAcrossWorkers(t *testing.T) {
-	cfg := SimConfig{
-		Seed:     42,
-		DropRate: 0.1,
-		DupRate:  0.05,
-		Latency:  2 * time.Millisecond,
-		Jitter:   8 * time.Millisecond,
+func TestFateDeterministicAcrossWorkers(t *testing.T) {
+	cfg := Config{
+		Seed:              42,
+		PartitionDownRate: 0.1,
+		CorruptRate:       0.05,
+		DropRate:          0.1,
+		DupRate:           0.05,
+		Latency:           2 * time.Millisecond,
+		Jitter:            8 * time.Millisecond,
 	}
 	const n = 10000
-	link := downLink(7)
+	link := Link{Dir: Down, SysID: 7, Name: "v7/down"}
 
 	sequential := make([]Fate, n)
 	for i := 0; i < n; i++ {
@@ -52,12 +54,16 @@ func TestLinkSimDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestLinkSimRatesAndSpread(t *testing.T) {
-	cfg := SimConfig{Seed: 7, DropRate: 0.2, DupRate: 0.1, Jitter: 10 * time.Millisecond}
+func TestFateRatesAndSpread(t *testing.T) {
+	cfg := Config{Seed: 7, DropRate: 0.2, DupRate: 0.1, Jitter: 10 * time.Millisecond}
+	link := Link{Dir: Down, SysID: 1, Name: "v1/down"}
 	const n = 20000
 	drops, dups, delayed := 0, 0, 0
 	for i := 0; i < n; i++ {
-		f := cfg.Fate("v1/down", uint32(i))
+		f := cfg.Fate(link, uint32(i))
+		if f.Partitioned || f.Corrupted {
+			t.Fatalf("datagram %d partitioned or corrupted at zero rates: %+v", i, f)
+		}
 		if f.Drop {
 			drops++
 			continue
@@ -83,14 +89,14 @@ func TestLinkSimRatesAndSpread(t *testing.T) {
 	}
 }
 
-func TestLinkSimLinksAreIndependent(t *testing.T) {
-	cfg := SimConfig{Seed: 3, DropRate: 0.5}
+func TestFateLinksAreIndependent(t *testing.T) {
+	cfg := Config{Seed: 3, DropRate: 0.5}
+	v1 := Link{Dir: Down, SysID: 1, Name: "v1/down"}
+	v2 := Link{Dir: Down, SysID: 2, Name: "v2/down"}
 	same := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
-		a := cfg.Fate(downLink(1), uint32(i))
-		b := cfg.Fate(downLink(2), uint32(i))
-		if a.Drop == b.Drop {
+		if cfg.Fate(v1, uint32(i)).Drop == cfg.Fate(v2, uint32(i)).Drop {
 			same++
 		}
 	}
@@ -101,9 +107,10 @@ func TestLinkSimLinksAreIndependent(t *testing.T) {
 	}
 
 	// Different seeds change the schedule.
+	other := Config{Seed: 4, DropRate: 0.5}
 	diff := false
 	for i := 0; i < 100; i++ {
-		if cfg.Fate(downLink(1), uint32(i)).Drop != (SimConfig{Seed: 4, DropRate: 0.5}).Fate(downLink(1), uint32(i)).Drop {
+		if cfg.Fate(v1, uint32(i)).Drop != other.Fate(v1, uint32(i)).Drop {
 			diff = true
 			break
 		}
@@ -113,15 +120,13 @@ func TestLinkSimLinksAreIndependent(t *testing.T) {
 	}
 }
 
-func TestInactiveSimPassesEverything(t *testing.T) {
-	var cfg SimConfig
-	if cfg.Active() {
-		t.Fatal("zero config reported active")
-	}
-	for i := 0; i < 100; i++ {
-		f := cfg.Fate("any", uint32(i))
-		if f.Drop || f.Copies != 1 || f.Delay != 0 {
-			t.Fatalf("perfect link altered datagram %d: %+v", i, f)
+func TestZeroConfigPassesEverything(t *testing.T) {
+	var cfg Config
+	for _, l := range []Link{{Dir: Down, SysID: 1, Name: "any"}, {Dir: Up, SysID: 9, Name: "v9/up"}} {
+		for i := 0; i < 100; i++ {
+			if f := cfg.Fate(l, uint32(i)); f != (Fate{Copies: 1}) {
+				t.Fatalf("perfect link altered datagram %d on %s: %+v", i, l.Name, f)
+			}
 		}
 	}
 }

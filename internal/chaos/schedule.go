@@ -49,10 +49,12 @@ func (c Config) BoardSchedule(vehicles int, ticks uint64) []Event {
 	return events
 }
 
-// LinkDigest folds the first seqs link fates of every direction of
-// vehicles 1..vehicles into one hash: a compact fingerprint of the
-// whole link-fault schedule, printable next to the board schedule so
-// two runs of the same seed can be byte-compared.
+// LinkDigest folds the partitions and corruption of the first seqs
+// datagrams of every direction of vehicles 1..vehicles into one hash:
+// a compact fingerprint of the link-fault schedule, printable next to
+// the board schedule so two runs of the same seed can be
+// byte-compared. Loss, duplication and delay are not folded in, so the
+// recorded digests hold whatever the link rates are.
 func (c Config) LinkDigest(vehicles int, seqs uint32) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	mix := func(x uint64) {
@@ -63,10 +65,10 @@ func (c Config) LinkDigest(vehicles int, seqs uint32) uint64 {
 		sysID := byte(v)
 		for _, dir := range []Dir{Down, Up} {
 			for s := uint32(0); s < seqs; s++ {
-				if c.Partitioned(dir, sysID, s) {
+				if c.partitioned(dir, sysID, s) {
 					mix(uint64(s)<<1 | 1)
 				}
-				if cor, ok := c.Corrupt(dir, sysID, s); ok {
+				if cor, ok := c.corrupt(dir, sysID, s); ok {
 					mix(cor.Offset ^ uint64(cor.XOR))
 				}
 			}

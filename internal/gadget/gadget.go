@@ -71,6 +71,12 @@ func (g *Gadget) Words() int {
 
 const retWord = 0x9508
 
+// Window is the gadget window of the paper's census (§VII-A): a gadget
+// is at most 24 words ending in its ret. Every scan of an attack or
+// an audit uses it; Scan takes the window as a parameter so tests can
+// scan others.
+const Window = 24
+
 // minParallelWords is the image size (in words) below which a sharded
 // scan is not worth the goroutine setup.
 const minParallelWords = 16 * 1024

@@ -43,11 +43,12 @@ type Monitor struct {
 
 	// MaxLinkSilence is the longest span attributed to the link itself
 	// being down (no datagrams arriving at all), as reported by the
-	// feeder via NoteLinkOutage/FeedLinkIdle. Unlike MaxSilence it
-	// carries no implication about the vehicle: a partitioned radio and
-	// a healthy vehicle produce exactly this signature.
+	// feeder via FeedLinkIdle. Unlike MaxSilence it carries no
+	// implication about the vehicle: a partitioned radio and a healthy
+	// vehicle produce exactly this signature.
 	MaxLinkSilence time.Duration
-	// LinkOutages counts distinct link-down spans (NoteLinkOutage calls).
+	// LinkOutages counts distinct link-down spans: each declared by
+	// FeedLinkIdle and booked by the Feed that ends it.
 	LinkOutages int
 	// CorruptDrops counts datagrams the transport rejected for failed
 	// integrity checks (NoteCorrupt) — wire damage surfacing as loss.
@@ -75,30 +76,22 @@ type Monitor struct {
 	lastData    time.Duration
 	sawArrival  bool
 	lastArrival time.Duration
+	linkDown    bool
 
-	mode    monMode
-	pulse   []byte
-	frame   mavlink.Parser
-	frameN  int
-	frameLn int
+	split StreamSplitter
+	frame mavlink.Parser
 }
-
-type monMode int
-
-const (
-	monIdle monMode = iota
-	monPulse
-	monFrame
-)
 
 // Feed consumes downlink bytes received up to simulated time now. Call
 // it regularly (even with no data) so silence is measured. Every Feed
 // is an *arrival*: evidence that the link was delivering at time now.
-// When the feeder knows the link itself was down for a span (no
-// datagrams at all), it must report that span via NoteLinkOutage
-// instead, so the silence is charged to the link rather than the
-// vehicle.
+// When the feeder knows nothing arrived at all (the link itself is
+// down), it calls FeedLinkIdle instead; the next Feed then books that
+// outage against the link before it measures the vehicle.
 func (m *Monitor) Feed(data []byte, now time.Duration) {
+	if m.linkDown {
+		m.bookOutage(now)
+	}
 	if m.sawData {
 		if gap := now - m.lastData; gap > m.MaxSilence {
 			m.MaxSilence = gap
@@ -110,17 +103,17 @@ func (m *Monitor) Feed(data []byte, now time.Duration) {
 		m.sawData = true
 		m.lastData = now
 	}
-	for _, b := range data {
-		m.feedByte(b)
+	for _, rec := range m.split.Feed(data) {
+		m.record(rec)
 	}
 }
 
 // FeedLinkIdle records that nothing has arrived between the last
-// arrival and (estimated) time now. It keeps MaxLinkSilence live while
-// an outage is still in progress; the outage is booked and the
-// vehicle-silence clock re-baselined when traffic resumes
-// (NoteLinkOutage).
+// arrival and (estimated) time now, and declares the link down. It
+// keeps MaxLinkSilence live while the outage is in progress; the next
+// Feed books the outage.
 func (m *Monitor) FeedLinkIdle(now time.Duration) {
+	m.linkDown = true
 	if !m.sawArrival {
 		return
 	}
@@ -129,15 +122,18 @@ func (m *Monitor) FeedLinkIdle(now time.Duration) {
 	}
 }
 
-// NoteLinkOutage attributes the span since the last arrival to a dead
+// LinkDown reports whether FeedLinkIdle has declared an outage that no
+// Feed has booked yet.
+func (m *Monitor) LinkDown() bool { return m.linkDown }
+
+// bookOutage attributes the span since the last arrival to a dead
 // link: datagrams stopped arriving entirely, so nothing in that span
 // says anything about the vehicle. The span is excluded from the
 // vehicle-silence measurement (only telemetry silence observed while
 // the link was demonstrably alive counts), which is what keeps a pure
-// partition from tripping the stealth-attack verdict. Call it when
-// traffic resumes after a detected arrival gap, with the current
-// feeder time.
-func (m *Monitor) NoteLinkOutage(now time.Duration) {
+// partition from tripping the stealth-attack verdict.
+func (m *Monitor) bookOutage(now time.Duration) {
+	m.linkDown = false
 	if !m.sawArrival {
 		return
 	}
@@ -163,58 +159,39 @@ func (m *Monitor) NoteLinkOutage(now time.Duration) {
 // as garbage).
 func (m *Monitor) NoteCorrupt() { m.CorruptDrops++ }
 
-func (m *Monitor) feedByte(b byte) {
-	switch m.mode {
-	case monIdle:
-		switch b {
-		case firmware.PulseMagic:
-			m.mode = monPulse
-			m.pulse = m.pulse[:0]
-		case mavlink.Magic:
-			m.mode = monFrame
-			m.frame = mavlink.Parser{StrictLength: true}
-			m.frame.Feed(b)
-			m.frameN = 1
-			m.frameLn = -1
-		default:
-			m.Garbage++
-		}
-
-	case monPulse:
-		m.pulse = append(m.pulse, b)
-		if len(m.pulse) == firmware.PulseSize-1 {
-			seq, gyro, heading := m.pulse[0], m.pulse[1], m.pulse[2]
-			if m.started && seq != m.expectSeq {
-				if m.TolerateLinkLoss {
-					m.LinkGaps++
-				} else {
-					m.SeqGaps++
-				}
+// record reads one downlink record, as StreamSplitter cut it: a pulse,
+// a whole MAVLink frame, or one byte that fits neither stream.
+func (m *Monitor) record(rec []byte) {
+	switch rec[0] {
+	case firmware.PulseMagic:
+		seq := rec[1]
+		if m.started && seq != m.expectSeq {
+			if m.TolerateLinkLoss {
+				m.LinkGaps++
+			} else {
+				m.SeqGaps++
 			}
-			m.started = true
-			m.expectSeq = seq + 1
-			m.LastGyro = gyro
-			m.LastHeading = heading
-			m.Pulses++
-			m.mode = monIdle
 		}
-
-	case monFrame:
-		f := m.frame.Feed(b)
-		m.frameN++
-		if m.frameN == 2 {
-			m.frameLn = 6 + int(b) + 2
+		m.started = true
+		m.expectSeq = seq + 1
+		m.LastGyro = rec[2]
+		m.LastHeading = rec[3]
+		m.Pulses++
+	case mavlink.Magic:
+		// The record is exactly one frame, so the parser finishes (or
+		// rejects) it on the last byte and is idle again after it.
+		m.frame.StrictLength = true
+		var f *mavlink.Frame
+		for _, b := range rec {
+			f = m.frame.Feed(b)
 		}
-		if f != nil {
-			m.handleFrame(f)
-			m.mode = monIdle
+		if f == nil {
+			m.HeartbeatErrors++ // checksum or length rejected
 			return
 		}
-		if m.frameLn > 0 && m.frameN >= m.frameLn {
-			// Frame fully consumed but rejected (checksum/length).
-			m.HeartbeatErrors++
-			m.mode = monIdle
-		}
+		m.handleFrame(f)
+	default:
+		m.Garbage++
 	}
 }
 
@@ -247,18 +224,13 @@ func (m *Monitor) handleFrame(f *mavlink.Frame) {
 	}
 }
 
-// CompromiseDetected applies the ground station's detection rule: any
-// garbage or corrupt heartbeat on the link, a pulse sequence
-// discontinuity (unless attributed to link loss, see TolerateLinkLoss),
-// a non-active MAV_STATE, or silence longer than the threshold.
+// CompromiseDetected applies the ground station's detection rule: the
+// two worst grades of Classify — positive compromise evidence (garbage
+// or a corrupt frame on the link, a pulse sequence discontinuity
+// unless attributed to link loss, a non-active MAV_STATE) or vehicle
+// silence longer than the threshold.
 func (m *Monitor) CompromiseDetected(silenceThreshold time.Duration) bool {
-	if m.Garbage > 0 || m.SeqGaps > 0 || m.HeartbeatErrors > 0 {
-		return true
-	}
-	if m.Heartbeats > 0 && m.LastStatus != mavlink.StateActive {
-		return true
-	}
-	return m.VehicleSilent(silenceThreshold)
+	return m.Classify(silenceThreshold) >= HealthVehicleDead
 }
 
 // VehicleSilent reports the paper's compromise signal on its own: the

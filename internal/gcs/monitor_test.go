@@ -1,12 +1,14 @@
 package gcs_test
 
-// Edge-case coverage for the Monitor state machine using synthetic byte
-// streams: silence threshold boundaries, duplicated and out-of-order
-// pulse sequence numbers (what datagram duplication and reordering on
-// the netlink fabric actually produce), sequence wraparound, and
-// records split across Feed calls.
+// Edge-case coverage for the Monitor using synthetic byte streams:
+// silence threshold boundaries, duplicated and out-of-order pulse
+// sequence numbers (what datagram duplication and reordering on the
+// netlink fabric actually produce), sequence wraparound, records split
+// across Feed calls, and a fuzzed comparison with the byte-wise monitor
+// it replaced.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,9 +124,9 @@ func TestMonitorSeqWraparound(t *testing.T) {
 	}
 }
 
-// The state machine is byte-oriented: a pulse and a full MAVLink frame
-// dribbled in one byte per Feed call parse identically to a single
-// contiguous delivery, and the dribble never reads as garbage.
+// Records are framed across Feed calls: a pulse and a full MAVLink
+// frame dribbled in one byte per Feed call parse identically to a
+// single contiguous delivery, and the dribble never reads as garbage.
 func TestMonitorRecordsSplitAcrossFeeds(t *testing.T) {
 	hb := &mavlink.Heartbeat{SystemStatus: mavlink.StateActive, MavlinkVersion: 3}
 	fr := &mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, SysID: 1, CompID: 1, Payload: hb.Marshal()}
@@ -174,9 +176,10 @@ func TestMonitorLinkGapsVersusSilenceVerdicts(t *testing.T) {
 }
 
 // A pure link outage — datagrams stop arriving entirely, then resume —
-// must never be charged to the vehicle: NoteLinkOutage re-baselines the
-// vehicle-silence clock, books the span as link silence, and the final
-// classification is link-dead/degraded rather than compromise.
+// must never be charged to the vehicle: FeedLinkIdle declares the
+// outage, the Feed that ends it re-baselines the vehicle-silence clock
+// and books the span as link silence, and the final classification is
+// link-dead/degraded rather than compromise.
 func TestMonitorLinkOutageIsNotVehicleSilence(t *testing.T) {
 	m := &gcs.Monitor{TolerateLinkLoss: true}
 	m.Feed(pulse(1), 0)
@@ -186,8 +189,13 @@ func TestMonitorLinkOutageIsNotVehicleSilence(t *testing.T) {
 	if m.MaxLinkSilence != 200*time.Millisecond {
 		t.Fatalf("MaxLinkSilence = %v during outage", m.MaxLinkSilence)
 	}
-	m.NoteLinkOutage(450 * time.Millisecond)
-	m.Feed(pulse(3), 455*time.Millisecond)
+	if !m.LinkDown() || m.LinkOutages != 0 {
+		t.Fatalf("outage not declared (LinkDown=%v) or booked early (LinkOutages=%d)", m.LinkDown(), m.LinkOutages)
+	}
+	m.Feed(pulse(3), 450*time.Millisecond)
+	if m.LinkDown() {
+		t.Error("the Feed that ended the outage left the link down")
+	}
 	if m.VehicleSilent(silenceThreshold) {
 		t.Errorf("partition charged as vehicle silence: MaxSilence=%v", m.MaxSilence)
 	}
@@ -205,7 +213,7 @@ func TestMonitorLinkOutageIsNotVehicleSilence(t *testing.T) {
 	}
 }
 
-// NoteLinkOutage preserves silence accrued while the link was still
+// Booking an outage preserves silence accrued while the link was still
 // alive: pre-outage vehicle silence plus post-outage vehicle silence
 // both count, only the unattributable outage span is excluded.
 func TestMonitorOutagePreservesPreOutageSilence(t *testing.T) {
@@ -213,8 +221,9 @@ func TestMonitorOutagePreservesPreOutageSilence(t *testing.T) {
 	m.Feed(pulse(1), 0)
 	// 150ms of alive-link silence (beacons with no telemetry).
 	m.Feed(nil, 150*time.Millisecond)
-	// Then the link dies for 10 seconds.
-	m.NoteLinkOutage(10150 * time.Millisecond)
+	// Then the link dies for 10 seconds, until an empty beacon arrives.
+	m.FeedLinkIdle(10150 * time.Millisecond)
+	m.Feed(nil, 10150*time.Millisecond)
 	// Link back; vehicle still silent for another 100ms.
 	m.Feed(nil, 10250*time.Millisecond)
 	want := 250 * time.Millisecond
@@ -270,4 +279,290 @@ func TestHealthStrings(t *testing.T) {
 			t.Errorf("Health(%d).String() = %q, want %q", int(h), h, want)
 		}
 	}
+}
+
+// refMonitor is the byte-wise monitor Monitor replaced, kept as the
+// oracle of FuzzMonitorFeed: a state machine that reads the downlink
+// one byte at a time, with outages booked by the feeder
+// (noteLinkOutage) instead of by the next Feed. Its counters live in
+// an embedded gcs.Monitor, whose methods it never calls, so both
+// monitors expose the same counter fields.
+type refMonitor struct {
+	gcs.Monitor
+
+	started     bool
+	expectSeq   byte
+	sawData     bool
+	lastData    time.Duration
+	sawArrival  bool
+	lastArrival time.Duration
+
+	mode    int
+	pulse   []byte
+	frame   mavlink.Parser
+	frameN  int
+	frameLn int
+}
+
+const (
+	refIdle = iota
+	refPulse
+	refFrame
+)
+
+func (m *refMonitor) Feed(data []byte, now time.Duration) {
+	if m.sawData {
+		if gap := now - m.lastData; gap > m.MaxSilence {
+			m.MaxSilence = gap
+		}
+	}
+	m.sawArrival = true
+	m.lastArrival = now
+	if len(data) > 0 {
+		m.sawData = true
+		m.lastData = now
+	}
+	for _, b := range data {
+		m.step(b)
+	}
+}
+
+func (m *refMonitor) FeedLinkIdle(now time.Duration) {
+	if !m.sawArrival {
+		return
+	}
+	if gap := now - m.lastArrival; gap > m.MaxLinkSilence {
+		m.MaxLinkSilence = gap
+	}
+}
+
+func (m *refMonitor) noteLinkOutage(now time.Duration) {
+	if !m.sawArrival {
+		return
+	}
+	outage := now - m.lastArrival
+	if outage < 0 {
+		outage = 0
+	}
+	m.LinkOutages++
+	if outage > m.MaxLinkSilence {
+		m.MaxLinkSilence = outage
+	}
+	if m.sawData {
+		m.lastData = now - (m.lastArrival - m.lastData)
+	}
+	m.lastArrival = now
+}
+
+func (m *refMonitor) NoteCorrupt() { m.CorruptDrops++ }
+
+func (m *refMonitor) step(b byte) {
+	switch m.mode {
+	case refIdle:
+		switch b {
+		case firmware.PulseMagic:
+			m.mode = refPulse
+			m.pulse = m.pulse[:0]
+		case mavlink.Magic:
+			m.mode = refFrame
+			m.frame = mavlink.Parser{StrictLength: true}
+			m.frame.Feed(b)
+			m.frameN = 1
+			m.frameLn = -1
+		default:
+			m.Garbage++
+		}
+	case refPulse:
+		m.pulse = append(m.pulse, b)
+		if len(m.pulse) == firmware.PulseSize-1 {
+			seq, gyro, heading := m.pulse[0], m.pulse[1], m.pulse[2]
+			if m.started && seq != m.expectSeq {
+				if m.TolerateLinkLoss {
+					m.LinkGaps++
+				} else {
+					m.SeqGaps++
+				}
+			}
+			m.started = true
+			m.expectSeq = seq + 1
+			m.LastGyro = gyro
+			m.LastHeading = heading
+			m.Pulses++
+			m.mode = refIdle
+		}
+	case refFrame:
+		f := m.frame.Feed(b)
+		m.frameN++
+		if m.frameN == 2 {
+			m.frameLn = 6 + int(b) + 2
+		}
+		if f != nil {
+			m.handleFrame(f)
+			m.mode = refIdle
+			return
+		}
+		if m.frameLn > 0 && m.frameN >= m.frameLn {
+			m.HeartbeatErrors++
+			m.mode = refIdle
+		}
+	}
+}
+
+func (m *refMonitor) handleFrame(f *mavlink.Frame) {
+	switch f.MsgID {
+	case mavlink.MsgIDHeartbeat:
+		hb, err := mavlink.UnmarshalHeartbeat(f.Payload)
+		if err != nil {
+			m.HeartbeatErrors++
+			return
+		}
+		m.Heartbeats++
+		m.LastStatus = hb.SystemStatus
+	case mavlink.MsgIDRawIMU:
+		imu, err := mavlink.UnmarshalRawIMU(f.Payload)
+		if err != nil {
+			m.HeartbeatErrors++
+			return
+		}
+		m.RawIMUs++
+		m.LastXgyro = imu.Xgyro
+	case mavlink.MsgIDParamValue:
+		pv, err := mavlink.UnmarshalParamValue(f.Payload)
+		if err != nil {
+			m.HeartbeatErrors++
+			return
+		}
+		m.ParamEchoes++
+		m.LastEcho = pv
+	}
+}
+
+func (m *refMonitor) CompromiseDetected(threshold time.Duration) bool {
+	if m.Garbage > 0 || m.SeqGaps > 0 || m.HeartbeatErrors > 0 {
+		return true
+	}
+	if m.Heartbeats > 0 && m.LastStatus != mavlink.StateActive {
+		return true
+	}
+	return m.MaxSilence > threshold
+}
+
+func (m *refMonitor) Classify(threshold time.Duration) gcs.Health {
+	if m.Garbage > 0 || m.SeqGaps > 0 || m.HeartbeatErrors > 0 {
+		return gcs.HealthCompromised
+	}
+	if m.Heartbeats > 0 && m.LastStatus != mavlink.StateActive {
+		return gcs.HealthCompromised
+	}
+	if m.MaxSilence > threshold {
+		return gcs.HealthVehicleDead
+	}
+	if m.MaxLinkSilence > threshold {
+		return gcs.HealthLinkDead
+	}
+	if m.LinkGaps > 0 || m.CorruptDrops > 0 || m.LinkOutages > 0 {
+		return gcs.HealthDegraded
+	}
+	return gcs.HealthOK
+}
+
+// frameWire marshals one downlink frame, oversize payloads included.
+func frameWire(id byte, payload []byte) []byte {
+	return (&mavlink.Frame{MsgID: id, SysID: 1, CompID: 1, Payload: payload}).MarshalOversize()
+}
+
+// The record-level monitor must end every feed exactly where the
+// byte-wise reference does: arbitrary bytes, cut into arbitrary Feed
+// chunks and interleaved with FeedLinkIdle (and corruption drops), in
+// strict and tolerant mode. Each schedule byte c advances the clock by
+// (c%13)*10ms and then, by its top bits, feeds the next c&0x3F stream
+// bytes (an empty Feed included), declares the link idle, or notes a
+// corruption drop; the rest of the stream goes in one last Feed. The
+// reference books outages the way the old feeders did: noteLinkOutage
+// just before the Feed that follows a FeedLinkIdle.
+func FuzzMonitorFeed(f *testing.F) {
+	hb := &mavlink.Heartbeat{SystemStatus: mavlink.StateActive, MavlinkVersion: 3}
+	standby := &mavlink.Heartbeat{SystemStatus: 3, MavlinkVersion: 3}
+	imu := &mavlink.RawIMU{Xgyro: -42}
+	echo := &mavlink.ParamValue{ParamID: "RATE_RLL_P", ParamValue: 2}
+	good := frameWire(mavlink.MsgIDHeartbeat, hb.Marshal())
+	badCRC := append([]byte(nil), good...)
+	badCRC[len(badCRC)-1] ^= 0x55
+	var clean []byte
+	for i := byte(0); i < 6; i++ {
+		clean = append(clean, pulse(i)...)
+		clean = append(clean, frameWire(mavlink.MsgIDRawIMU, imu.Marshal())...)
+	}
+	clean = append(clean, good...)
+	clean = append(clean, frameWire(mavlink.MsgIDParamValue, echo.Marshal())...)
+	for _, seed := range []struct {
+		stream, schedule []byte
+		tolerate         bool
+	}{
+		{clean, []byte{3, 4, 1, 63, 0, 9}, false},
+		{clean, []byte{1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}, true},
+		{clean, []byte{4, 0x8C, 0x8C, 0x88, 4, 0xC1, 0x8C, 20}, true},
+		{clean, []byte{4, 0x40, 0x8C, 0x40, 4}, true}, // silence before and after an outage
+		{append(append(pulse(1), pulse(3)...), pulse(2)...), []byte{0x84, 4, 4}, false},
+		{append(append(pulse(1), pulse(3)...), pulse(2)...), []byte{0x84, 4, 0x8F, 0x8F, 4}, true},
+		{append(append([]byte{0xEE, 0x00}, badCRC...), frameWire(mavlink.MsgIDHeartbeat, make([]byte, 10))...), []byte{1, 1, 0x8C}, true},
+		{append(frameWire(mavlink.MsgIDHeartbeat, standby.Marshal()), frameWire(0x7E, []byte{1, 2})...), nil, false},
+		{append(pulse(9), mavlink.Magic), []byte{0x8C, 0x8C, 1, 0}, true},
+		{nil, []byte{0x8C, 0, 0x8C, 0, 5}, true},
+	} {
+		f.Add(seed.stream, seed.schedule, seed.tolerate)
+	}
+	f.Fuzz(func(t *testing.T, stream, schedule []byte, tolerate bool) {
+		m := &gcs.Monitor{TolerateLinkLoss: tolerate}
+		ref := &refMonitor{Monitor: gcs.Monitor{TolerateLinkLoss: tolerate}}
+		var now time.Duration
+		refOutage := false
+		feed := func(chunk []byte) {
+			if refOutage {
+				ref.noteLinkOutage(now)
+				refOutage = false
+			}
+			ref.Feed(chunk, now)
+			m.Feed(chunk, now)
+		}
+		for _, c := range schedule {
+			now += time.Duration(c%13) * 10 * time.Millisecond
+			switch c >> 6 {
+			case 2:
+				ref.FeedLinkIdle(now)
+				refOutage = true
+				m.FeedLinkIdle(now)
+			case 3:
+				ref.NoteCorrupt()
+				m.NoteCorrupt()
+			default:
+				n := min(int(c&0x3F), len(stream))
+				feed(stream[:n])
+				stream = stream[n:]
+			}
+			if m.LinkDown() != refOutage {
+				t.Fatalf("LinkDown = %v, reference outage = %v", m.LinkDown(), refOutage)
+			}
+		}
+		feed(stream)
+
+		got, want := reflect.ValueOf(*m), reflect.ValueOf(ref.Monitor)
+		for i := 0; i < got.NumField(); i++ {
+			field := got.Type().Field(i)
+			if !field.IsExported() {
+				continue
+			}
+			if g, w := got.Field(i).Interface(), want.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s = %v, reference %v", field.Name, g, w)
+			}
+		}
+		for _, th := range []time.Duration{50 * time.Millisecond, silenceThreshold, time.Second} {
+			if g, w := m.Classify(th), ref.Classify(th); g != w {
+				t.Errorf("Classify(%v) = %v, reference %v", th, g, w)
+			}
+			if g, w := m.CompromiseDetected(th), ref.CompromiseDetected(th); g != w {
+				t.Errorf("CompromiseDetected(%v) = %v, reference %v", th, g, w)
+			}
+		}
+	})
 }

@@ -50,7 +50,6 @@ type Client struct {
 	txSeq       uint32
 	frameSeq    byte
 	epoch       uint32
-	outage      bool
 	rx          rxSeq
 	lastSim     time.Duration
 	lastArrival time.Time
@@ -285,17 +284,11 @@ func (c *Client) recvLoop() {
 			c.lastSim = h.SimTime
 		}
 		c.lastArrival = time.Now()
-		if c.outage {
-			// Traffic resumed after a declared outage: charge the whole
-			// span to the link and re-baseline vehicle silence before
-			// feeding, so a healed partition never reads as a silent
-			// vehicle.
-			c.outage = false
-			c.mon.NoteLinkOutage(c.lastSim)
-		}
 		// Feed at the datagram's own sim timestamp: gaps between
 		// received sim clocks measure vehicle silence in simulated
-		// time, immune to host scheduling.
+		// time, immune to host scheduling. After a declared outage this
+		// Feed books the whole span against the link, so a healed
+		// partition never reads as a silent vehicle.
 		c.mon.Feed(payload, c.lastSim)
 		c.mu.Unlock()
 	}
@@ -320,10 +313,9 @@ func (c *Client) checkLinkIdle() {
 		c.mu.Unlock()
 		return
 	}
+	rehello := !c.mon.LinkDown()
 	c.mon.FeedLinkIdle(c.lastSim + gap)
-	rehello := !c.outage
 	if rehello {
-		c.outage = true
 		c.epoch++
 		c.stats.Rehellos.Add(1)
 	}

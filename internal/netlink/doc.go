@@ -4,36 +4,30 @@
 // talks MAVLink to the vehicle over a real link instead of an
 // in-process byte shuttle.
 //
-// The layer has four parts:
+// The layer has two parts:
 //
 //   - A tiny datagram protocol (proto.go): each UDP datagram carries a
 //     17-byte header — vehicle system id, per-direction link sequence
 //     number and the vehicle's simulated clock — followed by zero or
-//     more complete telemetry records. Sessions are keyed by peer
+//     more complete telemetry records, cut by gcs.StreamSplitter. A lost
+//     datagram then loses whole records and the ground station's stream
+//     parser never desynchronizes: loss shows up as pulse sequence gaps
+//     (gcs.Monitor.LinkGaps), not garbage. Sessions are keyed by peer
 //     address + system id; liveness is heartbeat-based (any datagram
 //     refreshes the session, idle sessions expire).
-//
-//   - A record splitter (splitter.go): the vehicle's downlink is a byte
-//     stream interleaving telemetry pulses and MAVLink frames. The
-//     splitter segments it so datagrams are packed on record
-//     boundaries; a lost datagram then loses whole records and the
-//     ground station's stream parser never desynchronizes. Loss shows
-//     up as pulse sequence gaps (gcs.Monitor.LinkGaps), not garbage.
-//
-//   - A deterministic link simulator (linksim.go): seeded drop,
-//     duplicate and latency/reorder injection whose schedule is a pure
-//     function of (seed, link name, datagram sequence). The schedule is
-//     identical across runs, goroutine interleavings and worker counts,
-//     so stealth-detection experiments over a lossy link stay
-//     reproducible.
 //
 //   - A fleet server (fleet.go) and ground-station client (client.go):
 //     Fleet hosts N independent board.System vehicles, each advanced by
 //     its own goroutine at a configurable multiple of real time, and
-//     serves any number of GCS clients over one UDP socket. Client
-//     drives a gcs.Monitor (in link-loss-tolerant mode) from the
-//     received record stream and can inject arbitrary — including
-//     oversize attack — frames on the uplink.
+//     serves any number of GCS clients over one UDP socket. Every
+//     datagram, either way, draws its fate from one seeded schedule,
+//     chaos.Config.Fate, a pure function of (seed, link, sequence
+//     number): partition and corruption both ways, loss of uplink
+//     data, and loss, duplication and delay of the downlink. So
+//     stealth-detection experiments over a lossy link stay
+//     reproducible. Client drives a gcs.Monitor (in link-loss-tolerant
+//     mode) from the received record stream and can inject arbitrary —
+//     including oversize attack — frames on the uplink.
 //
 // cmd/mavr-fleetd wraps Fleet as a daemon; cmd/mavr-attack -connect
 // points the paper's attack generator at a fleetd socket.

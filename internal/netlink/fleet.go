@@ -15,6 +15,7 @@ import (
 	"mavr/internal/board"
 	"mavr/internal/chaos"
 	"mavr/internal/firmware"
+	"mavr/internal/gcs"
 )
 
 // FleetConfig sizes and shapes a Fleet.
@@ -47,12 +48,11 @@ type FleetConfig struct {
 	// 1 is real time; 0 or negative free-runs as fast as the host
 	// allows (used by tests and load generation).
 	Rate float64
-	// Sim impairs every link through the deterministic link simulator.
-	Sim SimConfig
 	// Chaos injects the deterministic fault schedule: board panics,
 	// hangs and clock stalls realized by the driver goroutines, link
-	// partitions and datagram corruption realized on the send/receive
-	// paths. The zero value injects nothing.
+	// partitions, datagram corruption, loss, duplication and delay
+	// realized on the send/receive paths. The zero value injects
+	// nothing.
 	Chaos chaos.Config
 	// RestartBudget caps consecutive supervised restarts per vehicle
 	// before it is parked as degraded (default 8; negative disables
@@ -115,9 +115,10 @@ type VehicleSnapshot struct {
 }
 
 // Vehicle is one hosted UAV: a board.System plus its downlink
-// packetization state. The system must only be touched directly once
-// the fleet is closed (the driver goroutine owns it while running);
-// use Snapshot for live observation.
+// packetization state and the two links its datagrams draw their
+// faults on. The system must only be touched directly once the fleet
+// is closed (the driver goroutine owns it while running); use Snapshot
+// for live observation.
 type Vehicle struct {
 	SysID byte
 
@@ -125,7 +126,8 @@ type Vehicle struct {
 	// so reads go through the pointer.
 	sys atomic.Pointer[board.System]
 
-	splitter   StreamSplitter
+	down, up   chaos.Link
+	splitter   gcs.StreamSplitter
 	lastBeacon time.Duration
 	ticks      uint64
 
@@ -189,7 +191,7 @@ func (v *Vehicle) publish() {
 // after crashes), a read loop demultiplexes uplink datagrams into
 // per-session state and vehicle uplinks, and downlink telemetry is
 // packetized on record boundaries and fanned out to every subscribed
-// session (through the link simulator and the chaos schedule).
+// session (through the chaos schedule).
 type Fleet struct {
 	cfg      FleetConfig
 	img      *firmware.Image
@@ -239,7 +241,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vehicle %d: %w", i+1, err)
 		}
-		v := &Vehicle{SysID: byte(i + 1)}
+		id := byte(i + 1)
+		v := &Vehicle{
+			SysID: id,
+			down:  chaos.Link{Dir: chaos.Down, SysID: id, Name: fmt.Sprintf("v%d/down", id)},
+			up:    chaos.Link{Dir: chaos.Up, SysID: id, Name: fmt.Sprintf("v%d/up", id)},
+		}
 		v.sys.Store(sys)
 		v.publish()
 		f.vehicles = append(f.vehicles, v)
@@ -421,7 +428,7 @@ func (f *Fleet) restartVehicle(v *Vehicle) error {
 		return fmt.Errorf("vehicle %d: restart: %w", v.SysID, err)
 	}
 	sys.FastForward(old.Now())
-	v.splitter = StreamSplitter{}
+	v.splitter = gcs.StreamSplitter{}
 	v.sys.Store(sys)
 	v.publish()
 	return nil
@@ -500,7 +507,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 				(v.ticks-v.holdStart)%beaconEvery == 0 {
 				now := sys.Now()
 				for _, sess := range f.sessions.subscribers(v.SysID) {
-					f.sendDownlink(sess, now, nil)
+					f.sendDownlink(v, sess, now, nil)
 				}
 				v.lastBeacon = now
 			}
@@ -522,7 +529,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 			for _, sess := range subs {
 				sess.stats.RecordsOut.Add(uint64(len(records)))
 				for _, p := range payloads {
-					f.sendDownlink(sess, now, p)
+					f.sendDownlink(v, sess, now, p)
 				}
 			}
 			v.lastBeacon = now
@@ -530,7 +537,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 			// No telemetry: still carry the sim clock so ground stations
 			// can tell vehicle silence from link loss.
 			for _, sess := range subs {
-				f.sendDownlink(sess, now, nil)
+				f.sendDownlink(v, sess, now, nil)
 			}
 			v.lastBeacon = now
 		}
@@ -538,31 +545,45 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 	}
 }
 
-// sendDownlink wraps one payload for one session and transmits it
-// through the chaos schedule and the link simulator.
-func (f *Fleet) sendDownlink(sess *session, simNow time.Duration, payload []byte) {
+// packRecords greedily packs records into payloads no larger than
+// limit, copying them out of the splitter's buffer. A single record
+// larger than limit gets a payload of its own (UDP carries it; it just
+// exceeds the preferred size).
+func packRecords(records [][]byte, limit int) [][]byte {
+	var payloads [][]byte
+	var cur []byte
+	for _, r := range records {
+		if len(cur) > 0 && len(cur)+len(r) > limit {
+			payloads = append(payloads, cur)
+			cur = nil
+		}
+		cur = append(cur, r...)
+	}
+	if len(cur) > 0 {
+		payloads = append(payloads, cur)
+	}
+	return payloads
+}
+
+// sendDownlink wraps one payload for one of v's sessions and transmits
+// it as the chaos schedule decides.
+func (f *Fleet) sendDownlink(v *Vehicle, sess *session, simNow time.Duration, payload []byte) {
 	seq := sess.txSeq
 	sess.txSeq++
-	if f.cfg.Chaos.Partitioned(chaos.Down, sess.sysID, seq) {
+	fate := f.cfg.Chaos.Fate(v.down, seq)
+	if fate.Partitioned {
 		f.chaosPartitioned.Add(1)
 		sess.stats.SimDropped.Add(1)
 		return
 	}
 	pkt := Encode(Header{Type: PacketData, SysID: sess.sysID, Seq: seq, SimTime: simNow}, payload)
-	if c, ok := f.cfg.Chaos.Corrupt(chaos.Down, sess.sysID, seq); ok {
+	if fate.Corrupted {
 		// Flip a post-version byte so the damage is the checksum's to
 		// catch (magic/version flips are rejected before verification).
+		c := fate.Corruption
 		pkt[3+int(c.Offset%uint64(len(pkt)-3))] ^= c.XOR
 		f.chaosCorrupted.Add(1)
 	}
-
-	if !f.cfg.Sim.Active() {
-		sess.stats.DatagramsOut.Add(1)
-		sess.stats.BytesOut.Add(uint64(len(pkt)))
-		f.send.send(sess.addr, pkt, 0)
-		return
-	}
-	fate := f.cfg.Sim.Fate(downLink(sess.sysID), seq)
 	if fate.Drop {
 		sess.stats.SimDropped.Add(1)
 		return
@@ -579,12 +600,6 @@ func (f *Fleet) sendDownlink(sess *session, simNow time.Duration, payload []byte
 		f.send.send(sess.addr, pkt, fate.Delay)
 	}
 }
-
-// downLink and upLink name a vehicle's radio directions for the link
-// simulator. Ephemeral peer ports are deliberately excluded so the
-// impairment schedule is reproducible across runs.
-func downLink(sysID byte) string { return fmt.Sprintf("v%d/down", sysID) }
-func upLink(sysID byte) string   { return fmt.Sprintf("v%d/up", sysID) }
 
 // readLoop demultiplexes uplink datagrams: session bookkeeping, link
 // counters, and raw payload forwarding onto the vehicle's serial
@@ -613,15 +628,17 @@ func (f *Fleet) readLoop() {
 			f.badDatagrams.Add(1)
 			continue
 		}
-		// Chaos uplink faults strike before the datagram reaches the
-		// session layer: a partitioned window swallows it whole, and a
-		// corrupted one fails the receiver checksum (modeled post-decode
-		// because demultiplexing needs the header).
-		if f.cfg.Chaos.Partitioned(chaos.Up, h.SysID, h.Seq) {
+		// Partitions and corruption strike before the datagram reaches
+		// the session layer: a partitioned window swallows it whole, and
+		// a corrupted one fails the receiver checksum (modeled
+		// post-decode because demultiplexing needs the header). Loss
+		// strikes data payloads only, below.
+		fate := f.cfg.Chaos.Fate(f.vehicles[h.SysID-1].up, h.Seq)
+		if fate.Partitioned {
 			f.chaosPartitioned.Add(1)
 			continue
 		}
-		if _, hit := f.cfg.Chaos.Corrupt(chaos.Up, h.SysID, h.Seq); hit {
+		if fate.Corrupted {
 			f.chaosCorrupted.Add(1)
 			f.corruptDatagrams.Add(1)
 			continue
@@ -652,12 +669,9 @@ func (f *Fleet) readLoop() {
 			if len(payload) == 0 {
 				break
 			}
-			if f.cfg.Sim.Active() {
-				fate := f.cfg.Sim.Fate(upLink(h.SysID), h.Seq)
-				if fate.Drop {
-					sess.stats.SimDropped.Add(1)
-					break
-				}
+			if fate.Drop {
+				sess.stats.SimDropped.Add(1)
+				break
 			}
 			sess.parser.feed(payload, &sess.stats)
 			f.vehicles[h.SysID-1].Sys().SendToUAV(payload)

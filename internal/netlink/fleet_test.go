@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mavr/internal/attack"
+	"mavr/internal/chaos"
 	"mavr/internal/firmware"
 )
 
@@ -149,7 +150,7 @@ func TestFleetLossyLinkStaysHealthy(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
 		Vehicles: 1,
 		Firmware: testFirmware(t),
-		Sim: SimConfig{
+		Chaos: chaos.Config{
 			Seed:     1234,
 			DropRate: 0.20,
 			DupRate:  0.05,

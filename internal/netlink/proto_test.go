@@ -5,19 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"mavr/internal/mavlink"
 )
-
-func mustHeartbeatWire(t testing.TB) []byte {
-	t.Helper()
-	hb := &mavlink.Heartbeat{Type: 1, Autopilot: 3, SystemStatus: mavlink.StateActive, MavlinkVersion: 3}
-	wire, err := (&mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, SysID: 1, CompID: 1, Payload: hb.Marshal()}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire
-}
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{Type: PacketData, SysID: 42, Seq: 0xDEADBEEF, SimTime: 1500 * time.Millisecond}
@@ -69,42 +57,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Decode(pkt); err != nil {
 		t.Fatalf("pristine datagram rejected: %v", err)
-	}
-}
-
-func TestSplitterSegmentsMixedStream(t *testing.T) {
-	var s StreamSplitter
-	pulse := []byte{0xA5, 7, 10, 3} // firmware.PulseMagic
-	hbFrame := mustHeartbeatWire(t)
-	stream := append(append(append([]byte{}, pulse...), hbFrame...), pulse...)
-	stream = append(stream, 0xEE) // stray byte
-	stream = append(stream, pulse[:2]...)
-
-	// Feed one byte at a time: records must come out whole regardless
-	// of chunking.
-	var records [][]byte
-	for _, b := range stream {
-		records = append(records, s.Feed([]byte{b})...)
-	}
-	if len(records) != 4 {
-		t.Fatalf("got %d records, want 4 (pulse, frame, pulse, garbage)", len(records))
-	}
-	if !bytes.Equal(records[0], pulse) || !bytes.Equal(records[2], pulse) {
-		t.Error("pulse records mangled")
-	}
-	if !bytes.Equal(records[1], hbFrame) {
-		t.Error("frame record mangled")
-	}
-	if !bytes.Equal(records[3], []byte{0xEE}) {
-		t.Error("garbage byte not isolated")
-	}
-	if s.Pending() != 2 {
-		t.Errorf("pending = %d, want the 2-byte partial pulse", s.Pending())
-	}
-	// Completing the partial pulse releases it.
-	got := s.Feed(pulse[2:])
-	if len(got) != 1 || !bytes.Equal(got[0], pulse) {
-		t.Errorf("partial pulse not completed: %x", got)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 const maxSenderQueue = 4096
 
 // sender serializes datagram writes onto one UDP socket and realizes
-// the link simulator's injected latency: delayed datagrams sit in a
+// the fault schedule's injected latency: delayed datagrams sit in a
 // time-ordered queue drained by a single goroutine, so two datagrams
 // whose injected delays invert genuinely arrive reordered on the wire.
 // Zero-delay datagrams bypass the queue.

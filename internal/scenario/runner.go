@@ -10,7 +10,7 @@ import (
 	"mavr/internal/chaos"
 	"mavr/internal/firmware"
 	"mavr/internal/gcs"
-	"mavr/internal/netlink"
+	"mavr/internal/mavlink"
 )
 
 // Result is one scenario execution: the canonical trace, the final
@@ -35,12 +35,16 @@ type Packet struct {
 	// Note describes the packet in the trace's inject record.
 	Note string
 	// Payload is the raw overflow payload, before PARAM_SET framing
-	// (attack.Frame).
+	// (Frame).
 	Payload []byte
 	// landed reports whether the packet's write is in place at the end
 	// of the run (nil for a probe, which is expected to miss).
 	landed func(*board.System) bool
 }
+
+// Frame is the packet as the attacker transmits it: its payload in an
+// oversize PARAM_SET frame.
+func (p Packet) Frame() *mavlink.Frame { return attack.Frame(p.Payload) }
 
 // Packets expands spec's injections into the packets Run sends, in
 // send order, for callers that deliver them over their own link.
@@ -97,24 +101,21 @@ func Run(spec Spec) (*Result, error) {
 	}
 
 	chaosOn := spec.Chaos.Active()
-	r := &Result{Spec: spec, Sys: sys, Mon: &gcs.Monitor{TolerateLinkLoss: spec.Link.Active() || chaosOn}}
-	link := netlink.SimConfig{Seed: spec.Seed, DropRate: spec.Link.DropRate, DupRate: spec.Link.DupRate}
-	ch := chaos.Config{
+	datagrams := spec.Link.Active() || chaosOn
+	r := &Result{Spec: spec, Sys: sys, Mon: &gcs.Monitor{TolerateLinkLoss: datagrams}}
+	faults := chaos.Config{
 		Seed:              spec.Seed,
 		PartitionDownRate: spec.Chaos.PartitionRate,
 		PartitionWindow:   spec.Chaos.PartitionWindow,
 		CorruptRate:       spec.Chaos.CorruptRate,
+		DropRate:          spec.Link.DropRate,
+		DupRate:           spec.Link.DupRate,
 	}
-	var split netlink.StreamSplitter
+	var split gcs.StreamSplitter
 	var dgSeq uint32
 	var mavSeq byte
 	var eventsSeen int
 	var prev Counters
-	// inOutage tracks a chaos partition in progress: datagrams are being
-	// dropped wholesale, so the monitor must not be Fed (a Feed is
-	// arrival evidence) — it is kept on link-idle rations until traffic
-	// resumes and the outage is booked against the link.
-	var inOutage bool
 
 	emitEvents := func() {
 		evs := sys.Events()
@@ -191,7 +192,7 @@ func Run(spec Spec) (*Result, error) {
 		// Fire injections that are due before this step.
 		for sent < len(sends) && sends[sent].At <= elapsed {
 			s := sends[sent]
-			f := attack.Frame(s.Payload)
+			f := s.Frame()
 			f.Seq = mavSeq
 			mavSeq++
 			wire := f.MarshalOversize()
@@ -211,32 +212,19 @@ func Run(spec Spec) (*Result, error) {
 			return nil, err
 		}
 		raw := sys.DrainGCS()
-		if spec.Link.Active() || chaosOn {
-			var corrupted, partitioned int
-			raw, partitioned, corrupted = applyFaults(&split, link, ch, spec.Link.Active(), &dgSeq, raw)
+		partitioned := 0
+		if datagrams {
+			var corrupted int
+			raw, partitioned, corrupted = applyFaults(&split, faults, &dgSeq, raw)
 			for i := 0; i < corrupted; i++ {
 				r.Mon.NoteCorrupt()
 			}
-			switch {
-			case inOutage && len(raw) == 0:
-				// Outage still in progress (or the board is silent behind
-				// it): no arrival evidence, keep the link-silence clock
-				// running instead of Feeding.
-				r.Mon.FeedLinkIdle(sys.Now())
-			case len(raw) == 0 && partitioned > 0:
-				// The partition swallowed everything this step: from the
-				// ground, nothing arrived at all.
-				inOutage = true
-				r.Mon.FeedLinkIdle(sys.Now())
-			case inOutage:
-				// Traffic resumed: book the outage against the link, then
-				// deliver.
-				r.Mon.NoteLinkOutage(sys.Now())
-				inOutage = false
-				r.Mon.Feed(raw, sys.Now())
-			default:
-				r.Mon.Feed(raw, sys.Now())
-			}
+		}
+		if len(raw) == 0 && (partitioned > 0 || r.Mon.LinkDown()) {
+			// Nothing arrived: the partition swallowed this step, or an
+			// outage continues (the board may be silent behind it). The
+			// monitor books the outage at the next delivery.
+			r.Mon.FeedLinkIdle(sys.Now())
 		} else {
 			r.Mon.Feed(raw, sys.Now())
 		}
@@ -399,35 +387,30 @@ func buildSends(spec Spec, img *firmware.Image) ([]Packet, error) {
 	return sends, nil
 }
 
+// downlink is the scenario's one radio direction: vehicle 1's
+// telemetry, whose loss and duplication draw under the name "down".
+var downlink = chaos.Link{Dir: chaos.Down, SysID: 1, Name: "down"}
+
 // applyFaults packetizes the downlink byte stream into record-aligned
-// datagrams and applies the chaos schedule, then the link fault
-// schedule, per datagram: partitioned and corrupted datagrams vanish
-// whole (pulse gaps and corruption drops, never garbage — corruption
-// is caught by the transport checksum), dropped ones likewise, and
-// duplicated ones are delivered twice back to back. It reports how
-// many datagrams the partition and corruption schedules consumed.
-func applyFaults(split *netlink.StreamSplitter, cfg netlink.SimConfig, ch chaos.Config, linkOn bool, seq *uint32, raw []byte) (out []byte, partitioned, corrupted int) {
+// datagrams and applies the fault schedule per datagram: partitioned,
+// corrupted and dropped datagrams vanish whole (pulse gaps and
+// corruption drops, never garbage — corruption is caught by the
+// transport checksum), and duplicated ones are delivered twice back to
+// back. It reports how many datagrams the partition and corruption
+// schedules consumed.
+func applyFaults(split *gcs.StreamSplitter, faults chaos.Config, seq *uint32, raw []byte) (out []byte, partitioned, corrupted int) {
 	for _, rec := range split.Feed(raw) {
-		s := *seq
+		fate := faults.Fate(downlink, *seq)
 		*seq++
-		if ch.Partitioned(chaos.Down, 1, s) {
+		switch {
+		case fate.Partitioned:
 			partitioned++
-			continue
-		}
-		if _, hit := ch.Corrupt(chaos.Down, 1, s); hit {
+		case fate.Corrupted:
 			corrupted++
-			continue
-		}
-		if !linkOn {
-			out = append(out, rec...)
-			continue
-		}
-		fate := cfg.Fate("down", s)
-		if fate.Drop {
-			continue
-		}
-		for i := 0; i < fate.Copies; i++ {
-			out = append(out, rec...)
+		default:
+			for i := 0; i < fate.Copies; i++ {
+				out = append(out, rec...)
+			}
 		}
 	}
 	return out, partitioned, corrupted

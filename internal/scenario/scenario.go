@@ -3,15 +3,16 @@
 // artifact. A Spec declares a complete experiment — board build,
 // firmware profile, downlink fault schedule, timed attack injections,
 // defense toggles and a run length in simulated time — and Run drives
-// board.System + the netlink fault model + gcs.Monitor from that single
-// description, emitting a canonical JSONL trace of every observable
-// event: boots, randomization epochs, watchdog verdicts, reflashes,
-// faults, injected packets, per-frame MAVLink arrivals, pulse/link
-// gaps, garbage, periodic counter checkpoints and a final verdict.
+// board.System + the fleet's fault schedule + gcs.Monitor from that
+// single description, emitting a canonical JSONL trace of every
+// observable event: boots, randomization epochs, watchdog verdicts,
+// reflashes, faults, injected packets, per-frame MAVLink arrivals,
+// pulse/link gaps, garbage, periodic counter checkpoints and a final
+// verdict.
 //
 // Everything downstream of the Spec is a pure function of it: the
 // firmware generator, the randomizing master, the attack payload
-// builder, the link fault schedule (netlink.SimConfig.Fate) and the
+// builder, the link fault schedule (chaos.Config.Fate) and the
 // single-goroutine runner are all seeded, wall-clock-free and
 // map-iteration-free (enforced by the determinism vettool — this
 // package is in its deterministic set). Two runs of the same Spec
@@ -94,8 +95,8 @@ type Spec struct {
 	Observe func(*board.System) `json:"-"`
 }
 
-// LinkSpec is the deterministic downlink fault schedule, applied per
-// record-aligned datagram via netlink.SimConfig.Fate.
+// LinkSpec is the deterministic downlink loss and duplication,
+// applied per record-aligned datagram via chaos.Config.Fate.
 type LinkSpec struct {
 	// DropRate is the datagram loss probability in [0, 1].
 	DropRate float64 `json:"dropRate,omitempty"`

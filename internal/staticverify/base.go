@@ -4,6 +4,7 @@ import (
 	"mavr/internal/avr"
 	"mavr/internal/core"
 	"mavr/internal/firmware"
+	"mavr/internal/gadget"
 	"mavr/internal/staticverify/vsa"
 )
 
@@ -92,9 +93,6 @@ type baseRegion struct {
 // NewBase builds the verifier for one preprocessed base image under
 // fixed options; the same opts apply to every Verify on the handle.
 func NewBase(pre *core.Preprocessed, opts Options) *Base {
-	if opts.GadgetMaxWords <= 0 {
-		opts.GadgetMaxWords = DefaultOptions().GadgetMaxWords
-	}
 	b := &Base{pre: pre, opts: opts}
 
 	vecEnd := uint32(firmware.NumVectors) * 4
@@ -119,7 +117,7 @@ func NewBase(pre *core.Preprocessed, opts Options) *Base {
 	}
 
 	if opts.Gadgets {
-		b.gadgets = newGadgetCensus(pre.Image, opts.GadgetMaxWords)
+		b.gadgets = newGadgetCensus(pre.Image, gadget.Window)
 	}
 	return b
 }

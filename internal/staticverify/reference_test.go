@@ -121,12 +121,8 @@ func refVerify(pre *core.Preprocessed, r *core.Randomized, opts Options) *Report
 	add(vsaFindings)
 
 	if opts.Gadgets {
-		maxWords := opts.GadgetMaxWords
-		if maxWords <= 0 {
-			maxWords = 24
-		}
-		origGs := gadget.Scan(pre.Image, maxWords)
-		audit, gfs := auditGadgetsAgainst(pre, r, maxWords, origGs, gadgetIndex(origGs), demote)
+		origGs := gadget.Scan(pre.Image, gadget.Window)
+		audit, gfs := auditGadgetsAgainst(pre, r, gadget.Window, origGs, gadgetIndex(origGs), demote)
 		rep.Gadgets = &audit
 		rep.Findings = append(rep.Findings, gfs...)
 	}

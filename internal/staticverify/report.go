@@ -15,9 +15,6 @@ type Options struct {
 	// image, then a census of each outcome's rets; skip it on hot boot
 	// paths where only correctness matters).
 	Gadgets bool
-	// GadgetMaxWords is the maximum gadget window, as in gadget.Scan;
-	// zero or less means 24, the §VII-A census window.
-	GadgetMaxWords int
 	// VSA enables value-set abstract interpretation over the recovered
 	// CFG: indirect sites resolve to proven target sets where the
 	// pointer provably comes from an enumerable source, per-function
@@ -27,9 +24,10 @@ type Options struct {
 }
 
 // DefaultOptions is what cmd/mavr-verify and mavr-randomize use: full
-// verification including the gadget audit at the §VII-A census window.
+// verification including the gadget audit at the §VII-A census window
+// (gadget.Window).
 func DefaultOptions() Options {
-	return Options{Gadgets: true, GadgetMaxWords: 24}
+	return Options{Gadgets: true}
 }
 
 // CFGStats summarizes the recovered graph.
@@ -77,8 +75,7 @@ func Verify(pre *core.Preprocessed, r *core.Randomized, opts Options) *Report {
 // sortFindings applies the canonical report ordering — severity
 // descending, then address, then kind, block and detail. The trailing
 // tiebreaks make the order a total one, so two runs that discover the
-// same findings in different orders (the fast and the fallback path of
-// Base.Verify) render byte-identical reports.
+// same findings in different orders render byte-identical reports.
 func sortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Severity != fs[j].Severity {
