@@ -73,7 +73,7 @@ func run() error {
 	seeds := flag.String("seeds", "1,2,3", "comma-separated chaos seeds; each runs an independent soak")
 	flag.IntVar(&o.vehicles, "vehicles", 4, "vehicles per fleet")
 	flag.IntVar(&o.stations, "stations", 2, "churning ground stations (all watching vehicle 1 — duplicate-sysid joins)")
-	flag.DurationVar(&o.duration, "duration", 5*time.Second, "wall-clock soak length per seed")
+	flag.DurationVar(&o.duration, "duration", 5*time.Second, "wall-clock soak length per seed (extended, up to 4x, until every vehicle in service has been heard)")
 	flag.Float64Var(&o.chaos.PanicRate, "panic", 0.003, "per-tick board driver panic probability")
 	flag.Float64Var(&o.chaos.HangRate, "hang", 0.002, "per-tick board hang probability")
 	flag.Float64Var(&o.chaos.StallRate, "stall", 0.002, "per-tick sim-clock stall probability")
@@ -198,12 +198,17 @@ func soak(o options, seed int64, img *firmware.Image) error {
 		}
 	}
 
-	end := time.Now().Add(o.duration)
+	// Past -duration the soak keeps flying until every vehicle in
+	// service has been heard: a vehicle whose first downlink window is
+	// partitioned is silent for a whole window of sequence numbers,
+	// which a slow host may not fly past in time. The wait is capped.
+	start := time.Now()
+	end, capEnd := start.Add(o.duration), start.Add(settleCap*o.duration)
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
 	var tick uint64
 	for now := range ticker.C {
-		if now.After(end) {
+		if now.After(end) && (now.After(capEnd) || allHeard(f, observers)) {
 			break
 		}
 		tick++
@@ -314,6 +319,21 @@ func soak(o options, seed int64, img *firmware.Image) error {
 	fmt.Printf("chaos: seed=%d ok sim=%v restarts=%d churns=%d sessions-expired=%d%s\n",
 		seed, minSim.Round(time.Millisecond), restarts, churnCycles, f.ExpiredSessions(), detected)
 	return nil
+}
+
+// settleCap bounds how long a soak may run past -duration waiting for
+// telemetry from every vehicle in service, as a multiple of -duration.
+const settleCap = 4
+
+// allHeard reports whether every vehicle that has not exhausted its
+// restart budget has delivered telemetry to its observer.
+func allHeard(f *netlink.Fleet, observers []*netlink.Client) bool {
+	for i, v := range f.Vehicles() {
+		if !v.Degraded() && observers[i].Monitor().Pulses == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // attacker holds the pre-built stale V2 packet (analyzed from the

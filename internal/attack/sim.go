@@ -62,9 +62,9 @@ func NewSim(image []byte) (*Sim, error) {
 }
 
 // Reset reloads image and returns the simulator to power-on state,
-// reusing the CPU and its memories (flash, data space, decode cache,
-// I/O hooks). Sweeps that boot one randomized layout per trial should
-// prefer this over allocating a fresh Sim per iteration.
+// reusing the CPU and its memories (flash, data space, translated
+// blocks, I/O hooks). Sweeps that boot one randomized layout per trial
+// should prefer this over allocating a fresh Sim per iteration.
 func (s *Sim) Reset(image []byte) error {
 	if err := s.CPU.LoadFlash(image); err != nil {
 		return err

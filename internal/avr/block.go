@@ -2,15 +2,15 @@ package avr
 
 // Block-translated threaded-code execution engine.
 //
-// The predecode cache (cache.go) removed decoding from the hot loop;
-// what remains is dispatch itself: per instruction, Run re-tests the
-// fault/interrupt/sleep state, re-checks the cycle budget, fetches
-// through the cache and branches through exec's big switch. This layer
-// removes that constant factor for straight-line code: instructions
-// are grouped into basic blocks (ending at any control transfer, skip,
-// SPM, SLEEP, BREAK, invalid opcode, flash boundary, or a length cap),
-// each block is translated once into a chain of specialized Go
-// closures (translate.go), and Run executes whole blocks at a time.
+// The interpreter pays full dispatch per instruction: Run re-tests the
+// fault/interrupt/sleep state, re-checks the cycle budget, decodes the
+// instruction from flash and branches through exec's big switch. This
+// layer removes that constant factor for straight-line code:
+// instructions are grouped into basic blocks (ending at any control
+// transfer, skip, SPM, SLEEP, BREAK, invalid opcode, flash boundary, or
+// a length cap), each block is translated once into a chain of
+// specialized Go closures (translate.go), and Run executes whole blocks
+// at a time.
 //
 // Semantics are bit-identical to the interpreter — the golden-trace
 // conformance suite and FuzzBlockExec hold the engine to that:
@@ -27,10 +27,13 @@ package avr
 //     hook-capable one with the interpreter's pre-instruction check
 //     (fault / SEI-delay / pending). When the check fires, the block
 //     bails to the interpreter at that exact PC.
-//   - Invalidation mirrors the decode cache: LoadFlash, SPM page
-//     erase/write and InvalidateFlash all bump per-flash-page
-//     generation counters; a cached block re-validates its (at most
-//     two) covering pages on entry and is retranslated when stale.
+//   - Invalidation: translated blocks are the emulator's only code
+//     cache, so they carry the whole contract that flash writes never
+//     leave stale code running (MAVR's defense rewrites the
+//     application's flash under it). LoadFlash, SPM page erase/write
+//     and InvalidateFlash bump per-flash-page generation counters; a
+//     block stamps the (at most two) pages its bytes cover, re-validates
+//     them on entry and is retranslated when stale.
 //
 // The engine turns itself off — falling back to the plain interpreter
 // loop — whenever OnStep is set (tracing observes every instruction),
@@ -119,9 +122,7 @@ func (c *CPU) blockFor(pc uint32) *block {
 	if c.blocks == nil {
 		c.blocks = make([]*block, FlashWords)
 		c.blockHeat = make([]uint8, FlashWords)
-		if c.pageGen == nil {
-			c.pageGen = make([]uint32, flashPages)
-		}
+		c.pageGen = make([]uint32, flashPages)
 	}
 	if b := c.blocks[pc]; b != nil {
 		for i := 0; i < b.npages; i++ {
@@ -151,29 +152,27 @@ func (c *CPU) retranslate(pc uint32) *block {
 	return b
 }
 
-// bumpPageGens invalidates every cached block overlapping the modified
-// byte range [start, start+n). Like the decode cache, the range is
-// extended one word backwards: the word before may be the first word
-// of a two-word instruction whose operand just changed.
-func (c *CPU) bumpPageGens(start, n uint32) {
+// InvalidateFlash marks n flash bytes starting at byte address start as
+// modified: every translated block whose bytes overlap them is
+// retranslated on its next entry. Code that writes c.Flash directly
+// (the board's bootloader installation, external programmers) must call
+// this; the CPU's own flash channels (LoadFlash, SPM) invalidate
+// automatically. The interpreter decodes from flash and needs nothing.
+func (c *CPU) InvalidateFlash(start, n uint32) {
 	if c.pageGen == nil || n == 0 {
 		return
-	}
-	lo := uint32(0)
-	if start >= 2 {
-		lo = (start - 2) / SPMPageSize
 	}
 	hi := (start + n - 1) / SPMPageSize
 	if hi >= flashPages {
 		hi = flashPages - 1
 	}
-	for p := lo; p <= hi; p++ {
+	for p := start / SPMPageSize; p <= hi; p++ {
 		c.pageGen[p]++
 	}
 }
 
-// bumpAllPageGens invalidates every cached block.
-func (c *CPU) bumpAllPageGens() {
+// invalidateAllFlash invalidates every translated block.
+func (c *CPU) invalidateAllFlash() {
 	for i := range c.pageGen {
 		c.pageGen[i]++
 	}

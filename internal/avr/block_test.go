@@ -23,9 +23,7 @@ loop:
 
 // An SPM self-rewrite of an instruction inside a hot, cached block
 // must invalidate the translation: the second call has to execute the
-// rewritten code. This is the decode-cache SPM test (cache_test.go)
-// replayed against the block layer — MAVR's bootloader reprogramming
-// path depends on it.
+// rewritten code. MAVR's bootloader reprogramming path depends on it.
 func TestBlockSPMRewriteInvalidatesTranslation(t *testing.T) {
 	img, err := asm.Assemble(hotLoopHeader + `
 	; fill buffer word 0 with "ldi r20, 2" (bytes 42 E0)
@@ -149,6 +147,95 @@ sub:
 	}
 }
 
+// LoadFlash replaces the whole image and must drop every translated
+// block: image A's subroutine runs hot, then image B, with the same
+// layout and a different immediate, is loaded in its place.
+func TestLoadFlashInvalidatesTranslations(t *testing.T) {
+	c := avr.New()
+	c.ForceInterpreter = false
+	var st avr.BlockStats
+	for _, want := range []byte{1, 2} {
+		img, err := asm.Assemble(hotLoopHeader + fmt.Sprintf(`
+	sleep
+sub:
+	ldi r20, %d
+	ret
+	`, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.LoadFlash(img); err != nil {
+			t.Fatal(err)
+		}
+		c.Reset()
+		if _, fault := c.Run(100_000); fault != nil {
+			t.Fatal(fault)
+		}
+		if got := c.Reg(20); !c.Sleeping || got != want {
+			t.Fatalf("image %d: sleeping=%v r20=%d (stale translation?)", want, c.Sleeping, got)
+		}
+		st = c.TranslationStats()
+		if st.Execs == 0 {
+			t.Fatalf("image %d: block engine never engaged: %+v", want, st)
+		}
+	}
+	if st.Invalidated == 0 {
+		t.Errorf("LoadFlash did not invalidate the hot block: %+v", st)
+	}
+}
+
+// Patching only the operand word of a two-word instruction must
+// invalidate the hot block holding its opcode, here with the opcode on
+// page 0 and the operand on page 1: a block stamps every page its
+// bytes cover, so the invalidation needs no widening.
+func TestInvalidateFlashCoversTwoWordStraddle(t *testing.T) {
+	img, err := asm.Assemble(hotLoopHeader + `
+	sleep
+
+.org 0x7F
+sub:
+	lds r20, 0x0400 ; opcode at bytes 0xFE-0xFF, operand at 0x100-0x101
+	ret
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := avr.New()
+	c.ForceInterpreter = false
+	if err := c.LoadFlash(img); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.Flash[0xFE:0x102], []byte{0x40, 0x91, 0x00, 0x04}) {
+		t.Fatalf("unexpected layout: % X", c.Flash[0xFE:0x102])
+	}
+	c.Data[0x0400] = 0xAA
+	if _, fault := c.Run(100_000); fault != nil {
+		t.Fatal(fault)
+	}
+	if !c.Sleeping || c.Reg(20) != 0xAA {
+		t.Fatalf("first run: sleeping=%v r20=0x%02X", c.Sleeping, c.Reg(20))
+	}
+	before := c.TranslationStats()
+	if before.Execs == 0 {
+		t.Fatalf("block engine never engaged: %+v", before)
+	}
+
+	// Retarget the lds to 0x0401, invalidating only the operand word.
+	c.Flash[0x100] = 0x01
+	c.InvalidateFlash(0x100, 2)
+	c.Reset()
+	c.Data[0x0401] = 0xBB
+	if _, fault := c.Run(100_000); fault != nil {
+		t.Fatal(fault)
+	}
+	if got := c.Reg(20); got != 0xBB {
+		t.Errorf("after patch: r20 = 0x%02X, want 0xBB (stale translation?)", got)
+	}
+	if after := c.TranslationStats(); after.Invalidated == before.Invalidated {
+		t.Errorf("operand patch did not invalidate the hot block: %+v", after)
+	}
+}
+
 // An interrupt raised by an I/O write hook in the middle of a
 // translated block must bail to the interpreter at the exact
 // instruction boundary the interpreter would dispatch at. Run the same
@@ -214,6 +301,51 @@ isr:
 	}
 	if st.Bails == 0 {
 		t.Errorf("no mid-block interrupt bail recorded: %+v", st)
+	}
+}
+
+// Run on a sleeping core fast-forwards the remaining cycle budget
+// instead of returning after a single one-cycle sleep step, so
+// board-level timing derived from Run's cycle accounting stays
+// meaningful across sleep windows.
+func TestRunSleepConsumesBudget(t *testing.T) {
+	img, err := asm.Assemble(`
+		nop
+		sleep
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := avr.New()
+	if err := c.LoadFlash(img); err != nil {
+		t.Fatal(err)
+	}
+	used, fault := c.Run(1000)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if used != 1000 {
+		t.Errorf("Run consumed %d cycles, want the full 1000 budget", used)
+	}
+	if c.Cycles != 1000 {
+		t.Errorf("Cycles = %d, want 1000", c.Cycles)
+	}
+	// A second Run keeps fast-forwarding while asleep.
+	used, fault = c.Run(500)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if used != 500 || c.Cycles != 1500 {
+		t.Errorf("second Run: used %d, Cycles %d; want 500, 1500", used, c.Cycles)
+	}
+	// An interrupt still wakes it mid-budget.
+	c.RaiseInterrupt(avr.VectorTimer0Ovf)
+	if !c.PendingInterrupts() {
+		t.Fatal("interrupt not pending")
+	}
+	c.Run(100)
+	if c.Sleeping {
+		t.Error("pending interrupt did not wake the sleeping core")
 	}
 }
 

@@ -104,11 +104,6 @@ type CPU struct {
 	spmBuf      [SPMPageSize]byte
 	spmBufInit  bool
 
-	// Predecoded instruction cache (see cache.go). decoded[pc] is valid
-	// iff bit pc of decValid is set; both are allocated on first fetch.
-	decoded  []Instr
-	decValid []uint64
-
 	// Block translation engine state (see block.go). blocks[pc] caches
 	// the translation entered at pc; blockHeat gates translation to hot
 	// entries; pageGen holds per-flash-page generation counters that
@@ -142,7 +137,7 @@ func (c *CPU) LoadFlash(image []byte) error {
 		c.Flash[i] = 0xFF // erased flash reads as all ones
 	}
 	copy(c.Flash, image)
-	c.InvalidateAllFlash()
+	c.invalidateAllFlash()
 	return nil
 }
 
@@ -323,7 +318,7 @@ func (c *CPU) Step() error {
 		c.raise(FaultPCOutOfRange, 0)
 		return c.fault
 	}
-	in := c.fetch(c.PC)
+	in := DecodeAt(c.Flash, c.PC)
 	if c.OnStep != nil {
 		c.OnStep(c.PC, in)
 	}
@@ -349,12 +344,12 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 		end = ^uint64(0)
 	}
 	// Tight dispatch loop: the fault check, interrupt window and sleep
-	// state are re-tested per instruction but all stay in registers; the
-	// instruction itself comes predecoded from the cache. Hot
-	// straight-line code leaves this loop entirely: translated basic
-	// blocks (block.go) execute whole runs of instructions per
-	// iteration, and the interpreter below remains the reference path
-	// for cold, traced, or interrupt-window code.
+	// state are re-tested per instruction but all stay in registers.
+	// Hot straight-line code leaves this loop entirely: translated
+	// basic blocks (block.go) execute whole runs of instructions per
+	// iteration. The interpreter below decodes straight from flash, so
+	// it needs no invalidation and remains the reference path for
+	// cold, traced, or interrupt-window code.
 	useBlocks := c.blocksEnabled()
 	for c.Cycles < end {
 		if c.fault != nil {
@@ -388,7 +383,7 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 				continue
 			}
 		}
-		in := c.fetch(c.PC)
+		in := DecodeAt(c.Flash, c.PC)
 		if c.OnStep != nil {
 			c.OnStep(c.PC, in)
 		}

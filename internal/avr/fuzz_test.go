@@ -1,7 +1,7 @@
 package avr
 
-// Internal test: the decode cache's fetch path is unexported, and the
-// whole point is proving it indistinguishable from uncached decoding.
+// Internal test: FuzzDecode reads flash through the unexported wordAt,
+// and FuzzBlockExec compares unexported interrupt state.
 
 import (
 	"bytes"
@@ -11,9 +11,9 @@ import (
 
 // FuzzDecode feeds arbitrary flash contents to the decoder. Invariants:
 // Decode never panics, InstrWords always agrees with Decode on the
-// instruction length, and the CPU's predecoded cache returns exactly
-// what uncached decoding returns — before and after a flash rewrite
-// with invalidation, the scenario MAVR's re-randomization produces.
+// instruction length, and DecodeAt — what the interpreter and the block
+// translator decode with — returns exactly what Decode returns for the
+// same two flash words.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0C, 0x94, 0x34, 0x12}) // jmp
@@ -24,42 +24,25 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x0C, 0x94})             // two-word instr cut short
 	f.Add(make([]byte, 512))              // a page of nops
 
-	cpu := New()
+	// Two erased words past the longest input keep every word the loop
+	// decodes, operands included, inside the buffer.
+	flash := make([]byte, 4096+4)
 	f.Fuzz(func(t *testing.T, image []byte) {
 		if len(image) > 4096 {
 			image = image[:4096]
 		}
-		if err := cpu.LoadFlash(image); err != nil {
-			t.Fatal(err)
+		for i := range flash {
+			flash[i] = 0xFF
 		}
+		copy(flash, image)
 		words := uint32((len(image) + 1) / 2)
-		for pc := uint32(0); pc <= words && pc+1 < FlashWords; pc++ {
-			plain := Decode(wordAt(cpu.Flash, pc), wordAt(cpu.Flash, pc+1))
-			if got := InstrWords(wordAt(cpu.Flash, pc)); got != plain.Words {
+		for pc := uint32(0); pc <= words; pc++ {
+			plain := Decode(wordAt(flash, pc), wordAt(flash, pc+1))
+			if got := InstrWords(wordAt(flash, pc)); got != plain.Words {
 				t.Fatalf("pc %d: InstrWords = %d, Decode.Words = %d", pc, got, plain.Words)
 			}
-			if streamed := DecodeAt(cpu.Flash, pc); streamed != plain {
+			if streamed := DecodeAt(flash, pc); streamed != plain {
 				t.Fatalf("pc %d: DecodeAt = %+v, Decode = %+v", pc, streamed, plain)
-			}
-			if cached := cpu.fetch(pc); cached != plain {
-				t.Fatalf("pc %d: cached fetch = %+v, uncached = %+v", pc, cached, plain)
-			}
-			// A second fetch is a guaranteed cache hit; it must not decay.
-			if hit := cpu.fetch(pc); hit != plain {
-				t.Fatalf("pc %d: cache hit = %+v, uncached = %+v", pc, hit, plain)
-			}
-		}
-
-		// Rewrite the image in place (byte-flip the whole extent), as a
-		// randomization pass would, and invalidate: the cache must track.
-		for i := range image {
-			cpu.Flash[i] ^= 0xA5
-		}
-		cpu.InvalidateFlash(0, uint32(len(image)))
-		for pc := uint32(0); pc <= words && pc+1 < FlashWords; pc++ {
-			plain := Decode(wordAt(cpu.Flash, pc), wordAt(cpu.Flash, pc+1))
-			if cached := cpu.fetch(pc); cached != plain {
-				t.Fatalf("pc %d after rewrite: cached = %+v, uncached = %+v", pc, cached, plain)
 			}
 		}
 	})
@@ -74,20 +57,35 @@ func FuzzDecode(f *testing.F) {
 // PCs cross the heat threshold and later rounds execute translated
 // blocks; the plan byte toggles interrupts between slices, an I/O
 // write hook that raises an interrupt mid-block, and a mid-corpus
-// flash rewrite with invalidation.
+// flash rewrite with invalidation of a byte range whose offset and
+// length are fuzzed (and folded into the image), so mid-page and
+// page-straddling rewrites are held to the interpreter, which decodes
+// straight from flash.
 func FuzzBlockExec(f *testing.F) {
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{1, 2, 3}, byte(0))
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{1, 2, 3}, byte(0), uint16(0), uint16(63))
 	// ldi r16,0x42 ; ldi r17,1 ; add r16,r17 ; rjmp .-8
-	f.Add([]byte{0x02, 0xE4, 0x11, 0xE0, 0x01, 0x0F, 0xFC, 0xCF}, []byte{0xFF}, byte(1))
+	f.Add([]byte{0x02, 0xE4, 0x11, 0xE0, 0x01, 0x0F, 0xFC, 0xCF}, []byte{0xFF}, byte(1), uint16(0), uint16(63))
 	// sei ; out 0x20,r16 ; nop ; rjmp .-8 (hook + SEI delay window)
-	f.Add([]byte{0x78, 0x94, 0x00, 0xB9, 0x00, 0x00, 0xFC, 0xCF}, []byte{0x80}, byte(3))
+	f.Add([]byte{0x78, 0x94, 0x00, 0xB9, 0x00, 0x00, 0xFC, 0xCF}, []byte{0x80}, byte(3), uint16(0), uint16(63))
 	// push r0 x3 ; ret (stack traffic, PopPC of garbage)
-	f.Add([]byte{0x0F, 0x92, 0x0F, 0x92, 0x0F, 0x92, 0x08, 0x95}, []byte{7}, byte(2))
+	f.Add([]byte{0x0F, 0x92, 0x0F, 0x92, 0x0F, 0x92, 0x08, 0x95}, []byte{7}, byte(2), uint16(0), uint16(63))
 	// cp/cpc chain into brbs (flag liveness across a branch)
-	f.Add([]byte{0x01, 0x17, 0x12, 0x07, 0x11, 0xF0, 0xFC, 0xCF}, []byte{9, 9, 1}, byte(5))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{}, byte(8))
+	f.Add([]byte{0x01, 0x17, 0x12, 0x07, 0x11, 0xF0, 0xFC, 0xCF}, []byte{9, 9, 1}, byte(5), uint16(0), uint16(63))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{}, byte(8), uint16(0), uint16(5))
+	// 0x81 × inc r16 ; rjmp to 0: the loop's last block starts on page 0
+	// and ends on page 1, so rewriting only the word at byte 0x100 must
+	// invalidate it.
+	straddle := bytes.Repeat([]byte{0x03, 0x95}, 0x81)
+	straddle = append(straddle, 0x7E, 0xCF)
+	f.Add(straddle, []byte{}, byte(8), uint16(0x100), uint16(1))
+	// lds r20,0x0400 with its opcode at byte 0xFE and its operand at
+	// 0x100, preceded by nops and followed by rjmp to 0: rewriting only
+	// the operand word must invalidate the block holding the opcode.
+	lds := bytes.Repeat([]byte{0x00, 0x00}, 0x7F)
+	lds = append(lds, 0x40, 0x91, 0x00, 0x04, 0x7E, 0xCF)
+	f.Add(lds, []byte{}, byte(8), uint16(0x100), uint16(1))
 
-	f.Fuzz(func(t *testing.T, image, regs []byte, plan byte) {
+	f.Fuzz(func(t *testing.T, image, regs []byte, plan byte, off, n uint16) {
 		if len(image) == 0 {
 			return
 		}
@@ -135,15 +133,13 @@ func FuzzBlockExec(f *testing.F) {
 				// Mid-corpus reprogramming, as MAVR's re-randomizer
 				// does: both CPUs rewrite and invalidate identically,
 				// so stale translations must retranslate.
-				n := len(image)
-				if n > 64 {
-					n = 64
-				}
+				lo := int(off) % len(image)
+				hi := lo + 1 + int(n)%(len(image)-lo)
 				for _, c := range []*CPU{ref, blk} {
-					for i := 0; i < n; i++ {
+					for i := lo; i < hi; i++ {
 						c.Flash[i] ^= 0xA5
 					}
-					c.InvalidateFlash(0, uint32(n))
+					c.InvalidateFlash(uint32(lo), uint32(hi-lo))
 				}
 			}
 			for s, budget := range budgets {

@@ -132,9 +132,9 @@ func termWorstCycles(in Instr) uint64 {
 func noopStep(*CPU) {}
 
 // translate builds the basic block entered at word address entry, or
-// returns nil when the entry instruction cannot be translated.
-// Decoding goes through the predecode cache, so the two layers always
-// agree on instruction boundaries.
+// returns nil when the entry instruction cannot be translated. It
+// decodes with DecodeAt, as the interpreter does, so the two tiers
+// always agree on instruction boundaries.
 func (c *CPU) translate(entry uint32) *block {
 	type decoded struct {
 		in Instr
@@ -144,7 +144,7 @@ func (c *CPU) translate(entry uint32) *block {
 	var term *decoded
 	pc := entry
 	for pc < FlashWords {
-		in := c.fetch(pc)
+		in := DecodeAt(c.Flash, pc)
 		d := decoded{in: in, pc: pc}
 		if isBlockTerminator(in) {
 			term = &d
@@ -168,7 +168,9 @@ func (c *CPU) translate(entry uint32) *block {
 
 	b := &block{}
 
-	// Stamp the covering flash pages with their current generation.
+	// Stamp every flash page the block's bytes cover with its current
+	// generation. end lies past the last instruction's operand word, so
+	// patching any word of the block, operands included, invalidates it.
 	firstPage := entry * 2 / SPMPageSize
 	lastPage := (end*2 - 1) / SPMPageSize
 	if lastPage >= flashPages {

@@ -2,9 +2,11 @@ package board_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"mavr/internal/asm"
 	"mavr/internal/avr"
 	"mavr/internal/board"
 	"mavr/internal/firmware"
@@ -48,6 +50,47 @@ func TestBootloaderProgramsFlashViaSPM(t *testing.T) {
 	app.Reset(true)
 	if fault := app.RunCycles(500_000); fault != nil {
 		t.Fatalf("application faulted after bootloader programming: %v", fault)
+	}
+}
+
+// Reprogramming through the resident bootloader must leave no stale
+// translated block behind: application A's store loop runs hot, the
+// same pages are rewritten with application B (a different stored
+// value) via the real SPM programming path, and B must run after reset.
+func TestBootloaderReprogrammingInvalidatesTranslations(t *testing.T) {
+	boot := testImage(t)
+	app := board.NewAppProcessor()
+	app.CPU.ForceInterpreter = false // independent of the env escape hatch
+	app.InstallBootloader(boot.Bootloader, firmware.BootloaderStart)
+
+	var st avr.BlockStats
+	for _, want := range []byte{0xAA, 0x55} {
+		img, err := asm.Assemble(fmt.Sprintf(`
+	loop:
+		ldi r16, 0x%02X
+		sts 0x0400, r16
+		rjmp loop
+		`, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.ProgramViaBootloader(img); err != nil {
+			t.Fatalf("program 0x%02X: %v", want, err)
+		}
+		app.Reset(true)
+		if fault := app.RunCycles(1000); fault != nil {
+			t.Fatalf("image 0x%02X faulted: %v", want, fault)
+		}
+		if got := app.CPU.Data[0x0400]; got != want {
+			t.Fatalf("data[0x0400] = 0x%02X, want 0x%02X (stale translation after reprogramming?)", got, want)
+		}
+		st = app.CPU.TranslationStats()
+		if st.Execs == 0 {
+			t.Fatalf("image 0x%02X: block engine never engaged: %+v", want, st)
+		}
+	}
+	if st.Invalidated == 0 {
+		t.Errorf("reprogramming did not invalidate the hot block: %+v", st)
 	}
 }
 

@@ -86,11 +86,16 @@ func helloEpoch(payload []byte) uint32 {
 type rxSeq struct {
 	init bool
 	next uint32 // the sequence number expected next
+	// missing marks the skipped numbers behind next: bit i is set while
+	// next-1-i was booked as a gap and has not arrived.
+	missing uint64
 }
 
 // track accounts one received datagram's sequence number into st: the
 // numbers skipped since the last in-order one count as gaps, and an
-// older number counts as reordered.
+// older number counts as reordered. A late arrival still marked
+// missing (within 64 of next) takes its gap back, so jitter alone
+// books no gaps.
 func (t *rxSeq) track(seq uint32, st *LinkStats) {
 	if !t.init {
 		t.init = true
@@ -100,11 +105,22 @@ func (t *rxSeq) track(seq uint32, st *LinkStats) {
 	switch {
 	case seq == t.next:
 		t.next++
+		t.missing <<= 1
 	case seq > t.next:
-		st.SeqGaps.Add(uint64(seq - t.next))
+		skipped := seq - t.next
+		st.SeqGaps.Add(uint64(skipped))
+		// Move the window past seq (a shift of 64 or more empties it),
+		// then mark the skipped numbers: bits 1..skipped, since bit 0
+		// is seq itself, which arrived.
+		t.missing <<= uint64(skipped) + 1
+		t.missing |= ^uint64(0) >> (64 - min(skipped, 63)) << 1
 		t.next = seq + 1
 	default:
 		st.Reordered.Add(1)
+		if back := t.next - 1 - seq; back < 64 && t.missing&(1<<back) != 0 {
+			t.missing &^= 1 << back
+			st.SeqGaps.Add(^uint64(0)) // un-book its gap
+		}
 	}
 }
 

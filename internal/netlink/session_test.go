@@ -65,7 +65,9 @@ func TestSessionEpochWraparound(t *testing.T) {
 }
 
 // rxSeq charges exactly the skipped sequence numbers as gaps and each
-// older (or repeated) number as one reorder.
+// older (or repeated) number as one reorder; a late number still inside
+// the 64-number window takes its gap back, a repeat or an older one
+// does not.
 func TestRxSeqAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -76,8 +78,12 @@ func TestRxSeqAccounting(t *testing.T) {
 		{"first datagram", []uint32{41}, 0, 0, 42},
 		{"in order", []uint32{0, 1, 2, 3}, 0, 0, 4},
 		{"gap of 3", []uint32{0, 1, 5}, 3, 0, 6},
-		{"older sequence", []uint32{0, 1, 5, 2}, 3, 1, 6},
+		{"older sequence", []uint32{0, 1, 5, 2}, 2, 1, 6},
 		{"repeated sequence", []uint32{7, 7}, 0, 1, 8},
+		{"swapped pair", []uint32{1, 3, 2, 4}, 0, 1, 5},
+		{"late then repeated", []uint32{0, 2, 1, 1}, 0, 2, 3},
+		{"repeat is no fill", []uint32{0, 2, 2}, 1, 1, 3},
+		{"older than the window", []uint32{0, 100, 99, 30}, 98, 2, 101},
 	} {
 		var rx rxSeq
 		var st LinkStats

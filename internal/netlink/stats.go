@@ -28,7 +28,8 @@ type LinkStats struct {
 	CRCRejects atomic.Uint64
 
 	// SeqGaps counts link-sequence discontinuities (datagrams missing
-	// from the peer's numbering — real or simulated loss).
+	// from the peer's numbering — real or simulated loss). A datagram
+	// that arrives late, within 64 numbers, takes its gap back.
 	SeqGaps atomic.Uint64
 	// Reordered counts datagrams arriving with an older sequence
 	// number than already seen.
