@@ -297,7 +297,8 @@ func soak(o options, seed int64, img *firmware.Image) error {
 	if err := f.Close(); err != nil {
 		errs = append(errs, fmt.Sprintf("drain: %v", err))
 	}
-	if n := f.Sessions(); n != 0 {
+	st := f.Stats()
+	if n := st.Sessions; n != 0 {
 		errs = append(errs, fmt.Sprintf("%d session(s) survived Close", n))
 	}
 	leakEnd := time.Now().Add(5 * time.Second)
@@ -317,7 +318,7 @@ func soak(o options, seed int64, img *firmware.Image) error {
 		detected = " attack-detected"
 	}
 	fmt.Printf("chaos: seed=%d ok sim=%v restarts=%d churns=%d sessions-expired=%d%s\n",
-		seed, minSim.Round(time.Millisecond), restarts, churnCycles, f.ExpiredSessions(), detected)
+		seed, minSim.Round(time.Millisecond), restarts, churnCycles, st.SessionsExpired, detected)
 	return nil
 }
 

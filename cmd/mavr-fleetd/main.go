@@ -191,16 +191,13 @@ func run() error {
 }
 
 func printStatus(f *netlink.Fleet) {
+	st := f.Stats()
 	var minSim, maxSim time.Duration
-	alive, restarts, degraded := 0, 0, 0
+	alive := 0
 	for i, v := range f.Vehicles() {
 		s := v.Snapshot()
 		if s.Running {
 			alive++
-		}
-		restarts += s.Restarts
-		if s.Degraded {
-			degraded++
 		}
 		if i == 0 || s.SimTime < minSim {
 			minSim = s.SimTime
@@ -211,5 +208,5 @@ func printStatus(f *netlink.Fleet) {
 	}
 	fmt.Printf("fleetd: sim=[%v..%v] alive=%d/%d restarts=%d degraded=%d sessions=%d expired=%d\n",
 		minSim.Round(time.Millisecond), maxSim.Round(time.Millisecond),
-		alive, len(f.Vehicles()), restarts, degraded, f.Sessions(), f.ExpiredSessions())
+		alive, st.Vehicles, st.Restarts, st.Degraded, st.Sessions, st.SessionsExpired)
 }

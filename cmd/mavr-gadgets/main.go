@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"mavr/internal/asm"
-	"mavr/internal/elfobj"
 	"mavr/internal/firmware"
 	"mavr/internal/gadget"
 )
@@ -30,29 +29,11 @@ func run() error {
 	max := flag.Int("max", 24, "maximum gadget length in words")
 	flag.Parse()
 
-	var image []byte
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		image = f.Text
-	default:
-		spec, err := firmware.Profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		image = img.Flash
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
+	image := elf.Text
 
 	gs := gadget.Scan(image, *max)
 	byKind := gadget.CountByKind(gs)

@@ -15,7 +15,6 @@ import (
 
 	"mavr/internal/asm"
 	"mavr/internal/avr"
-	"mavr/internal/elfobj"
 	"mavr/internal/firmware"
 )
 
@@ -34,28 +33,9 @@ func run() error {
 	n := flag.Int("n", 0, "instruction count from -start")
 	flag.Parse()
 
-	var elf *elfobj.File
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		elf = f
-	default:
-		spec, err := firmware.Profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		elf = img.ELF
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
 
 	if *n > 0 {

@@ -58,28 +58,9 @@ func run() error {
 	armoryKey := flag.String("armory-key", "", "armory signing key (hex; empty: built-in dev key)")
 	flag.Parse()
 
-	var elf *elfobj.File
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		elf = f
-	default:
-		spec, err := firmware.Profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		elf = img.ELF
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
 
 	if *armoryURL != "" {

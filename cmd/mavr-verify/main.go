@@ -53,7 +53,7 @@ func run() (int, error) {
 	skipPtr := flag.Int("skip-pointer", -1, "fault injection: revert the n-th patched function pointer before verifying")
 	flag.Parse()
 
-	elf, err := loadELF(*elfPath, *app)
+	elf, err := firmware.LoadELF(*elfPath, *app)
 	if err != nil {
 		return 1, err
 	}
@@ -114,25 +114,6 @@ func run() (int, error) {
 		return 2, nil
 	}
 	return 0, nil
-}
-
-func loadELF(path, app string) (*elfobj.File, error) {
-	if path != "" {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return elfobj.Parse(raw)
-	}
-	spec, err := firmware.Profile(app)
-	if err != nil {
-		return nil, err
-	}
-	img, err := firmware.Generate(spec, firmware.ModeMAVR)
-	if err != nil {
-		return nil, err
-	}
-	return img.ELF, nil
 }
 
 // reconstruct rebuilds the Randomized record a prior mavr-randomize run

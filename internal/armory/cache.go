@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 
 	"mavr/internal/core"
 	"mavr/internal/staticverify"
@@ -26,7 +25,6 @@ func Digest(b []byte) string {
 type baseEntry struct {
 	once sync.Once
 
-	submitted string // digest of the submitted bytes
 	canonical string // digest of pre.Image — the ledger key
 	pre       *core.Preprocessed
 	base      *staticverify.Base
@@ -56,9 +54,6 @@ type baseCache struct {
 	max     int
 	entries map[string]*baseEntry
 	order   []string
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // get returns the entry for img, building it (once) on a miss, and
@@ -69,7 +64,7 @@ func (c *baseCache) get(img []byte, opts staticverify.Options) (*baseEntry, bool
 	c.mu.Lock()
 	e, ok := c.entries[digest]
 	if !ok {
-		e = &baseEntry{submitted: digest}
+		e = &baseEntry{}
 		c.entries[digest] = e
 		c.order = append(c.order, digest)
 		for len(c.order) > c.max {
@@ -78,11 +73,6 @@ func (c *baseCache) get(img []byte, opts staticverify.Options) (*baseEntry, bool
 		}
 	}
 	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	e.build(img, opts)
 	return e, ok
 }

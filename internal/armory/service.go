@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mavr/internal/core"
+	"mavr/internal/metrics"
 	"mavr/internal/staticverify"
 )
 
@@ -127,31 +125,35 @@ func (e *RequestError) Error() string {
 // ErrClosed is returned by Randomize after Close.
 var ErrClosed = errors.New("armory: service closed")
 
-// Stats is a point-in-time snapshot of the service counters.
+// Stats is a point-in-time snapshot of the service counters, and the
+// only declaration of them: each tagged field is one armory.<name>
+// line of MetricsText. The counted fields live in the Service behind
+// its stats mutex; CachedBases, LedgerBases and the VSA sums are read
+// from the cache and the ledger when Stats is called.
 type Stats struct {
-	Submitted        uint64
-	Completed        uint64
-	Failed           uint64
-	CacheHits        uint64
-	CacheMisses      uint64
-	CachedBases      int
-	LedgerBases      int
-	LedgerConflicts  uint64
-	Reissues         uint64
-	VerifyRejections uint64
+	Submitted        uint64 `metric:"submitted"`
+	Completed        uint64 `metric:"completed"`
+	Failed           uint64 `metric:"failed"`
+	CacheHits        uint64 `metric:"cache_hits"`
+	CacheMisses      uint64 `metric:"cache_misses"`
+	CachedBases      int    `metric:"cached_bases"`
+	LedgerBases      int    `metric:"ledger_bases"`
+	LedgerConflicts  uint64 `metric:"ledger_conflicts"`
+	Reissues         uint64 `metric:"reissues"`
+	VerifyRejections uint64 `metric:"verify_rejections"`
 	// FastVerifies counts verifications against a cached base: every
-	// one the service runs. FallbackVerifies is always 0: the cached
-	// verifier has one path. Both stay while the benchmark harness
-	// reads them.
-	FastVerifies     uint64
+	// one the service runs. FallbackVerifies is always 0, because the
+	// cached verifier has one path, and has no metrics line. Both stay
+	// while the benchmark harness reads them.
+	FastVerifies     uint64 `metric:"fast_verifies"`
 	FallbackVerifies uint64
 	// VSASites / VSAResolvedSites sum, over the cached bases analyzed
 	// with value-set analysis, the indirect transfer sites found and
 	// the subset resolved to a proven target set.
-	VSASites         uint64
-	VSAResolvedSites uint64
-	ArtifactsSigned  uint64
-	QueueHighWater   uint64 // deepest the submission queue has been
+	VSASites         uint64 `metric:"vsa_sites"`
+	VSAResolvedSites uint64 `metric:"vsa_resolved_sites"`
+	ArtifactsSigned  uint64 `metric:"artifacts_signed"`
+	QueueHighWater   uint64 `metric:"queue_high_water"` // deepest the submission queue has been
 }
 
 // Service is the armory: a worker pool running the randomize → verify
@@ -168,15 +170,9 @@ type Service struct {
 	closeMu sync.Mutex
 	closed  bool
 
-	submitted        atomic.Uint64
-	completed        atomic.Uint64
-	failed           atomic.Uint64
-	ledgerConflicts  atomic.Uint64
-	reissues         atomic.Uint64
-	verifyRejections atomic.Uint64
-	verifies         atomic.Uint64
-	signed           atomic.Uint64
-	queueHigh        atomic.Uint64
+	// mu guards stats, the service's counted fields (see Stats).
+	mu    sync.Mutex
+	stats Stats
 }
 
 type job struct {
@@ -233,10 +229,11 @@ func (s *Service) Randomize(req Request) (*Artifact, error) {
 		s.closeMu.Unlock()
 		return nil, ErrClosed
 	}
-	s.submitted.Add(1)
-	if depth := uint64(len(s.jobs) + 1); depth > s.queueHigh.Load() {
-		s.queueHigh.Store(depth)
-	}
+	depth := uint64(len(s.jobs) + 1)
+	s.count(func(st *Stats) {
+		st.Submitted++
+		st.QueueHighWater = max(st.QueueHighWater, depth)
+	})
 	s.jobs <- j
 	s.closeMu.Unlock()
 	r := <-j.resp
@@ -248,9 +245,9 @@ func (s *Service) worker() {
 	for j := range s.jobs {
 		art, err := s.process(j.req)
 		if err != nil {
-			s.failed.Add(1)
+			s.count(func(st *Stats) { st.Failed++ })
 		} else {
-			s.completed.Add(1)
+			s.count(func(st *Stats) { st.Completed++ })
 		}
 		j.resp <- result{art: art, err: err}
 	}
@@ -267,6 +264,11 @@ func (s *Service) process(req Request) (*Artifact, error) {
 	}
 
 	entry, cacheHit := s.cache.get(req.Image, *s.cfg.Opts)
+	if cacheHit {
+		s.count(func(st *Stats) { st.CacheHits++ })
+	} else {
+		s.count(func(st *Stats) { st.CacheMisses++ })
+	}
 	if entry.err != nil {
 		return nil, &RequestError{Status: 422, Msg: fmt.Sprintf("unusable base image: %v", entry.err)}
 	}
@@ -281,11 +283,11 @@ func (s *Service) process(req Request) (*Artifact, error) {
 
 		claim := s.ledger.Claim(baseDigest, pd, holder)
 		if claim == Conflict {
-			s.ledgerConflicts.Add(1)
+			s.count(func(st *Stats) { st.LedgerConflicts++ })
 			continue
 		}
 		if claim == Reissued {
-			s.reissues.Add(1)
+			s.count(func(st *Stats) { st.Reissues++ })
 		}
 
 		r, err := core.Randomize(pre, perm)
@@ -294,10 +296,10 @@ func (s *Service) process(req Request) (*Artifact, error) {
 			return nil, &RequestError{Status: 422, Msg: fmt.Sprintf("randomization failed: %v", err)}
 		}
 		rep := base.Verify(r)
-		s.verifies.Add(1)
+		s.count(func(st *Stats) { st.FastVerifies++ })
 		if !rep.OK() {
 			s.ledger.Release(baseDigest, pd, holder)
-			s.verifyRejections.Add(1)
+			s.count(func(st *Stats) { st.VerifyRejections++ })
 			return nil, &RequestError{
 				Status:   422,
 				Msg:      fmt.Sprintf("static verification rejected the randomized image (%d errors)", rep.Errors()),
@@ -320,7 +322,7 @@ func (s *Service) process(req Request) (*Artifact, error) {
 			Image:          r.Image,
 			Report:         rep,
 		}
-		s.signed.Add(1)
+		s.count(func(st *Stats) { st.ArtifactsSigned++ })
 		s.reports.put(artifactDigest, &StoredReport{
 			Kind:           "artifact",
 			BaseDigest:     baseDigest,
@@ -346,21 +348,11 @@ func (s *Service) Report(digest string) (*StoredReport, bool) {
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	st := Stats{
-		Submitted:        s.submitted.Load(),
-		Completed:        s.completed.Load(),
-		Failed:           s.failed.Load(),
-		CacheHits:        s.cache.hits.Load(),
-		CacheMisses:      s.cache.misses.Load(),
-		CachedBases:      s.cache.len(),
-		LedgerBases:      s.ledger.Bases(),
-		LedgerConflicts:  s.ledgerConflicts.Load(),
-		Reissues:         s.reissues.Load(),
-		VerifyRejections: s.verifyRejections.Load(),
-		FastVerifies:     s.verifies.Load(),
-		ArtifactsSigned:  s.signed.Load(),
-	}
-	st.QueueHighWater = s.queueHigh.Load()
+	s.mu.Lock()
+	st := s.stats
+	s.mu.Unlock()
+	st.CachedBases = s.cache.len()
+	st.LedgerBases = s.ledger.Bases()
 	for _, e := range s.cache.all() {
 		if e.base != nil {
 			if sites, resolved, ok := e.base.VSASummary(); ok {
@@ -372,30 +364,18 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
+// count applies add to the service counters under their lock.
+func (s *Service) count(add func(*Stats)) {
+	s.mu.Lock()
+	add(&s.stats)
+	s.mu.Unlock()
+}
+
 // MetricsText renders the service counters as a stable, sorted
 // "name value" block in the same shape netlink.Fleet.MetricsText uses,
 // so one scraper handles both daemons.
 func (s *Service) MetricsText() string {
-	st := s.Stats()
-	lines := []string{
-		fmt.Sprintf("armory.submitted %d", st.Submitted),
-		fmt.Sprintf("armory.completed %d", st.Completed),
-		fmt.Sprintf("armory.failed %d", st.Failed),
-		fmt.Sprintf("armory.cache_hits %d", st.CacheHits),
-		fmt.Sprintf("armory.cache_misses %d", st.CacheMisses),
-		fmt.Sprintf("armory.cached_bases %d", st.CachedBases),
-		fmt.Sprintf("armory.ledger_bases %d", st.LedgerBases),
-		fmt.Sprintf("armory.ledger_conflicts %d", st.LedgerConflicts),
-		fmt.Sprintf("armory.reissues %d", st.Reissues),
-		fmt.Sprintf("armory.verify_rejections %d", st.VerifyRejections),
-		fmt.Sprintf("armory.fast_verifies %d", st.FastVerifies),
-		fmt.Sprintf("armory.vsa_sites %d", st.VSASites),
-		fmt.Sprintf("armory.vsa_resolved_sites %d", st.VSAResolvedSites),
-		fmt.Sprintf("armory.artifacts_signed %d", st.ArtifactsSigned),
-		fmt.Sprintf("armory.queue_high_water %d", st.QueueHighWater),
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	return metrics.Text(metrics.Lines("armory", s.Stats()))
 }
 
 // PermDigest is the ledger key of one permutation: the SHA-256 of its

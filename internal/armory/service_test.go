@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -298,27 +297,40 @@ func TestPermDigestInjective(t *testing.T) {
 	}
 }
 
-// TestMetricsText checks the scrape format: sorted "name value" lines.
+// TestMetricsText pins the whole exposition after a fixed request
+// sequence on a one-worker service: two vehicles, a replay, an epoch
+// bump, a malformed image and a request with no vehicle.
 func TestMetricsText(t *testing.T) {
 	elf, _ := testImage()
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	if _, err := s.Randomize(Request{Image: elf, Vehicle: "uav-1"}); err != nil {
-		t.Fatal(err)
-	}
-	text := s.MetricsText()
-	for _, want := range []string{
-		"armory.submitted 1",
-		"armory.completed 1",
-		"armory.cache_misses 1",
-		"armory.artifacts_signed 1",
-		"armory.fast_verifies 1",
+	for _, req := range []Request{
+		{Image: elf, Vehicle: "uav-1"},
+		{Image: elf, Vehicle: "uav-2"},
+		{Image: elf, Vehicle: "uav-1"},
+		{Image: elf, Vehicle: "uav-1", Epoch: 1},
+		{Image: []byte("not a firmware image"), Vehicle: "uav-3"},
+		{Image: elf},
 	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Fatalf("metrics missing %q:\n%s", want, text)
-		}
+		s.Randomize(req)
 	}
-	if strings.Contains(text, "armory.fallback_") {
-		t.Fatalf("metrics still split verifies into fast and fallback:\n%s", text)
+	const want = `armory.artifacts_signed 4
+armory.cache_hits 3
+armory.cache_misses 2
+armory.cached_bases 2
+armory.completed 4
+armory.failed 2
+armory.fast_verifies 4
+armory.ledger_bases 1
+armory.ledger_conflicts 0
+armory.queue_high_water 1
+armory.reissues 1
+armory.submitted 6
+armory.verify_rejections 0
+armory.vsa_resolved_sites 2
+armory.vsa_sites 2
+`
+	if got := s.MetricsText(); got != want {
+		t.Fatalf("metrics:\n%s\nwant:\n%s", got, want)
 	}
 }

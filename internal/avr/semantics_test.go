@@ -353,27 +353,48 @@ func TestSWAPExhaustive(t *testing.T) {
 	}
 }
 
-// 16-bit add/sub-immediate semantics across the carry boundary.
+// 16-bit add/sub-immediate semantics across the carry boundary: adiw
+// and sbiw on every register pair over a grid of operands and
+// immediates, with the result and the C, Z, N, V and S flags checked
+// against the datasheet's formulas (Rdh7 is bit 7 of the input's high
+// byte, R15 bit 15 of the result). One rig per (opcode, pair, k) serves
+// every operand.
 func TestADIWSBIWExhaustive(t *testing.T) {
-	for hi := 0; hi < 256; hi += 17 {
-		for lo := 0; lo < 256; lo += 5 {
+	for _, op := range []struct {
+		name   string
+		encode func(d, k int) uint16
+		sub    bool
+	}{{"adiw", asm.ADIW, false}, {"sbiw", asm.SBIW, true}} {
+		for _, d := range []int{24, 26, 28, 30} {
 			for k := 0; k < 64; k += 9 {
-				w := asm.ADIW(24, k)
-				rig := newALURig(t, w)
-				c := rig.c
-				c.PC = 0
-				c.SetSREG(0)
-				c.SetRegPair(24, uint16(hi)<<8|uint16(lo))
-				if err := c.Step(); err != nil {
-					t.Fatal(err)
-				}
-				want := uint16(hi)<<8 | uint16(lo) + 0
-				want += uint16(k)
-				if got := c.RegPair(24); got != want {
-					t.Fatalf("adiw %04X+%d = %04X, want %04X", uint16(hi)<<8|uint16(lo), k, got, want)
-				}
-				if c.Flag(avr.FlagZ) != (want == 0) {
-					t.Fatal("adiw Z wrong")
+				c := newALURig(t, op.encode(d, k)).c
+				for hi := 0; hi < 256; hi += 17 {
+					for lo := 0; lo < 256; lo += 5 {
+						in := uint16(hi)<<8 | uint16(lo)
+						c.PC = 0
+						c.SetSREG(0)
+						c.SetRegPair(d, in)
+						if err := c.Step(); err != nil {
+							t.Fatal(err)
+						}
+						res, rdh7 := in+uint16(k), in&0x8000 != 0
+						if op.sub {
+							res = in - uint16(k)
+						}
+						r15 := res&0x8000 != 0
+						// adiw: V = !Rdh7 & R15, C = !R15 & Rdh7.
+						// sbiw: V = Rdh7 & !R15, C = R15 & !Rdh7.
+						v, carry := !rdh7 && r15, !r15 && rdh7
+						if op.sub {
+							v, carry = rdh7 && !r15, r15 && !rdh7
+						}
+						want := [5]bool{carry, res == 0, r15, v, r15 != v}
+						got := [5]bool{c.Flag(avr.FlagC), c.Flag(avr.FlagZ), c.Flag(avr.FlagN), c.Flag(avr.FlagV), c.Flag(avr.FlagS)}
+						if c.RegPair(d) != res || got != want {
+							t.Fatalf("%s r%d, %d on %04X: %04X with CZNVS %v; want %04X with %v",
+								op.name, d, k, in, c.RegPair(d), got, res, want)
+						}
+					}
 				}
 			}
 		}

@@ -21,7 +21,12 @@
 //     is demonstrable.
 package firmware
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+
+	"mavr/internal/elfobj"
+)
 
 // ToolchainMode selects the code-generation style (paper §VI-B1).
 type ToolchainMode int
@@ -131,4 +136,26 @@ func Profile(name string) (AppSpec, error) {
 		}
 	}
 	return AppSpec{}, fmt.Errorf("firmware: unknown application profile %q", name)
+}
+
+// LoadELF reads and parses the ELF executable at path or, when path is
+// empty, generates the MAVR build of the named application profile:
+// the firmware source of the command-line tools' -elf and -app flags.
+func LoadELF(path, profile string) (*elfobj.File, error) {
+	if path != "" {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return elfobj.Parse(raw)
+	}
+	spec, err := Profile(profile)
+	if err != nil {
+		return nil, err
+	}
+	img, err := Generate(spec, ModeMAVR)
+	if err != nil {
+		return nil, err
+	}
+	return img.ELF, nil
 }

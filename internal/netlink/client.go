@@ -41,11 +41,11 @@ type ClientConfig struct {
 // link-loss-tolerant mode) and transmits uplink frames through a
 // bounded retry queue, including the paper's oversize attack frames.
 type Client struct {
-	cfg   ClientConfig
-	conn  *net.UDPConn
-	stats LinkStats
+	cfg  ClientConfig
+	conn *net.UDPConn
 
 	mu          sync.Mutex
+	stats       LinkStatsSnapshot
 	mon         gcs.Monitor
 	txSeq       uint32
 	frameSeq    byte
@@ -149,7 +149,9 @@ func (c *Client) sendDatagram(t PacketType, payload []byte) {
 		}
 		select {
 		case <-c.up:
-			c.stats.QueueDropped.Add(1)
+			c.mu.Lock()
+			c.stats.QueueDropped++
+			c.mu.Unlock()
 		default:
 		}
 	}
@@ -160,8 +162,10 @@ func (c *Client) write(pkt []byte) bool {
 	if _, err := c.conn.Write(pkt); err != nil {
 		return false
 	}
-	c.stats.DatagramsOut.Add(1)
-	c.stats.BytesOut.Add(uint64(len(pkt)))
+	c.mu.Lock()
+	c.stats.DatagramsOut++
+	c.stats.BytesOut += uint64(len(pkt))
+	c.mu.Unlock()
 	return true
 }
 
@@ -178,7 +182,9 @@ func (c *Client) uplinkLoop() {
 			backoff := 5 * time.Millisecond
 			for attempt := 0; !c.write(pkt); attempt++ {
 				if attempt >= 3 {
-					c.stats.QueueDropped.Add(1)
+					c.mu.Lock()
+					c.stats.QueueDropped++
+					c.mu.Unlock()
 					break
 				}
 				select {
@@ -215,7 +221,11 @@ func (c *Client) Epoch() uint32 {
 }
 
 // Stats returns the client-side link counters.
-func (c *Client) Stats() LinkStatsSnapshot { return c.stats.Snapshot() }
+func (c *Client) Stats() LinkStatsSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
 
 // SimTime returns the vehicle sim clock carried by the latest
 // datagram.
@@ -265,8 +275,8 @@ func (c *Client) recvLoop() {
 				// Wire damage caught by the transport: the datagram is
 				// lost whole, booked as degradation, and the stream stays
 				// clean — no garbage ever reaches the monitor.
-				c.stats.CorruptDatagrams.Add(1)
 				c.mu.Lock()
+				c.stats.CorruptDatagrams++
 				c.mon.NoteCorrupt()
 				c.mu.Unlock()
 			}
@@ -275,10 +285,10 @@ func (c *Client) recvLoop() {
 		if h.SysID != c.cfg.SysID {
 			continue
 		}
-		c.stats.DatagramsIn.Add(1)
-		c.stats.BytesIn.Add(uint64(n))
 
 		c.mu.Lock()
+		c.stats.DatagramsIn++
+		c.stats.BytesIn += uint64(n)
 		c.rx.track(h.Seq, &c.stats)
 		if h.SimTime > c.lastSim {
 			c.lastSim = h.SimTime
@@ -317,7 +327,7 @@ func (c *Client) checkLinkIdle() {
 	c.mon.FeedLinkIdle(c.lastSim + gap)
 	if rehello {
 		c.epoch++
-		c.stats.Rehellos.Add(1)
+		c.stats.Rehellos++
 	}
 	c.mu.Unlock()
 	if rehello {

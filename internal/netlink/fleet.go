@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"mavr/internal/chaos"
 	"mavr/internal/firmware"
 	"mavr/internal/gcs"
+	"mavr/internal/metrics"
 )
 
 // FleetConfig sizes and shapes a Fleet.
@@ -99,19 +101,20 @@ func (c FleetConfig) withDefaults() FleetConfig {
 }
 
 // VehicleSnapshot is a race-free view of a vehicle, refreshed by its
-// driver goroutine once per tick.
+// driver goroutine once per tick. Each tagged field is one
+// vehicle.<sysid>.<name> line of Fleet.MetricsText.
 type VehicleSnapshot struct {
 	SysID     byte
-	SimTime   time.Duration
-	Ticks     uint64
-	Running   bool
-	GyroCfg   byte
-	Reflashes int
+	SimTime   time.Duration `metric:"simtime_ms"`
+	Ticks     uint64        `metric:"ticks"`
+	Running   bool          `metric:"running"`
+	GyroCfg   byte          `metric:"gyrocfg"`
+	Reflashes int           `metric:"reflashes"`
 	// Restarts counts supervised driver restarts after crashes.
-	Restarts int
+	Restarts int `metric:"restarts"`
 	// Degraded is set when the restart budget is exhausted: the
 	// vehicle is parked and no longer simulated.
-	Degraded bool
+	Degraded bool `metric:"degraded"`
 }
 
 // Vehicle is one hosted UAV: a board.System plus its downlink
@@ -199,15 +202,11 @@ type Fleet struct {
 	send     *sender
 	vehicles []*Vehicle
 	sessions *sessionTable
+	started  time.Time
 
-	badDatagrams      atomic.Uint64
-	corruptDatagrams  atomic.Uint64
-	armoryProvisioned atomic.Uint64
-	armoryFallbacks   atomic.Uint64
-	chaosPartitioned  atomic.Uint64
-	chaosCorrupted    atomic.Uint64
-	chaosBoardFaults  atomic.Uint64
-	started           time.Time
+	// mu guards stats, the fleet's counted fields (see Stats).
+	mu    sync.Mutex
+	stats FleetStats
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -269,10 +268,10 @@ func (f *Fleet) newSystem(i int) (*board.System, error) {
 			mc.Provision = func(epoch int) (*board.Provisioned, error) {
 				p, err := prov(sysID, epoch)
 				if err != nil || p == nil {
-					f.armoryFallbacks.Add(1)
+					f.count(func(s *FleetStats) { s.ArmoryFallbacks++ })
 					return nil, err
 				}
-				f.armoryProvisioned.Add(1)
+				f.count(func(s *FleetStats) { s.ArmoryProvisioned++ })
 				return p, nil
 			}
 		}
@@ -332,19 +331,28 @@ func (f *Fleet) Vehicle(sysID byte) *Vehicle {
 // Vehicles returns all hosted vehicles.
 func (f *Fleet) Vehicles() []*Vehicle { return f.vehicles }
 
-// Sessions returns the number of live GCS sessions.
-func (f *Fleet) Sessions() int { return f.sessions.count() }
-
-// DegradedVehicles counts vehicles parked after exhausting their
-// restart budget.
-func (f *Fleet) DegradedVehicles() int {
-	n := 0
+// Stats returns the fleet-level counters.
+func (f *Fleet) Stats() FleetStats {
+	f.mu.Lock()
+	st := f.stats
+	f.mu.Unlock()
+	st.Vehicles = len(f.vehicles)
 	for _, v := range f.vehicles {
+		st.Restarts += int(v.restarts.Load())
 		if v.degraded.Load() {
-			n++
+			st.Degraded++
 		}
 	}
-	return n
+	st.Sessions = f.sessions.count()
+	st.Uptime = time.Since(f.started)
+	return st
+}
+
+// count applies add to the fleet's counters under their lock.
+func (f *Fleet) count(add func(*FleetStats)) {
+	f.mu.Lock()
+	add(&f.stats)
+	f.mu.Unlock()
 }
 
 // Close stops all goroutines and releases the socket, waiting at most
@@ -480,7 +488,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 		if f.cfg.Chaos.BoardActive() && v.ticks >= v.holdUntil {
 			switch fate := f.cfg.Chaos.BoardFate(v.SysID, v.ticks); fate.Kind {
 			case chaos.FaultPanic:
-				f.chaosBoardFaults.Add(1)
+				f.count(func(s *FleetStats) { s.ChaosBoardFaults++ })
 				tick := v.ticks
 				// Consume the crashing tick: the restarted driver resumes
 				// past it instead of re-drawing the same fatal fate.
@@ -489,7 +497,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 				panic(fmt.Sprintf("chaos: scheduled panic for vehicle %d at tick %d",
 					v.SysID, tick))
 			case chaos.FaultHang, chaos.FaultStall:
-				f.chaosBoardFaults.Add(1)
+				f.count(func(s *FleetStats) { s.ChaosBoardFaults++ })
 				v.holdKind = fate.Kind
 				v.holdStart = v.ticks
 				v.holdUntil = v.ticks + uint64(fate.Ticks)
@@ -527,7 +535,9 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 		if len(records) > 0 && len(subs) > 0 {
 			payloads := packRecords(records, MaxDatagram-HeaderSize)
 			for _, sess := range subs {
-				sess.stats.RecordsOut.Add(uint64(len(records)))
+				sess.mu.Lock()
+				sess.stats.RecordsOut += uint64(len(records))
+				sess.mu.Unlock()
 				for _, p := range payloads {
 					f.sendDownlink(v, sess, now, p)
 				}
@@ -572,8 +582,10 @@ func (f *Fleet) sendDownlink(v *Vehicle, sess *session, simNow time.Duration, pa
 	sess.txSeq++
 	fate := f.cfg.Chaos.Fate(v.down, seq)
 	if fate.Partitioned {
-		f.chaosPartitioned.Add(1)
-		sess.stats.SimDropped.Add(1)
+		f.count(func(s *FleetStats) { s.ChaosPartitioned++ })
+		sess.mu.Lock()
+		sess.stats.SimDropped++
+		sess.mu.Unlock()
 		return
 	}
 	pkt := Encode(Header{Type: PacketData, SysID: sess.sysID, Seq: seq, SimTime: simNow}, payload)
@@ -582,22 +594,27 @@ func (f *Fleet) sendDownlink(v *Vehicle, sess *session, simNow time.Duration, pa
 		// catch (magic/version flips are rejected before verification).
 		c := fate.Corruption
 		pkt[3+int(c.Offset%uint64(len(pkt)-3))] ^= c.XOR
-		f.chaosCorrupted.Add(1)
+		f.count(func(s *FleetStats) { s.ChaosCorrupted++ })
 	}
+	sess.mu.Lock()
 	if fate.Drop {
-		sess.stats.SimDropped.Add(1)
+		sess.stats.SimDropped++
+		sess.mu.Unlock()
 		return
 	}
-	if fate.Copies > 1 {
-		sess.stats.SimDuplicated.Add(uint64(fate.Copies - 1))
-	}
+	sess.stats.SimDuplicated += uint64(fate.Copies - 1)
 	if fate.Delay > 0 {
-		sess.stats.SimDelayed.Add(1)
+		sess.stats.SimDelayed++
 	}
+	sess.stats.DatagramsOut += uint64(fate.Copies)
+	sess.stats.BytesOut += uint64(fate.Copies * len(pkt))
+	sess.mu.Unlock()
+	var shed uint64
 	for i := 0; i < fate.Copies; i++ {
-		sess.stats.DatagramsOut.Add(1)
-		sess.stats.BytesOut.Add(uint64(len(pkt)))
-		f.send.send(sess.addr, pkt, fate.Delay)
+		shed += f.send.send(sess.addr, pkt, fate.Delay)
+	}
+	if shed > 0 {
+		f.count(func(s *FleetStats) { s.SendQueueDropped += shed })
 	}
 }
 
@@ -623,9 +640,9 @@ func (f *Fleet) readLoop() {
 		h, payload, err := Decode(buf[:n])
 		if err != nil || f.Vehicle(h.SysID) == nil {
 			if errors.Is(err, ErrChecksum) {
-				f.corruptDatagrams.Add(1)
+				f.count(func(s *FleetStats) { s.CorruptDatagrams++ })
 			}
-			f.badDatagrams.Add(1)
+			f.count(func(s *FleetStats) { s.BadDatagrams++ })
 			continue
 		}
 		// Partitions and corruption strike before the datagram reaches
@@ -635,18 +652,18 @@ func (f *Fleet) readLoop() {
 		// strikes data payloads only, below.
 		fate := f.cfg.Chaos.Fate(f.vehicles[h.SysID-1].up, h.Seq)
 		if fate.Partitioned {
-			f.chaosPartitioned.Add(1)
+			f.count(func(s *FleetStats) { s.ChaosPartitioned++ })
 			continue
 		}
 		if fate.Corrupted {
-			f.chaosCorrupted.Add(1)
-			f.corruptDatagrams.Add(1)
+			f.count(func(s *FleetStats) { s.ChaosCorrupted++; s.CorruptDatagrams++ })
 			continue
 		}
 		now := time.Now()
 		sess, existed := f.sessions.lookup(addr, h.SysID, now)
-		if sess == nil {
-			continue // table full; rejection counted by the table
+		if sess == nil { // table full
+			f.count(func(s *FleetStats) { s.SessionsRejected++ })
+			continue
 		}
 		sess.touch(now)
 		if !existed && h.Type == PacketBye {
@@ -663,20 +680,22 @@ func (f *Fleet) readLoop() {
 			// declared dead) and uplink numbering starts over.
 			sess.rehello(helloEpoch(payload))
 		case PacketData:
+			forward := len(payload) > 0 && !fate.Drop
+			sess.mu.Lock()
 			sess.rx.track(h.Seq, &sess.stats)
-			sess.stats.DatagramsIn.Add(1)
-			sess.stats.BytesIn.Add(uint64(n))
-			if len(payload) == 0 {
-				break
+			sess.stats.DatagramsIn++
+			sess.stats.BytesIn += uint64(n)
+			if forward {
+				sess.parser.feed(payload, &sess.stats)
+			} else if len(payload) > 0 {
+				sess.stats.SimDropped++
 			}
-			if fate.Drop {
-				sess.stats.SimDropped.Add(1)
-				break
+			sess.mu.Unlock()
+			if forward {
+				f.vehicles[h.SysID-1].Sys().SendToUAV(payload)
 			}
-			sess.parser.feed(payload, &sess.stats)
-			f.vehicles[h.SysID-1].Sys().SendToUAV(payload)
 		default:
-			f.badDatagrams.Add(1)
+			f.count(func(s *FleetStats) { s.BadDatagrams++ })
 		}
 	}
 }
@@ -695,66 +714,23 @@ func (f *Fleet) reapLoop() {
 		case <-f.stop:
 			return
 		case now := <-ticker.C:
-			f.sessions.expire(now, f.cfg.SessionTimeout)
+			if n := f.sessions.expire(now, f.cfg.SessionTimeout); n > 0 {
+				f.count(func(s *FleetStats) { s.SessionsExpired += uint64(n) })
+			}
 		}
 	}
 }
-
-// ExpiredSessions returns how many sessions the reaper has dropped.
-func (f *Fleet) ExpiredSessions() uint64 { return f.sessions.expired.Load() }
 
 // MetricsText renders fleet, per-vehicle and per-link counters as a
 // plain-text block (one "name value" pair per line, sorted), the
 // format served by cmd/mavr-fleetd's -metrics endpoint.
 func (f *Fleet) MetricsText() string {
-	restarts := 0
+	lines := metrics.Lines("fleet", f.Stats())
 	for _, v := range f.vehicles {
-		restarts += int(v.restarts.Load())
-	}
-	var queueDropped uint64
-	if f.send != nil {
-		queueDropped = f.send.dropped.Load()
-	}
-	lines := []string{
-		fmt.Sprintf("fleet.vehicles %d", len(f.vehicles)),
-		fmt.Sprintf("fleet.degraded %d", f.DegradedVehicles()),
-		fmt.Sprintf("fleet.restarts %d", restarts),
-		fmt.Sprintf("fleet.sessions %d", f.sessions.count()),
-		fmt.Sprintf("fleet.sessions_expired %d", f.sessions.expired.Load()),
-		fmt.Sprintf("fleet.sessions_rejected %d", f.sessions.rejected.Load()),
-		fmt.Sprintf("fleet.bad_datagrams %d", f.badDatagrams.Load()),
-		fmt.Sprintf("fleet.corrupt_datagrams %d", f.corruptDatagrams.Load()),
-		fmt.Sprintf("fleet.chaos_board_faults %d", f.chaosBoardFaults.Load()),
-		fmt.Sprintf("fleet.chaos_partitioned %d", f.chaosPartitioned.Load()),
-		fmt.Sprintf("fleet.chaos_corrupted %d", f.chaosCorrupted.Load()),
-		fmt.Sprintf("fleet.send_queue_dropped %d", queueDropped),
-		fmt.Sprintf("fleet.armory_provisioned %d", f.armoryProvisioned.Load()),
-		fmt.Sprintf("fleet.armory_fallbacks %d", f.armoryFallbacks.Load()),
-		fmt.Sprintf("fleet.uptime_ms %d", time.Since(f.started).Milliseconds()),
-	}
-	for _, v := range f.vehicles {
-		s := v.Snapshot()
-		p := fmt.Sprintf("vehicle.%d", v.SysID)
-		lines = append(lines,
-			fmt.Sprintf("%s.simtime_ms %d", p, s.SimTime.Milliseconds()),
-			fmt.Sprintf("%s.ticks %d", p, s.Ticks),
-			fmt.Sprintf("%s.running %d", p, b2i(s.Running)),
-			fmt.Sprintf("%s.gyrocfg %d", p, s.GyroCfg),
-			fmt.Sprintf("%s.reflashes %d", p, s.Reflashes),
-			fmt.Sprintf("%s.restarts %d", p, s.Restarts),
-			fmt.Sprintf("%s.degraded %d", p, b2i(s.Degraded)),
-		)
+		lines = append(lines, metrics.Lines("vehicle."+strconv.Itoa(int(v.SysID)), v.Snapshot())...)
 	}
 	for _, sess := range f.sessions.all() {
-		prefix := fmt.Sprintf("link.%s", sess.key)
-		lines = append(lines, sess.stats.Snapshot().metricsLines(prefix)...)
+		lines = append(lines, metrics.Lines("link."+sess.key, sess.Stats())...)
 	}
-	return formatMetrics(lines)
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return metrics.Text(lines)
 }

@@ -111,7 +111,7 @@ func TestFleetLoopback64(t *testing.T) {
 	}
 
 	waitSim(t, f, simTarget, 8*time.Minute)
-	if got := f.Sessions(); got != vehicles {
+	if got := f.Stats().Sessions; got != vehicles {
 		t.Errorf("sessions = %d, want %d", got, vehicles)
 	}
 	for i, c := range clients {
@@ -179,7 +179,7 @@ func TestFleetLossyLinkStaysHealthy(t *testing.T) {
 	if len(sess) != 1 {
 		t.Fatalf("%d sessions", len(sess))
 	}
-	st := sess[0].stats.Snapshot()
+	st := sess[0].Stats()
 	if st.SimDropped == 0 {
 		t.Errorf("20%% drop rate dropped nothing over %d datagrams", st.DatagramsOut+st.SimDropped)
 	}
@@ -267,7 +267,7 @@ func TestStealthyAttackOverSocketEvadesMonitor(t *testing.T) {
 	// The uplink counters saw the oversize frame (checksum over more
 	// payload than the length byte admits) without blocking it.
 	sess := f.sessions.all()
-	if len(sess) == 1 && sess[0].stats.CRCRejects.Load() == 0 {
+	if len(sess) == 1 && sess[0].Stats().CRCRejects == 0 {
 		t.Log("note: oversize attack frame did not register as a CRC reject")
 	}
 
@@ -348,26 +348,26 @@ func TestSessionExpiry(t *testing.T) {
 	defer c.Close()
 
 	end := time.Now().Add(5 * time.Second)
-	for f.Sessions() != 1 {
+	for f.Stats().Sessions != 1 {
 		if time.Now().After(end) {
 			t.Fatal("session never established")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	// No keepalives: the reaper must drop the session.
-	for f.Sessions() != 0 {
+	for f.Stats().Sessions != 0 {
 		if time.Now().After(end) {
-			t.Fatalf("session not expired (still %d live)", f.Sessions())
+			t.Fatalf("session not expired (still %d live)", f.Stats().Sessions)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if f.ExpiredSessions() == 0 {
+	if f.Stats().SessionsExpired == 0 {
 		t.Error("expiry not counted")
 	}
 
 	// Any fresh uplink datagram re-establishes the session.
 	c.SendRaw(nil)
-	for f.Sessions() != 1 {
+	for f.Stats().Sessions != 1 {
 		if time.Now().After(end) {
 			t.Fatal("session not re-established after expiry")
 		}

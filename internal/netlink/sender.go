@@ -8,7 +8,6 @@ import (
 	"container/heap"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,9 +32,6 @@ type sender struct {
 	done   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	// dropped counts datagrams shed by the queue bound (drop-oldest).
-	dropped atomic.Uint64
 }
 
 type delayed struct {
@@ -55,24 +51,25 @@ func newSender(conn *net.UDPConn) *sender {
 	return s
 }
 
-// send transmits pkt to addr after delay. The packet buffer must not
-// be reused by the caller. Errors are dropped: UDP gives no delivery
-// guarantee anyway and the fleet must not die with a session.
-func (s *sender) send(addr *net.UDPAddr, pkt []byte, delay time.Duration) {
+// send transmits pkt to addr after delay and returns how many queued
+// datagrams the queue bound shed to make room. The packet buffer must
+// not be reused by the caller. Errors are dropped: UDP gives no
+// delivery guarantee anyway and the fleet must not die with a session.
+func (s *sender) send(addr *net.UDPAddr, pkt []byte, delay time.Duration) (shed uint64) {
 	if delay <= 0 {
 		_, _ = s.conn.WriteToUDP(pkt, addr)
-		return
+		return 0
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return 0
 	}
 	for len(s.queue) >= maxSenderQueue {
 		// Shed the earliest-due (oldest) datagram: stale telemetry is
 		// the least valuable thing in a congested queue.
 		heap.Pop(&s.queue)
-		s.dropped.Add(1)
+		shed++
 	}
 	heap.Push(&s.queue, delayed{due: time.Now().Add(delay), addr: addr, pkt: pkt})
 	s.mu.Unlock()
@@ -80,6 +77,7 @@ func (s *sender) send(addr *net.UDPAddr, pkt []byte, delay time.Duration) {
 	case s.wake <- struct{}{}:
 	default:
 	}
+	return shed
 }
 
 func (s *sender) loop() {

@@ -19,7 +19,11 @@ type session struct {
 	key   string
 	addr  *net.UDPAddr
 	sysID byte
-	stats LinkStats
+
+	// mu guards stats: the read loop counts the uplink and the vehicle's
+	// driver goroutine the downlink.
+	mu    sync.Mutex
+	stats LinkStatsSnapshot
 
 	// lastSeen is the wall time of the last datagram from the peer
 	// (heartbeat-based liveness).
@@ -41,6 +45,13 @@ type session struct {
 	// Uplink sequence tracking, touched only by the read loop.
 	rx     rxSeq
 	parser uplinkParser
+}
+
+// Stats returns a copy of the session's link counters.
+func (s *session) Stats() LinkStatsSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 func (s *session) touch(now time.Time) { s.lastSeen.Store(now.UnixNano()) }
@@ -66,7 +77,9 @@ func (s *session) rehello(epoch uint32) bool {
 	if first {
 		return false
 	}
-	s.stats.Rehellos.Add(1)
+	s.mu.Lock()
+	s.stats.Rehellos++
+	s.mu.Unlock()
 	return true
 }
 
@@ -82,7 +95,8 @@ func helloEpoch(payload []byte) uint32 {
 
 // rxSeq is one link direction's receive-sequence accounting, shared by
 // the fleet's sessions (uplink) and the client (downlink). It is not
-// synchronized: each owner serializes its calls.
+// synchronized: each owner serializes its calls and holds the lock of
+// the counters it passes.
 type rxSeq struct {
 	init bool
 	next uint32 // the sequence number expected next
@@ -96,7 +110,7 @@ type rxSeq struct {
 // older number counts as reordered. A late arrival still marked
 // missing (within 64 of next) takes its gap back, so jitter alone
 // books no gaps.
-func (t *rxSeq) track(seq uint32, st *LinkStats) {
+func (t *rxSeq) track(seq uint32, st *LinkStatsSnapshot) {
 	if !t.init {
 		t.init = true
 		t.next = seq + 1
@@ -108,7 +122,7 @@ func (t *rxSeq) track(seq uint32, st *LinkStats) {
 		t.missing <<= 1
 	case seq > t.next:
 		skipped := seq - t.next
-		st.SeqGaps.Add(uint64(skipped))
+		st.SeqGaps += uint64(skipped)
 		// Move the window past seq (a shift of 64 or more empties it),
 		// then mark the skipped numbers: bits 1..skipped, since bit 0
 		// is seq itself, which arrived.
@@ -116,22 +130,20 @@ func (t *rxSeq) track(seq uint32, st *LinkStats) {
 		t.missing |= ^uint64(0) >> (64 - min(skipped, 63)) << 1
 		t.next = seq + 1
 	default:
-		st.Reordered.Add(1)
+		st.Reordered++
 		if back := t.next - 1 - seq; back < 64 && t.missing&(1<<back) != 0 {
 			t.missing &^= 1 << back
-			st.SeqGaps.Add(^uint64(0)) // un-book its gap
+			st.SeqGaps-- // un-book its gap
 		}
 	}
 }
 
 // sessionTable is the fleet's live-session registry.
 type sessionTable struct {
-	mu       sync.RWMutex
-	byKey    map[string]*session
-	bySysID  map[byte][]*session
-	max      int // 0 = unbounded
-	expired  atomic.Uint64
-	rejected atomic.Uint64
+	mu      sync.RWMutex
+	byKey   map[string]*session
+	bySysID map[byte][]*session
+	max     int // 0 = unbounded
 }
 
 func newSessionTable(max int) *sessionTable {
@@ -148,23 +160,24 @@ func sessionKey(addr *net.UDPAddr, sysID byte) string {
 
 // uplinkParser runs received uplink bytes through a lenient MAVLink
 // parser purely for the per-link counters; forwarding to the vehicle
-// is unconditional.
+// is unconditional. Only the read loop feeds it.
 type uplinkParser struct {
 	p mavlink.Parser
 }
 
-func (u *uplinkParser) feed(data []byte, st *LinkStats) {
+func (u *uplinkParser) feed(data []byte, st *LinkStatsSnapshot) {
 	before := u.p.Stats()
 	u.p.FeedBytes(data)
 	after := u.p.Stats()
-	st.UplinkFrames.Add(uint64(after.Frames - before.Frames))
-	st.CRCRejects.Add(uint64(after.CRCErrors - before.CRCErrors))
+	st.UplinkFrames += uint64(after.Frames - before.Frames)
+	st.CRCRejects += uint64(after.CRCErrors - before.CRCErrors)
 }
 
 // lookup returns the session for (addr, sysID), creating it if new.
 // The bool reports whether the session already existed. When the table
 // is at its cap, new joins are rejected (nil, false) — session-table
-// pressure from churning stations must not grow memory without bound.
+// pressure from churning stations must not grow memory without bound;
+// the caller counts the rejection.
 func (t *sessionTable) lookup(addr *net.UDPAddr, sysID byte, now time.Time) (*session, bool) {
 	key := sessionKey(addr, sysID)
 	t.mu.RLock()
@@ -179,7 +192,6 @@ func (t *sessionTable) lookup(addr *net.UDPAddr, sysID byte, now time.Time) (*se
 		return s, true
 	}
 	if t.max > 0 && len(t.byKey) >= t.max {
-		t.rejected.Add(1)
 		return nil, false
 	}
 	// Copy the address: the read loop's UDPAddr may be reused.
@@ -236,7 +248,6 @@ func (t *sessionTable) expire(now time.Time, timeout time.Duration) int {
 	for _, s := range dead {
 		t.removeLocked(s)
 	}
-	t.expired.Add(uint64(len(dead)))
 	return len(dead)
 }
 

@@ -32,10 +32,10 @@ func TestSessionRehelloResetsTracking(t *testing.T) {
 		t.Fatal("epoch change not treated as a re-hello")
 	}
 	s.rx.track(0, &s.stats) // the new epoch's numbering restarts at zero
-	if got := s.stats.SeqGaps.Load(); got != 0 {
+	if got := s.stats.SeqGaps; got != 0 {
 		t.Errorf("restarted numbering charged %d gaps", got)
 	}
-	if got := s.stats.Rehellos.Load(); got != 1 {
+	if got := s.stats.Rehellos; got != 1 {
 		t.Errorf("rehellos = %d, want 1", got)
 	}
 
@@ -59,7 +59,7 @@ func TestSessionEpochWraparound(t *testing.T) {
 		t.Fatal("wraparound to epoch 0 not treated as a re-hello")
 	}
 	s.rx.track(0, &s.stats)
-	if got := s.stats.SeqGaps.Load(); got != 0 {
+	if got := s.stats.SeqGaps; got != 0 {
 		t.Errorf("wraparound reset charged %d gaps", got)
 	}
 }
@@ -86,11 +86,11 @@ func TestRxSeqAccounting(t *testing.T) {
 		{"older than the window", []uint32{0, 100, 99, 30}, 98, 2, 101},
 	} {
 		var rx rxSeq
-		var st LinkStats
+		var st LinkStatsSnapshot
 		for _, seq := range tc.seqs {
 			rx.track(seq, &st)
 		}
-		if gaps, reordered := st.SeqGaps.Load(), st.Reordered.Load(); gaps != tc.gaps || reordered != tc.reordered || rx.next != tc.next {
+		if gaps, reordered := st.SeqGaps, st.Reordered; gaps != tc.gaps || reordered != tc.reordered || rx.next != tc.next {
 			t.Errorf("%s: gaps %d, reordered %d, next %d; want %d, %d, %d",
 				tc.name, gaps, reordered, rx.next, tc.gaps, tc.reordered, tc.next)
 		}
@@ -121,9 +121,6 @@ func TestSessionTableCap(t *testing.T) {
 	}
 	if s, _ := tab.lookup(testAddr(9003), 1, now); s != nil {
 		t.Fatal("join beyond cap admitted")
-	}
-	if got := tab.rejected.Load(); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
 	}
 	// An existing session is always found, even at the cap.
 	if s, existed := tab.lookup(testAddr(9001), 1, now); s != a || !existed {
@@ -179,8 +176,5 @@ func TestSessionExpiryRehelloRace(t *testing.T) {
 	}
 	if s2.rx.init {
 		t.Error("fresh session inherited rx tracking")
-	}
-	if tab.expired.Load() != 1 {
-		t.Errorf("expired counter = %d", tab.expired.Load())
 	}
 }

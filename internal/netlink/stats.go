@@ -1,120 +1,95 @@
 package netlink
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync/atomic"
-)
+import "time"
 
-// LinkStats are the per-link counters, safe for concurrent update.
-// One LinkStats instance exists per session (fleet side) and per
-// client.
-type LinkStats struct {
-	DatagramsIn  atomic.Uint64
-	DatagramsOut atomic.Uint64
-	BytesIn      atomic.Uint64
-	BytesOut     atomic.Uint64
+// LinkStatsSnapshot holds one link's counters: one per session on the
+// fleet side and one per client. It is the only declaration of the
+// link counters; each tagged field is one link.<key>.<name> line of
+// Fleet.MetricsText. The live copy sits behind its owner's mutex (the
+// session's or the client's), and Stats returns a copy.
+//
+// Each side counts what it sees, so some fields stay zero on one side:
+// a fleet session never counts CorruptDatagrams or QueueDropped (the
+// fleet books those in fleet.corrupt_datagrams and
+// fleet.send_queue_dropped, since a corrupt datagram names no session
+// and the send queue is shared), and a client never counts RecordsOut,
+// UplinkFrames, CRCRejects or the Sim* fields. The fields and their
+// always-zero link.* lines stay, because scrapers and the benchmark
+// harness read them by name.
+type LinkStatsSnapshot struct {
+	DatagramsIn  uint64 `metric:"datagrams_in"`
+	DatagramsOut uint64 `metric:"datagrams_out"`
+	BytesIn      uint64 `metric:"bytes_in"`
+	BytesOut     uint64 `metric:"bytes_out"`
 
 	// RecordsOut counts telemetry records packed onto the downlink.
-	RecordsOut atomic.Uint64
+	RecordsOut uint64 `metric:"records_out"`
 	// UplinkFrames counts checksum-valid MAVLink frames observed on
 	// the uplink (the fleet forwards raw bytes regardless; this is
 	// observability, not gating).
-	UplinkFrames atomic.Uint64
+	UplinkFrames uint64 `metric:"uplink_frames"`
 	// CRCRejects counts uplink frames that failed checksum validation
 	// — oversize attack frames land here, since their checksum covers
 	// more payload than the wire length byte admits.
-	CRCRejects atomic.Uint64
+	CRCRejects uint64 `metric:"crc_rejects"`
 
 	// SeqGaps counts link-sequence discontinuities (datagrams missing
 	// from the peer's numbering — real or simulated loss). A datagram
 	// that arrives late, within 64 numbers, takes its gap back.
-	SeqGaps atomic.Uint64
+	SeqGaps uint64 `metric:"seq_gaps"`
 	// Reordered counts datagrams arriving with an older sequence
 	// number than already seen.
-	Reordered atomic.Uint64
+	Reordered uint64 `metric:"reordered"`
 
-	// SimDropped/SimDuplicated/SimDelayed count link-simulator
+	// SimDropped/SimDuplicated/SimDelayed count the fault schedule's
 	// interventions on this link's transmissions.
-	SimDropped    atomic.Uint64
-	SimDuplicated atomic.Uint64
-	SimDelayed    atomic.Uint64
+	SimDropped    uint64 `metric:"sim_dropped"`
+	SimDuplicated uint64 `metric:"sim_duplicated"`
+	SimDelayed    uint64 `metric:"sim_delayed"`
 
 	// CorruptDatagrams counts received datagrams rejected by the
 	// transport checksum — wire damage surfacing as whole-datagram loss.
-	CorruptDatagrams atomic.Uint64
-	// QueueDropped counts datagrams shed by bounded queues (drop-oldest
-	// backpressure on the sender's delay queue / the client's uplink
-	// queue).
-	QueueDropped atomic.Uint64
+	CorruptDatagrams uint64 `metric:"corrupt_datagrams"`
+	// QueueDropped counts datagrams shed by the client's bounded
+	// uplink queue (drop-oldest backpressure).
+	QueueDropped uint64 `metric:"queue_dropped"`
 	// Rehellos counts session re-establishments: hellos carrying a new
 	// epoch after the peer detected a dead link.
-	Rehellos atomic.Uint64
+	Rehellos uint64 `metric:"rehellos"`
 }
 
-// LinkStatsSnapshot is a plain-value copy of LinkStats.
-type LinkStatsSnapshot struct {
-	DatagramsIn, DatagramsOut uint64
-	BytesIn, BytesOut         uint64
-	RecordsOut                uint64
-	UplinkFrames, CRCRejects  uint64
-	SeqGaps, Reordered        uint64
-	SimDropped                uint64
-	SimDuplicated             uint64
-	SimDelayed                uint64
-	CorruptDatagrams          uint64
-	QueueDropped              uint64
-	Rehellos                  uint64
-}
+// FleetStats holds the fleet-level counters, returned by Fleet.Stats,
+// and is their only declaration: each tagged field is one fleet.<name>
+// line of Fleet.MetricsText. The counted fields live in the Fleet
+// behind its stats mutex; Vehicles, Degraded, Restarts, Sessions and
+// Uptime are read when Stats is called.
+type FleetStats struct {
+	Vehicles int `metric:"vehicles"`
+	Degraded int `metric:"degraded"` // vehicles parked past their restart budget
+	Restarts int `metric:"restarts"` // supervised restarts of all vehicles
+	Sessions int `metric:"sessions"` // live GCS sessions
 
-// Snapshot copies the counters.
-func (s *LinkStats) Snapshot() LinkStatsSnapshot {
-	return LinkStatsSnapshot{
-		DatagramsIn:   s.DatagramsIn.Load(),
-		DatagramsOut:  s.DatagramsOut.Load(),
-		BytesIn:       s.BytesIn.Load(),
-		BytesOut:      s.BytesOut.Load(),
-		RecordsOut:    s.RecordsOut.Load(),
-		UplinkFrames:  s.UplinkFrames.Load(),
-		CRCRejects:    s.CRCRejects.Load(),
-		SeqGaps:       s.SeqGaps.Load(),
-		Reordered:     s.Reordered.Load(),
-		SimDropped:    s.SimDropped.Load(),
-		SimDuplicated: s.SimDuplicated.Load(),
-		SimDelayed:    s.SimDelayed.Load(),
-
-		CorruptDatagrams: s.CorruptDatagrams.Load(),
-		QueueDropped:     s.QueueDropped.Load(),
-		Rehellos:         s.Rehellos.Load(),
-	}
-}
-
-// metricsLines renders the snapshot as "prefix.key value" text lines.
-func (s LinkStatsSnapshot) metricsLines(prefix string) []string {
-	kv := []struct {
-		k string
-		v uint64
-	}{
-		{"datagrams_in", s.DatagramsIn}, {"datagrams_out", s.DatagramsOut},
-		{"bytes_in", s.BytesIn}, {"bytes_out", s.BytesOut},
-		{"records_out", s.RecordsOut},
-		{"uplink_frames", s.UplinkFrames}, {"crc_rejects", s.CRCRejects},
-		{"seq_gaps", s.SeqGaps}, {"reordered", s.Reordered},
-		{"sim_dropped", s.SimDropped}, {"sim_duplicated", s.SimDuplicated},
-		{"sim_delayed", s.SimDelayed},
-		{"corrupt_datagrams", s.CorruptDatagrams},
-		{"queue_dropped", s.QueueDropped}, {"rehellos", s.Rehellos},
-	}
-	lines := make([]string, 0, len(kv))
-	for _, e := range kv {
-		lines = append(lines, fmt.Sprintf("%s.%s %d", prefix, e.k, e.v))
-	}
-	return lines
-}
-
-// formatMetrics renders a stable, sorted metrics block from raw lines.
-func formatMetrics(lines []string) string {
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	// SessionsExpired counts sessions reaped for uplink silence, and
+	// SessionsRejected joins refused by the full session table.
+	SessionsExpired  uint64 `metric:"sessions_expired"`
+	SessionsRejected uint64 `metric:"sessions_rejected"`
+	// BadDatagrams counts received datagrams that failed to decode,
+	// named no hosted vehicle or had an unknown type; CorruptDatagrams
+	// those failing the transport checksum, plus uplink datagrams the
+	// fault schedule corrupted.
+	BadDatagrams     uint64 `metric:"bad_datagrams"`
+	CorruptDatagrams uint64 `metric:"corrupt_datagrams"`
+	// The chaos schedule's board panics, hangs and stalls, and the
+	// datagrams, either way, that it partitioned or corrupted.
+	ChaosBoardFaults uint64 `metric:"chaos_board_faults"`
+	ChaosPartitioned uint64 `metric:"chaos_partitioned"`
+	ChaosCorrupted   uint64 `metric:"chaos_corrupted"`
+	// SendQueueDropped counts delayed downlink datagrams shed by the
+	// sender's queue bound (drop-oldest).
+	SendQueueDropped uint64 `metric:"send_queue_dropped"`
+	// Re-randomizations served by FleetConfig.Provision, and those that
+	// fell back to on-board randomization.
+	ArmoryProvisioned uint64        `metric:"armory_provisioned"`
+	ArmoryFallbacks   uint64        `metric:"armory_fallbacks"`
+	Uptime            time.Duration `metric:"uptime_ms"`
 }

@@ -115,8 +115,8 @@ func TestFleetRestartBudgetDegrades(t *testing.T) {
 	if v.Err() == nil {
 		t.Error("degraded vehicle has no recorded cause")
 	}
-	if f.DegradedVehicles() != 1 {
-		t.Errorf("DegradedVehicles = %d", f.DegradedVehicles())
+	if got := f.Stats().Degraded; got != 1 {
+		t.Errorf("degraded vehicles = %d", got)
 	}
 	metrics := f.MetricsText()
 	for _, want := range []string{"fleet.degraded 1", "vehicle.1.degraded 1", "vehicle.1.restarts 2"} {
@@ -161,7 +161,7 @@ func TestFleetCloseLeaksNothing(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
-	if got := f.Sessions(); got != 0 {
+	if got := f.Stats().Sessions; got != 0 {
 		t.Errorf("%d sessions survived Close", got)
 	}
 
