@@ -51,7 +51,7 @@ func BenchmarkCPUExecution(b *testing.B) {
 	b.ResetTimer()
 	start := sim.CPU.Cycles
 	for i := 0; i < b.N; i++ {
-		if f := sim.Run(10_000); f != nil {
+		if f := sim.RunCycles(10_000); f != nil {
 			b.Fatal(f)
 		}
 	}

@@ -110,7 +110,7 @@ func TestV2StealthyCleanReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let it fly a little first.
-	if f := sim.Run(500_000); f != nil {
+	if f := sim.RunCycles(500_000); f != nil {
 		t.Fatalf("pre-attack fault: %v", f)
 	}
 	txBefore := len(sim.TX())
@@ -120,7 +120,7 @@ func TestV2StealthyCleanReturn(t *testing.T) {
 	if got := sim.CPU.Data[firmware.AddrGyroCfg]; got != 0x55 {
 		t.Errorf("gyro config = 0x%02X, want 0x55", got)
 	}
-	if !sim.RxDrained() {
+	if !sim.RxIdle() {
 		t.Error("firmware stopped consuming serial input")
 	}
 	// Telemetry must continue: pulses after the attack.
@@ -207,7 +207,7 @@ func TestV3TrampolineLargePayload(t *testing.T) {
 		}
 	}
 	// And the board is still alive.
-	if f := sim.Run(500_000); f != nil {
+	if f := sim.RunCycles(500_000); f != nil {
 		t.Fatalf("board dead after V3: %v", f)
 	}
 }

@@ -336,19 +336,19 @@ func (p probeOutcome) outcome() string {
 	}
 }
 
-// probePayload boots a fresh copy of the target (Reset), delivers the
+// probePayload boots a fresh copy of the target (Load), delivers the
 // payload and classifies the outcome against the expected write.
 func probePayload(sim *Sim, image, payload []byte, w Write) probeOutcome {
 	var pr probeOutcome
-	if err := sim.Reset(image); err != nil {
+	if err := sim.Load(image); err != nil {
 		return pr
 	}
 	sim.SendFrame(Frame(payload))
-	drained, fault := sim.CPU.RunUntil(synthDrainBudget, func(*avr.CPU) bool { return len(sim.rx) == 0 })
+	drained, fault := sim.CPU.RunUntil(synthDrainBudget, func(*avr.CPU) bool { return sim.RxIdle() })
 	pr.drained = drained
 	pr.fault = fault
 	if pr.clean() {
-		pr.fault = sim.Run(synthSettleMargin)
+		pr.fault = sim.RunCycles(synthSettleMargin)
 	}
 	pr.landed = sim.CPU.Data[w.Addr] == w.Vals[0] &&
 		sim.CPU.Data[w.Addr+1] == w.Vals[1] &&

@@ -36,10 +36,11 @@ package avr
 //     them on entry and is retranslated when stale.
 //
 // The engine turns itself off — falling back to the plain interpreter
-// loop — whenever OnStep is set (tracing observes every instruction),
-// when ForceInterpreter is set (MAVR_AVR_INTERP=1), while an interrupt
-// is pending but unserviceable, and for blocks that have not yet run
-// hotThreshold times.
+// in the same loop — whenever OnStep is set (tracing observes every
+// instruction), when ForceInterpreter is set (MAVR_AVR_INTERP=1), for
+// RunUntil and Step (their predicate sees every instruction boundary),
+// while an interrupt is pending but unserviceable, and for blocks that
+// have not yet run hotThreshold times.
 
 import "os"
 
@@ -69,7 +70,7 @@ type BlockStats struct {
 	Invalidated uint64 // stale cached blocks dropped on entry
 	Execs       uint64 // block executions
 	Bails       uint64 // mid-block fallbacks to the interpreter
-	InterpSteps uint64 // instructions Run executed via the interpreter
+	InterpSteps uint64 // instructions executed via the interpreter
 }
 
 // TranslationStats returns the CPU's block-engine counters.

@@ -55,8 +55,8 @@ func (f *Fault) Error() string {
 		f.PC, f.PC*2, f.Cycle, f.Kind, f.Opcode)
 }
 
-// ErrSleeping is returned by Step when the CPU executed SLEEP and no
-// interrupt source is pending.
+// ErrSleeping is returned by Step when the core sleeps through the step:
+// it executed SLEEP earlier and no interrupt source is pending.
 var ErrSleeping = errors.New("avr: cpu sleeping")
 
 // IOReadFunc intercepts a read of one data-space address.
@@ -296,35 +296,18 @@ func (c *CPU) raise(kind FaultKind, opcode uint16) {
 	}
 }
 
-// Step executes one instruction. It returns the CPU fault if the core is
-// (or becomes) halted, ErrSleeping if the core is in SLEEP, and nil
-// otherwise.
+// Step executes one instruction (or dispatches one interrupt): a
+// one-cycle run whose predicate never holds, so it always interprets.
+// It returns the CPU fault if the core is (or becomes) halted,
+// ErrSleeping if the core slept through the step, and nil otherwise,
+// including right after executing SLEEP.
 func (c *CPU) Step() error {
-	if c.fault != nil {
-		return c.fault
-	}
-	if c.intSuppress {
-		// SEI/RETI one-instruction delay: execute exactly one more
-		// instruction before recognizing pending interrupts.
-		c.intSuppress = false
-	} else if c.dispatchInterrupt() {
-		return nil
-	}
-	if c.Sleeping {
-		c.Cycles++
+	_, slept, fault := c.run(1, never)
+	switch {
+	case fault != nil:
+		return fault
+	case slept:
 		return ErrSleeping
-	}
-	if c.PC >= FlashWords {
-		c.raise(FaultPCOutOfRange, 0)
-		return c.fault
-	}
-	in := DecodeAt(c.Flash, c.PC)
-	if c.OnStep != nil {
-		c.OnStep(c.PC, in)
-	}
-	c.exec(in)
-	if c.fault != nil {
-		return c.fault
 	}
 	return nil
 }
@@ -332,28 +315,52 @@ func (c *CPU) Step() error {
 // Run executes until a fault occurs or maxCycles elapse. It returns the
 // number of cycles consumed and the fault (nil if the budget expired or
 // the CPU went to sleep).
-//
-// A sleeping core with no pending interrupt consumes the remaining
-// budget in one step: nothing inside a Run call can wake it (interrupt
-// sources are raised between calls), so the sleep window fast-forwards
-// and board-level timing stays meaningful.
 func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 	start := c.Cycles
-	end := start + maxCycles
-	if end < start { // budget overflow: run to the end of time
+	_, _, fault := c.run(maxCycles, nil)
+	return c.Cycles - start, fault
+}
+
+// RunUntil executes until pred returns true, a fault occurs, or maxCycles
+// elapse. It reports whether pred was satisfied. pred is tested before
+// every instruction, so the whole call interprets.
+func (c *CPU) RunUntil(maxCycles uint64, pred func(*CPU) bool) (bool, *Fault) {
+	met, _, fault := c.run(maxCycles, pred)
+	return met, fault
+}
+
+// never is Step's predicate.
+func never(*CPU) bool { return false }
+
+// run is the CPU's one execution loop; Run, RunUntil and Step are calls
+// of it. Each iteration tests pred (when set), the sticky fault, the
+// SEI/RETI one-instruction delay, pending interrupts, sleep and the PC
+// range, then executes one instruction. It reports whether pred held,
+// whether the budget ran out asleep, and the fault.
+//
+// A sleeping core with no pending interrupt consumes the remaining
+// budget at once: nothing inside a call can wake it (interrupt sources
+// are raised between calls), so the sleep window fast-forwards,
+// board-level timing stays meaningful, and pred is tested once more at
+// the horizon instead of stalling one cycle at a time.
+func (c *CPU) run(maxCycles uint64, pred func(*CPU) bool) (met, slept bool, fault *Fault) {
+	end := c.Cycles + maxCycles
+	if end < c.Cycles { // budget overflow: run to the end of time
 		end = ^uint64(0)
 	}
-	// Tight dispatch loop: the fault check, interrupt window and sleep
-	// state are re-tested per instruction but all stay in registers.
 	// Hot straight-line code leaves this loop entirely: translated
 	// basic blocks (block.go) execute whole runs of instructions per
-	// iteration. The interpreter below decodes straight from flash, so
-	// it needs no invalidation and remains the reference path for
-	// cold, traced, or interrupt-window code.
-	useBlocks := c.blocksEnabled()
+	// iteration. A predicate must see every instruction boundary, so a
+	// predicated run interprets. The interpreter decodes straight from
+	// flash, so it needs no invalidation and remains the reference path
+	// for cold, traced, predicated or interrupt-window code.
+	useBlocks := pred == nil && c.blocksEnabled()
 	for c.Cycles < end {
+		if pred != nil && pred(c) {
+			return true, false, nil
+		}
 		if c.fault != nil {
-			return c.Cycles - start, c.fault
+			return false, false, c.fault
 		}
 		if c.intSuppress {
 			// SEI/RETI one-instruction delay: execute exactly one more
@@ -364,11 +371,11 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 		}
 		if c.Sleeping {
 			c.Cycles = end
-			return c.Cycles - start, nil
+			return pred != nil && pred(c), true, nil
 		}
 		if c.PC >= FlashWords {
 			c.raise(FaultPCOutOfRange, 0)
-			return c.Cycles - start, c.fault
+			return false, false, c.fault
 		}
 		if useBlocks && c.pendingInts == 0 && !c.intSuppress {
 			if b := c.blockFor(c.PC); b != nil && c.Cycles+b.cycles <= end {
@@ -378,7 +385,7 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 				c.blkStats.Execs++
 				c.execBlock(b)
 				if c.fault != nil {
-					return c.Cycles - start, c.fault
+					return false, false, c.fault
 				}
 				continue
 			}
@@ -390,36 +397,8 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 		c.exec(in)
 		c.blkStats.InterpSteps++
 		if c.fault != nil {
-			return c.Cycles - start, c.fault
+			return false, false, c.fault
 		}
 	}
-	return c.Cycles - start, nil
-}
-
-// RunUntil executes until pred returns true, a fault occurs, or maxCycles
-// elapse. It reports whether pred was satisfied.
-//
-// Like Run, a sleeping core fast-forwards the remaining budget: nothing
-// inside a RunUntil call can wake it (interrupt sources are raised
-// between calls), so pred is evaluated once more at the budget horizon
-// instead of stalling one cycle at a time.
-func (c *CPU) RunUntil(maxCycles uint64, pred func(*CPU) bool) (bool, *Fault) {
-	start := c.Cycles
-	end := start + maxCycles
-	if end < start { // budget overflow: run to the end of time
-		end = ^uint64(0)
-	}
-	for c.Cycles < end {
-		if pred(c) {
-			return true, nil
-		}
-		if err := c.Step(); err != nil {
-			if err == ErrSleeping {
-				c.Cycles = end
-				return pred(c), nil
-			}
-			return false, c.fault
-		}
-	}
-	return false, nil
+	return false, false, nil
 }

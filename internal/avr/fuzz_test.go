@@ -49,18 +49,21 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzBlockExec is the differential conformance harness for the block
-// translation engine: the same flash image, register seed and stimulus
-// plan run on a ForceInterpreter CPU and a block-engine CPU in
-// lockstep, and every observable piece of state — registers, I/O,
-// SRAM, PC, cycle count, sleep state, interrupt latches and faults —
-// must match after every Run slice. Rounds repeat the image so entry
-// PCs cross the heat threshold and later rounds execute translated
-// blocks; the plan byte toggles interrupts between slices, an I/O
-// write hook that raises an interrupt mid-block, and a mid-corpus
-// flash rewrite with invalidation of a byte range whose offset and
-// length are fuzzed (and folded into the image), so mid-page and
-// page-straddling rewrites are held to the interpreter, which decodes
-// straight from flash.
+// translation engine and the execution loop's other entry points: the
+// same flash image, register seed and stimulus plan run in lockstep on
+// a ForceInterpreter CPU driven by Run (the reference), a block-engine
+// CPU driven by Run, a CPU driven by Step to each slice's budget and a
+// CPU driven by RunUntil with a predicate that never holds. Every
+// observable piece of state — registers, I/O, SRAM, PC, cycle count,
+// sleep state, interrupt latches and faults — must match after every
+// slice, and the Step and RunUntil CPUs must never execute a
+// translated block. Rounds repeat the image so entry PCs cross the
+// heat threshold and later rounds execute translated blocks; the plan
+// byte toggles interrupts between slices, an I/O write hook that
+// raises an interrupt mid-block, and a mid-corpus flash rewrite with
+// invalidation of a byte range whose offset and length are fuzzed (and
+// folded into the image), so mid-page and page-straddling rewrites are
+// held to the interpreter, which decodes straight from flash.
 func FuzzBlockExec(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{1, 2, 3}, byte(0), uint16(0), uint16(63))
 	// ldi r16,0x42 ; ldi r17,1 ; add r16,r17 ; rjmp .-8
@@ -110,7 +113,24 @@ func FuzzBlockExec(f *testing.F) {
 			return c
 		}
 		ref := mk(true)
-		blk := mk(false)
+		never := func(*CPU) bool { return false }
+		legs := []struct {
+			name string
+			c    *CPU
+			run  func(c *CPU, budget uint64)
+		}{
+			{"block", mk(false), func(c *CPU, budget uint64) { c.Run(budget) }},
+			{"step", mk(false), func(c *CPU, budget uint64) {
+				for end := c.Cycles + budget; c.Cycles < end; {
+					if err := c.Step(); err == ErrSleeping && !c.Sleeping {
+						t.Fatalf("Step returned ErrSleeping on an awake core")
+					} else if err != nil && err != ErrSleeping {
+						return
+					}
+				}
+			}},
+			{"until", mk(false), func(c *CPU, budget uint64) { c.RunUntil(budget, never) }},
+		}
 
 		seed := func(c *CPU) {
 			c.Reset()
@@ -126,16 +146,22 @@ func FuzzBlockExec(f *testing.F) {
 				c.PC, c.Cycles, c.Sleeping, c.intSuppress, c.pendingInts, c.Fault())
 		}
 
+		all := []*CPU{ref}
+		for _, l := range legs {
+			all = append(all, l.c)
+		}
+
 		for round := 0; round < 6; round++ {
-			seed(ref)
-			seed(blk)
+			for _, c := range all {
+				seed(c)
+			}
 			if plan&8 != 0 && round == 3 {
 				// Mid-corpus reprogramming, as MAVR's re-randomizer
-				// does: both CPUs rewrite and invalidate identically,
+				// does: every CPU rewrites and invalidates identically,
 				// so stale translations must retranslate.
 				lo := int(off) % len(image)
 				hi := lo + 1 + int(n)%(len(image)-lo)
-				for _, c := range []*CPU{ref, blk} {
+				for _, c := range all {
 					for i := lo; i < hi; i++ {
 						c.Flash[i] ^= 0xA5
 					}
@@ -144,22 +170,30 @@ func FuzzBlockExec(f *testing.F) {
 			}
 			for s, budget := range budgets {
 				ref.Run(budget)
-				blk.Run(budget)
-				if rs, bs := state(ref), state(blk); rs != bs {
-					t.Fatalf("round %d slice %d (budget %d): interp %s != block %s", round, s, budget, rs, bs)
-				}
-				if !bytes.Equal(ref.Data, blk.Data) {
-					for i := range ref.Data {
-						if ref.Data[i] != blk.Data[i] {
-							t.Fatalf("round %d slice %d: data[0x%04X] interp %02X != block %02X",
-								round, s, i, ref.Data[i], blk.Data[i])
+				for _, l := range legs {
+					l.run(l.c, budget)
+					if rs, ls := state(ref), state(l.c); rs != ls {
+						t.Fatalf("round %d slice %d (budget %d): interp %s != %s %s", round, s, budget, rs, l.name, ls)
+					}
+					if !bytes.Equal(ref.Data, l.c.Data) {
+						for i := range ref.Data {
+							if ref.Data[i] != l.c.Data[i] {
+								t.Fatalf("round %d slice %d: data[0x%04X] interp %02X != %s %02X",
+									round, s, i, ref.Data[i], l.name, l.c.Data[i])
+							}
 						}
 					}
 				}
 				if plan&1 != 0 {
-					ref.RaiseInterrupt(VectorTimer0Ovf)
-					blk.RaiseInterrupt(VectorTimer0Ovf)
+					for _, c := range all {
+						c.RaiseInterrupt(VectorTimer0Ovf)
+					}
 				}
+			}
+		}
+		for _, l := range legs {
+			if st := l.c.TranslationStats(); l.name != "block" && (st.Execs != 0 || st.Translated != 0) {
+				t.Fatalf("%s entered the block engine: %+v", l.name, st)
 			}
 		}
 	})

@@ -105,14 +105,19 @@ func TestInterruptWakesSleep(t *testing.T) {
 	if err := c.LoadFlash(img); err != nil {
 		t.Fatal(err)
 	}
-	// Run into sleep.
-	for i := 0; i < 600; i++ {
+	// Run into sleep: the step that executes SLEEP returns nil, and a
+	// step the core sleeps through returns ErrSleeping after one cycle.
+	for i := 0; i < 600 && !c.Sleeping; i++ {
 		if err := c.Step(); err != nil {
-			break
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 	if !c.Sleeping {
 		t.Fatal("CPU did not sleep")
+	}
+	cyc := c.Cycles
+	if err := c.Step(); err != avr.ErrSleeping || c.Cycles != cyc+1 {
+		t.Fatalf("Step while asleep = %v after %d cycles, want ErrSleeping after 1", err, c.Cycles-cyc)
 	}
 	c.RaiseInterrupt(avr.VectorTimer0Ovf)
 	for i := 0; i < 100 && c.Step() == nil; i++ {

@@ -133,9 +133,9 @@ func (a *AppProcessor) Reset(run bool) {
 	a.inReset = !run
 }
 
-// EnterBootloader resets the core into the resident bootloader (the
+// enterBootloader resets the core into the resident bootloader (the
 // master asserts RESET and sends the magic byte sequence, §VI-B4).
-func (a *AppProcessor) EnterBootloader() error {
+func (a *AppProcessor) enterBootloader() error {
 	if a.bootCode == nil {
 		return errors.New("board: no resident bootloader (hardware-ISP build)")
 	}
@@ -151,7 +151,7 @@ func (a *AppProcessor) EnterBootloader() error {
 // consumed. This is the §VI-B4 programming path run for real (the
 // timed board model uses the equivalent baud-limited cost).
 func (a *AppProcessor) ProgramViaBootloader(image []byte) (uint64, error) {
-	if err := a.EnterBootloader(); err != nil {
+	if err := a.enterBootloader(); err != nil {
 		return 0, err
 	}
 	var wire []byte
@@ -190,8 +190,16 @@ func (a *AppProcessor) ProgramViaBootloader(image []byte) (uint64, error) {
 // Running reports whether the core executes (not in reset, not halted).
 func (a *AppProcessor) Running() bool { return !a.inReset && !a.CPU.Halted() }
 
-// Receive queues one serial byte from the telemetry link.
-func (a *AppProcessor) Receive(b byte) { a.rx = append(a.rx, b) }
+// Receive queues serial bytes from the telemetry link.
+func (a *AppProcessor) Receive(b ...byte) { a.rx = append(a.rx, b...) }
+
+// RxIdle reports whether the firmware has read every byte queued on the
+// telemetry link.
+func (a *AppProcessor) RxIdle() bool { return len(a.rx) == 0 }
+
+// OnTransmit sets the sink of every byte the firmware writes to the
+// telemetry link (nil drops them).
+func (a *AppProcessor) OnTransmit(fn func(byte)) { a.tx = fn }
 
 // SetRawGyro sets the physical sensor sample the firmware reads.
 func (a *AppProcessor) SetRawGyro(v byte) { a.rawGyro = v }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"mavr/internal/asm"
 	"mavr/internal/avr"
@@ -106,36 +105,6 @@ func TestBootloaderProgrammingRequiresResidentLoader(t *testing.T) {
 	app := board.NewAppProcessor()
 	if _, err := app.ProgramViaBootloader(img.Flash); err == nil {
 		t.Fatal("programming succeeded without a bootloader")
-	}
-}
-
-// A full MAVR board with instruction-level programming behaves exactly
-// like the modeled one: boot randomizes through the real SPM path and
-// the vehicle flies.
-func TestMasterInstructionLevelProgramming(t *testing.T) {
-	img := testImage(t)
-	sys := board.NewSystem(board.SystemConfig{Master: board.MasterConfig{
-		Seed:                        6,
-		InstructionLevelProgramming: true,
-	}})
-	if err := sys.FlashFirmware(img); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Boot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Randomized {
-		t.Fatal("no randomization")
-	}
-	if err := sys.Run(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if sys.LastFault() != nil {
-		t.Fatalf("fault: %v", sys.LastFault())
-	}
-	if len(sys.DrainGCS()) == 0 {
-		t.Error("no telemetry after instruction-level programming")
 	}
 }
 

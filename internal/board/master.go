@@ -27,6 +27,10 @@ const (
 	FlashEndurance = 10000
 )
 
+// DefaultWatchdogTimeout is the master's watchdog timeout when
+// MasterConfig leaves it zero.
+const DefaultWatchdogTimeout = 50 * time.Millisecond
+
 // MasterConfig tunes the master processor's policy.
 type MasterConfig struct {
 	// ProgramBaud is the master->application programming rate.
@@ -35,14 +39,9 @@ type MasterConfig struct {
 	// (1 = every boot). Failed-attack detection always re-randomizes.
 	RandomizeEvery int
 	// WatchdogTimeout is how long the master waits for a feed pulse
-	// before declaring a failed attack (§V-A2 timing analysis).
+	// before declaring a failed attack (§V-A2 timing analysis); zero
+	// means DefaultWatchdogTimeout.
 	WatchdogTimeout time.Duration
-	// InstructionLevelProgramming routes every reprogramming through
-	// the resident bootloader's page protocol executed on the
-	// application core (SPM sequences and all) instead of the modeled
-	// write. Timing accounting is identical; this verifies the §VI-B4
-	// path end to end.
-	InstructionLevelProgramming bool
 	// Seed drives the master's permutation source.
 	Seed int64
 	// SkipVerify disables the static patch-completeness check the
@@ -76,7 +75,7 @@ func (c MasterConfig) withDefaults() MasterConfig {
 		c.RandomizeEvery = 1
 	}
 	if c.WatchdogTimeout == 0 {
-		c.WatchdogTimeout = 50 * time.Millisecond
+		c.WatchdogTimeout = DefaultWatchdogTimeout
 	}
 	return c
 }
@@ -220,11 +219,7 @@ func (m *Master) randomizeAndProgram(now time.Duration) (StartupReport, error) {
 	if err != nil {
 		return StartupReport{}, err
 	}
-	if m.cfg.InstructionLevelProgramming {
-		if _, err := m.app.ProgramViaBootloader(image); err != nil {
-			return StartupReport{}, err
-		}
-	} else if err := m.app.Program(image); err != nil {
+	if err := m.app.Program(image); err != nil {
 		return StartupReport{}, err
 	}
 	m.app.ReadoutFuse = true

@@ -83,11 +83,11 @@ func NewSystem(cfg SystemConfig) *System {
 	if !cfg.Unprotected && !cfg.SoftwareOnly {
 		s.Master = NewMaster(cfg.Master, s.Flash, s.App, s.Now)
 	}
-	s.App.tx = func(b byte) {
+	s.App.OnTransmit(func(b byte) {
 		s.linkMu.Lock()
 		s.toGCS = append(s.toGCS, b)
 		s.linkMu.Unlock()
-	}
+	})
 	return s
 }
 

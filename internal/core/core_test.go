@@ -222,7 +222,7 @@ func TestStockModeNotSafelyRandomizable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f := sim.Run(3_000_000); f != nil {
+		if f := sim.RunCycles(3_000_000); f != nil {
 			brokeSomehow = true // runtime failure
 		}
 	}

@@ -3,50 +3,27 @@ package firmware_test
 import (
 	"testing"
 
-	"mavr/internal/avr"
+	"mavr/internal/board"
 	"mavr/internal/firmware"
 	"mavr/internal/mavlink"
 )
 
-// testBoard wires a generated image to a CPU with a scripted UART and
-// gyro sample source.
+// testBoard is the vehicle's application processor with its downlink
+// recorded.
 type testBoard struct {
-	cpu  *avr.CPU
-	rx   []byte
-	tx   []byte
-	gyro byte
+	*board.AppProcessor
+	tx []byte
 }
 
 func boot(t *testing.T, img *firmware.Image) *testBoard {
 	t.Helper()
-	tb := &testBoard{cpu: avr.New(), gyro: 10}
-	if err := tb.cpu.LoadFlash(img.Flash); err != nil {
+	tb := &testBoard{AppProcessor: board.NewAppProcessor()}
+	tb.OnTransmit(func(b byte) { tb.tx = append(tb.tx, b) })
+	if err := tb.Program(img.Flash); err != nil {
 		t.Fatal(err)
 	}
-	tb.cpu.HookRead(firmware.AddrUCSR0A, func(byte) byte {
-		v := byte(1 << firmware.BitUDRE)
-		if len(tb.rx) > 0 {
-			v |= 1 << firmware.BitRXC
-		}
-		return v
-	})
-	tb.cpu.HookRead(firmware.AddrUDR0, func(byte) byte {
-		if len(tb.rx) == 0 {
-			return 0
-		}
-		b := tb.rx[0]
-		tb.rx = tb.rx[1:]
-		return b
-	})
-	tb.cpu.HookWrite(firmware.AddrUDR0, func(v byte) { tb.tx = append(tb.tx, v) })
-	tb.cpu.HookRead(firmware.AddrADCL, func(byte) byte { return tb.gyro })
+	tb.Reset(true)
 	return tb
-}
-
-func (tb *testBoard) run(t *testing.T, cycles uint64) *avr.Fault {
-	t.Helper()
-	_, fault := tb.cpu.Run(cycles)
-	return fault
 }
 
 func genTest(t *testing.T) *firmware.Image {
@@ -118,7 +95,7 @@ func scanDownlink(t *testing.T, tx []byte) ([]pulse, [][]byte) {
 func TestBootProducesTelemetryPulses(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
-	if f := tb.run(t, 300000); f != nil {
+	if f := tb.RunCycles(300000); f != nil {
 		t.Fatalf("fault during boot: %v", f)
 	}
 	pulses, _ := scanDownlink(t, tb.tx)
@@ -143,7 +120,7 @@ func TestBootProducesTelemetryPulses(t *testing.T) {
 func TestFirmwareEmitsValidHeartbeats(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
-	if f := tb.run(t, 3_000_000); f != nil {
+	if f := tb.RunCycles(3_000_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	_, frames := scanDownlink(t, tb.tx)
@@ -205,14 +182,14 @@ func TestFirmwareEmitsValidHeartbeats(t *testing.T) {
 func TestNavUpdateDerivesHeadingFromWaypoints(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
-	if f := tb.run(t, 500_000); f != nil {
+	if f := tb.RunCycles(500_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	wp := int(img.Layout.WaypointsAddr)
-	lat := tb.cpu.Data[wp]
-	lon := tb.cpu.Data[wp+2]
+	lat := tb.CPU.Data[wp]
+	lon := tb.CPU.Data[wp+2]
 	want := lat ^ lon // waypoint 0 active while uptime < 256
-	if got := tb.cpu.Data[firmware.AddrHeading]; got != want {
+	if got := tb.CPU.Data[firmware.AddrHeading]; got != want {
 		t.Errorf("heading = 0x%02X, want 0x%02X (wp0 lat 0x%02X lon 0x%02X)", got, want, lat, lon)
 	}
 	pulses, _ := scanDownlink(t, tb.tx)
@@ -233,11 +210,11 @@ func TestParamSetRoundTripThroughFirmware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	if f := tb.run(t, 2000000); f != nil {
+	tb.Receive(wire...)
+	if f := tb.RunCycles(2000000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
-	got := tb.cpu.Data[firmware.AddrParamVal : firmware.AddrParamVal+4]
+	got := tb.CPU.Data[firmware.AddrParamVal : firmware.AddrParamVal+4]
 	want := []byte{0x11, 0x22, 0x33, 0x44}
 	for i := range want {
 		if got[i] != want[i] {
@@ -260,8 +237,8 @@ func TestOverflowWithGarbageCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	f := tb.run(t, 2000000)
+	tb.Receive(wire...)
+	f := tb.RunCycles(2000000)
 	if f == nil {
 		t.Fatal("no fault after 200-byte overflow of a 64-byte buffer")
 	}
@@ -285,8 +262,8 @@ func TestClampedHandlerSurvivesOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	if f := tb.run(t, 2000000); f != nil {
+	tb.Receive(wire...)
+	if f := tb.RunCycles(2000000); f != nil {
 		t.Fatalf("clamped firmware faulted: %v", f)
 	}
 }
@@ -297,8 +274,8 @@ func TestClampedHandlerSurvivesOverflow(t *testing.T) {
 func TestGyroConfigAffectsTelemetry(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
-	tb.cpu.EEPROM[firmware.EEPROMCfgAddr] = 100
-	if f := tb.run(t, 300000); f != nil {
+	tb.CPU.EEPROM[firmware.EEPROMCfgAddr] = 100
+	if f := tb.RunCycles(300000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	// Find a pulse and check its gyro byte = 10 + 100.
@@ -363,7 +340,7 @@ func TestStockModeBoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := boot(t, img)
-	if f := tb.run(t, 500000); f != nil {
+	if f := tb.RunCycles(500000); f != nil {
 		t.Fatalf("stock firmware faulted: %v", f)
 	}
 	if len(tb.tx) < firmware.PulseSize {
@@ -377,10 +354,10 @@ func TestStockModeBoots(t *testing.T) {
 func TestSchedulerDispatchAllTasks(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
-	if f := tb.run(t, 3000000); f != nil {
+	if f := tb.RunCycles(3000000); f != nil {
 		t.Fatalf("fault while rotating scheduler tasks: %v", f)
 	}
-	idx := tb.cpu.Data[firmware.AddrSchedIdx]
+	idx := tb.CPU.Data[firmware.AddrSchedIdx]
 	if idx < 16 {
 		t.Errorf("scheduler index only reached %d after 3M cycles", idx)
 	}

@@ -27,11 +27,11 @@ func TestFirmwareSurvivesRandomSerialGarbage(t *testing.T) {
 				junk[i+1] = firmware.HandlerBufBytes
 			}
 		}
-		tb.rx = append(tb.rx, junk...)
-		if f := tb.run(t, 3_000_000); f != nil {
+		tb.Receive(junk...)
+		if f := tb.RunCycles(3_000_000); f != nil {
 			t.Fatalf("trial %d: firmware crashed on garbage: %v", trial, f)
 		}
-		if len(tb.rx) != 0 {
+		if !tb.RxIdle() {
 			t.Fatalf("trial %d: firmware stopped consuming input", trial)
 		}
 	}
@@ -58,12 +58,12 @@ func TestFirmwareSurvivesAllMessageKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.rx = append(tb.rx, wire...)
+		tb.Receive(wire...)
 	}
-	if f := tb.run(t, 5_000_000); f != nil {
+	if f := tb.RunCycles(5_000_000); f != nil {
 		t.Fatalf("firmware crashed on benign message mix: %v", f)
 	}
-	if len(tb.rx) != 0 {
+	if !tb.RxIdle() {
 		t.Fatal("firmware stopped consuming input")
 	}
 }
@@ -81,15 +81,15 @@ func TestFirmwareResyncsAfterTruncatedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A truncated frame (header only), then garbage, then a good frame.
-	tb.rx = append(tb.rx, wire[:9]...)
+	tb.Receive(wire[:9]...)
 	// The state machine is mid-frame; it will consume the next bytes as
 	// payload/CRC. Feed filler until it resets, then the real frame.
-	tb.rx = append(tb.rx, make([]byte, 40)...)
-	tb.rx = append(tb.rx, wire...)
-	if f := tb.run(t, 4_000_000); f != nil {
+	tb.Receive(make([]byte, 40)...)
+	tb.Receive(wire...)
+	if f := tb.RunCycles(4_000_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
-	if got := tb.cpu.Data[firmware.AddrParamVal]; got != 0x42 {
+	if got := tb.CPU.Data[firmware.AddrParamVal]; got != 0x42 {
 		t.Errorf("param value 0x%02X after resync, want 0x42", got)
 	}
 }

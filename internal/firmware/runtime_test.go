@@ -14,16 +14,16 @@ func TestTimerISRAdvancesUptime(t *testing.T) {
 	img := genTest(t)
 	tb := boot(t, img)
 	// Let the firmware boot and enable interrupts.
-	if f := tb.run(t, 100_000); f != nil {
+	if f := tb.RunCycles(100_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
 	for i := 0; i < 5; i++ {
-		tb.cpu.RaiseInterrupt(avr.VectorTimer0Ovf)
-		if f := tb.run(t, 20_000); f != nil {
+		tb.CPU.RaiseInterrupt(avr.VectorTimer0Ovf)
+		if f := tb.RunCycles(20_000); f != nil {
 			t.Fatalf("fault during ISR %d: %v", i, f)
 		}
 	}
-	uptime := uint16(tb.cpu.Data[firmware.AddrUptime]) | uint16(tb.cpu.Data[firmware.AddrUptime+1])<<8
+	uptime := uint16(tb.CPU.Data[firmware.AddrUptime]) | uint16(tb.CPU.Data[firmware.AddrUptime+1])<<8
 	if uptime != 5 {
 		t.Errorf("uptime = %d, want 5", uptime)
 	}
@@ -41,14 +41,14 @@ func TestParamSetUnderInterruptLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
+	tb.Receive(wire...)
 	for i := 0; i < 200; i++ {
-		tb.cpu.RaiseInterrupt(avr.VectorTimer0Ovf)
-		if f := tb.run(t, 10_000); f != nil {
+		tb.CPU.RaiseInterrupt(avr.VectorTimer0Ovf)
+		if f := tb.RunCycles(10_000); f != nil {
 			t.Fatalf("fault: %v", f)
 		}
 	}
-	if got := tb.cpu.Data[firmware.AddrParamVal]; got != 0x5C {
+	if got := tb.CPU.Data[firmware.AddrParamVal]; got != 0x5C {
 		t.Errorf("param value = 0x%02X, want 0x5C (corrupted under interrupts)", got)
 	}
 }
@@ -65,11 +65,11 @@ func TestParamSetPersistsToEEPROM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	if f := tb.run(t, 2_000_000); f != nil {
+	tb.Receive(wire...)
+	if f := tb.RunCycles(2_000_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
-	if got := tb.cpu.EEPROM[firmware.EEPROMParamAddr]; got != 0x99 {
+	if got := tb.CPU.EEPROM[firmware.EEPROMParamAddr]; got != 0x99 {
 		t.Errorf("EEPROM param byte = 0x%02X, want 0x99", got)
 	}
 }
@@ -93,15 +93,15 @@ func TestStackCanaryDetectsOverflowButCannotRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	fault := tb.run(t, 3_000_000)
+	tb.Receive(wire...)
+	fault := tb.RunCycles(3_000_000)
 	if fault == nil {
 		t.Fatal("canary build kept running after smashing")
 	}
 	if fault.Kind != avr.FaultBreak {
 		t.Errorf("fault = %v, want break (the canary-fail halt)", fault.Kind)
 	}
-	if got := tb.cpu.Data[firmware.AddrCanaryFails]; got != 1 {
+	if got := tb.CPU.Data[firmware.AddrCanaryFails]; got != 1 {
 		t.Errorf("canary-fail counter = %d, want 1", got)
 	}
 }
@@ -123,11 +123,11 @@ func TestStackCanaryAllowsBenignTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.rx = append(tb.rx, wire...)
-	if f := tb.run(t, 2_000_000); f != nil {
+	tb.Receive(wire...)
+	if f := tb.RunCycles(2_000_000); f != nil {
 		t.Fatalf("fault: %v", f)
 	}
-	if got := tb.cpu.Data[firmware.AddrParamVal]; got != 0x33 {
+	if got := tb.CPU.Data[firmware.AddrParamVal]; got != 0x33 {
 		t.Errorf("param value = 0x%02X, want 0x33", got)
 	}
 	if got := len(img.ELF.FuncSymbols()); got != spec.Functions {
@@ -160,18 +160,18 @@ func TestCanaryHandlerOverheadIsMeasurable(t *testing.T) {
 				handler = s.Value / 2
 			}
 		}
-		tb.rx = append(tb.rx, wire...)
-		ok, _ := tb.cpu.RunUntil(3_000_000, func(c *avr.CPU) bool { return c.PC == handler })
+		tb.Receive(wire...)
+		ok, _ := tb.CPU.RunUntil(3_000_000, func(c *avr.CPU) bool { return c.PC == handler })
 		if !ok {
 			t.Fatal("handler never reached")
 		}
-		entry := tb.cpu.Cycles
-		sp := tb.cpu.SP()
-		ok, _ = tb.cpu.RunUntil(100_000, func(c *avr.CPU) bool { return c.SP() > sp })
+		entry := tb.CPU.Cycles
+		sp := tb.CPU.SP()
+		ok, _ = tb.CPU.RunUntil(100_000, func(c *avr.CPU) bool { return c.SP() > sp })
 		if !ok {
 			t.Fatal("handler never returned")
 		}
-		return tb.cpu.Cycles - entry
+		return tb.CPU.Cycles - entry
 	}
 	plain := measure(false)
 	canary := measure(true)

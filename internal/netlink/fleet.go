@@ -344,7 +344,9 @@ func (f *Fleet) Stats() FleetStats {
 		}
 	}
 	st.Sessions = f.sessions.count()
-	st.Uptime = time.Since(f.started)
+	if !f.started.IsZero() { // an unstarted fleet has no uptime
+		st.Uptime = time.Since(f.started)
+	}
 	return st
 }
 

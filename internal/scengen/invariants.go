@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mavr/internal/board"
 	"mavr/internal/scenario"
 )
 
@@ -80,7 +81,7 @@ func watchdogOf(spec scenario.Spec) time.Duration {
 	if spec.WatchdogTimeout > 0 {
 		return spec.WatchdogTimeout
 	}
-	return 50 * time.Millisecond
+	return board.DefaultWatchdogTimeout
 }
 
 // quiet reports whether the spec runs a perfect downlink.
