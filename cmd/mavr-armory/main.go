@@ -50,7 +50,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8737", "HTTP listen address")
-	workers := flag.Int("workers", 4, "randomization worker pool size")
+	workers := flag.Int("workers", 4, "requests that run the pipeline at once")
 	keyHex := flag.String("key", "", "artifact signing key (hex; empty: built-in dev key)")
 	noGadgets := flag.Bool("no-gadgets", false, "skip the residual gadget audit (diff+CFG verification only)")
 	status := flag.Duration("status", 10*time.Second, "status line interval (0: quiet)")

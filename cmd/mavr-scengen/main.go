@@ -102,7 +102,7 @@ func check(spec scenario.Spec, differential bool) (*scenario.Result, []*scenario
 	}
 	ds := scengen.CheckAll(spec, res.Records)
 	if differential && spec.Board == scenario.BoardMAVR {
-		d, err := scengen.DifferentialPair(spec)
+		d, err := scengen.Differential(spec, res.Records)
 		if err != nil {
 			return nil, nil, err
 		}

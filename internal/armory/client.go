@@ -65,20 +65,6 @@ func (c *Client) Randomize(image []byte, vehicle string, epoch uint64) (*Artifac
 	return art, nil
 }
 
-// ReportByDigest fetches the stored report for an artifact or base
-// digest.
-func (c *Client) ReportByDigest(digest string) (*StoredReport, error) {
-	body, err := readResponse(c.http().Get(c.URL + "/report/" + digest))
-	if err != nil {
-		return nil, err
-	}
-	var rep StoredReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("armory: decoding report: %w", err)
-	}
-	return &rep, nil
-}
-
 // readResponse reads the body of an armory answer, at most
 // maxResponseBytes of it, and returns it if the status is 200. Any
 // other status is a *RequestError carrying the armory's JSON error.

@@ -7,7 +7,8 @@
 // vehicle, statically verify every outcome before it can be flashed,
 // and guarantee fleet-wide permutation uniqueness.
 //
-// The Service runs a fixed worker pool over a five-stage pipeline:
+// Service.Randomize runs a five-stage pipeline on its caller's
+// goroutine, at most Config.Workers requests at once:
 //
 //	submit → preprocess → permute → patch → verify → sign
 //
@@ -38,7 +39,7 @@
 //     tampered or misrouted images without re-verifying.
 //
 // server.go exposes the service over HTTP (POST /randomize,
-// GET /report/<digest>, GET /metrics, GET /healthz) and client.go is
+// GET /metrics, GET /healthz) and client.go is
 // the matching client used by cmd/mavr-fleetd's -armory mode and
 // cmd/mavr-randomize's client mode. cmd/mavr-armory hosts the daemon
 // and a self-contained -soak mode CI uses to prove batch uniqueness.
@@ -56,10 +57,11 @@
 // 413, unread, to a declared length above MaxImageBytes. Either side
 // grows its buffer as bytes arrive, so a declared length pins no
 // memory the peer has not sent. Every body either side reads is
-// bounded, and mavr-armory's server times out idle and slow peers. Error bodies and GET /report/ are
-// plain JSON. The client re-hashes the image and the permutation,
-// checks the holder and verifies the signature before it returns an
-// artifact.
+// bounded, and mavr-armory's server times out idle and slow peers.
+// Error bodies are plain JSON. A report travels only in its
+// artifact's head; the service keeps no copy. The client re-hashes the
+// image and the permutation, checks the holder and verifies the
+// signature before it returns an artifact.
 //
 // Everything outside server.go is deterministic (no wall clock, no
 // global rand) and checked by the determinism vettool; the HTTP server

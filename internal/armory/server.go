@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"mavr/internal/staticverify"
 )
@@ -27,7 +26,6 @@ type errorResponse struct {
 // Handler serves the armory HTTP API for s:
 //
 //	POST /randomize?vehicle=<id>&epoch=<n>   body: base image bytes
-//	GET  /report/<digest>                    artifact or base report
 //	GET  /metrics                            text counters
 //	GET  /healthz
 //
@@ -36,8 +34,7 @@ type errorResponse struct {
 // image's raw bytes, with Content-Length set. The upload is read by
 // its Content-Length into a buffer that grows as bytes arrive; a
 // declared length above MaxImageBytes is a 413 before any of it is
-// read. Every other answer,
-// errors included, is one JSON value.
+// read. An error answer is one JSON value.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/randomize", func(w http.ResponseWriter, r *http.Request) {
@@ -76,19 +73,6 @@ func Handler(s *Service) http.Handler {
 			return
 		}
 		writeArtifact(w, art)
-	})
-	mux.HandleFunc("/report/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only", nil)
-			return
-		}
-		digest := strings.TrimPrefix(r.URL.Path, "/report/")
-		rep, ok := s.Report(digest)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no report for digest %q", digest), nil)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

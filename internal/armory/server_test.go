@@ -23,7 +23,7 @@ import (
 )
 
 // TestServerRoundTrip exercises the HTTP surface end to end through the
-// typed client: randomize, signature check, report fetch, metrics.
+// typed client: randomize, signature check, metrics.
 func TestServerRoundTrip(t *testing.T) {
 	elf, _ := testImage()
 	s := New(Config{Workers: 2})
@@ -43,26 +43,6 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	if len(art.Image) == 0 {
 		t.Fatal("artifact image did not survive the wire")
-	}
-
-	// The stored report is addressable by artifact digest...
-	rep, err := c.ReportByDigest(art.ArtifactDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != "artifact" || rep.Vehicle != "uav-1" || rep.PermDigest != art.PermDigest {
-		t.Fatalf("artifact report mismatch: %+v", rep)
-	}
-	if rep.Report == nil || !rep.Report.OK() {
-		t.Fatal("stored report missing or not OK")
-	}
-	// ...and the base digest resolves to a base summary.
-	baseRep, err := c.ReportByDigest(art.BaseDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseRep.Kind != "base" || baseRep.Blocks == 0 {
-		t.Fatalf("base report mismatch: %+v", baseRep)
 	}
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -141,10 +121,6 @@ func TestServerErrors(t *testing.T) {
 			t.Fatalf("chunked %d-byte body = %d, want %d", tc.size, resp.StatusCode, tc.status)
 		}
 	}
-	// Unknown report digest → 404.
-	if _, err := c.ReportByDigest("deadbeef"); !errors.As(err, &re) || re.Status != 404 {
-		t.Fatalf("unknown digest: %v, want RequestError 404", err)
-	}
 	// GET on /randomize → 405.
 	resp, err = srv.Client().Get(srv.URL + "/randomize")
 	if err != nil {
@@ -216,10 +192,10 @@ func TestClientRejectsTamperedArtifact(t *testing.T) {
 }
 
 // TestClientBoundsResponses serves bodies larger than any artifact to
-// both client calls: one declaring a Content-Length over
-// maxResponseBytes, one chunked that never ends. Each must fail having
-// read nothing of the first and at most the one byte past the bound
-// that proves the second is over it.
+// the client: one declaring a Content-Length over maxResponseBytes,
+// one chunked that never ends. Each must fail having read nothing of
+// the first and at most the one byte past the bound that proves the
+// second is over it.
 func TestClientBoundsResponses(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -240,20 +216,11 @@ func TestClientBoundsResponses(t *testing.T) {
 		var read atomic.Int64
 		c := NewClient(srv.URL, DefaultSecret)
 		c.HTTPClient = &http.Client{Transport: countingTransport{srv.Client().Transport, &read}}
-		for _, call := range []struct {
-			name string
-			do   func() error
-		}{
-			{"Randomize", func() error { _, err := c.Randomize([]byte("base"), "uav-1", 0); return err }},
-			{"ReportByDigest", func() error { _, err := c.ReportByDigest("deadbeef"); return err }},
-		} {
-			read.Store(0)
-			if err := call.do(); !errors.Is(err, errTooLarge) {
-				t.Errorf("%s body, %s: %v, want a too-large error", tc.name, call.name, err)
-			}
-			if n := read.Load(); n > tc.maxRead {
-				t.Errorf("%s body, %s: read %d bytes, bound %d", tc.name, call.name, n, tc.maxRead)
-			}
+		if _, err := c.Randomize([]byte("base"), "uav-1", 0); !errors.Is(err, errTooLarge) {
+			t.Errorf("%s body: %v, want a too-large error", tc.name, err)
+		}
+		if n := read.Load(); n > tc.maxRead {
+			t.Errorf("%s body: read %d bytes, bound %d", tc.name, n, tc.maxRead)
 		}
 		srv.Close()
 	}

@@ -15,8 +15,9 @@ import (
 
 // Config sizes and shapes a Service.
 type Config struct {
-	// Workers is the randomization worker-pool size (default 4). The
-	// pool bounds CPU concurrency; submissions beyond it queue.
+	// Workers bounds how many requests run the pipeline at once
+	// (default 4). Each request runs on its caller's goroutine once it
+	// holds one of Workers slots; later submissions wait for a slot.
 	Workers int
 	// Secret is the HMAC artifact-signing key (default DefaultSecret).
 	Secret []byte
@@ -30,9 +31,6 @@ const (
 	// maxBases bounds the content-addressed base cache (FIFO eviction
 	// by submission digest).
 	maxBases = 64
-	// maxReports bounds the stored reports served by GET /report
-	// (FIFO).
-	maxReports = 4096
 	// maxAttempts bounds the ledger redraw chain per request. With n!
 	// permutations a genuine collision is astronomically unlikely; the
 	// bound exists so a pathological base (one block) fails loudly
@@ -153,104 +151,89 @@ type Stats struct {
 	VSASites         uint64 `metric:"vsa_sites"`
 	VSAResolvedSites uint64 `metric:"vsa_resolved_sites"`
 	ArtifactsSigned  uint64 `metric:"artifacts_signed"`
-	QueueHighWater   uint64 `metric:"queue_high_water"` // deepest the submission queue has been
+	// QueueHighWater is the most submissions ever admitted but not yet
+	// holding a slot, the newest one included: 1 for a sequential
+	// client.
+	QueueHighWater uint64 `metric:"queue_high_water"`
 }
 
-// Service is the armory: a worker pool running the randomize → verify
-// → sign pipeline over shared cache and ledger state. Safe for
-// concurrent use; Randomize may be called from any goroutine.
+// Service is the armory: the randomize → verify → sign pipeline over
+// shared cache and ledger state. Safe for concurrent use; Randomize
+// runs the pipeline on its caller's goroutine.
 type Service struct {
-	cfg     Config
-	cache   *baseCache
-	ledger  *Ledger
-	reports *reportStore
+	cfg    Config
+	cache  *baseCache
+	ledger *Ledger
 
-	jobs    chan job
-	wg      sync.WaitGroup
-	closeMu sync.Mutex
+	// slots holds one token per running pipeline, Config.Workers at
+	// most.
+	slots chan struct{}
+	// admitted counts the submissions Close waits for.
+	admitted sync.WaitGroup
+
+	// mu guards stats (the service's counted fields, see Stats),
+	// closed, and waiting: the admitted submissions not yet holding a
+	// slot.
+	mu      sync.Mutex
+	stats   Stats
 	closed  bool
-
-	// mu guards stats, the service's counted fields (see Stats).
-	mu    sync.Mutex
-	stats Stats
+	waiting uint64
 }
 
-type job struct {
-	req  Request
-	resp chan result
-}
-
-type result struct {
-	art *Artifact
-	err error
-}
-
-// New builds a Service and starts its worker pool. Call Close to drain.
+// New builds a Service. Call Close to drain it.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{
-		cfg:     cfg,
-		cache:   &baseCache{max: maxBases, entries: make(map[string]*baseEntry)},
-		ledger:  NewLedger(),
-		reports: &reportStore{max: maxReports, reports: make(map[string]*StoredReport)},
-		// Four queued submissions per worker keep the pool busy; past
-		// that Randomize blocks: backpressure, not load shedding.
-		jobs: make(chan job, 4*cfg.Workers),
+	return &Service{
+		cfg:    cfg,
+		cache:  &baseCache{max: maxBases, entries: make(map[string]*baseEntry)},
+		ledger: NewLedger(),
+		slots:  make(chan struct{}, cfg.Workers),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
 }
 
-// Close stops accepting submissions and drains the workers. Queued
-// submissions complete.
+// Close stops accepting submissions and returns once every admitted
+// one has completed.
 func (s *Service) Close() {
-	s.closeMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.jobs)
-	}
-	s.closeMu.Unlock()
-	s.wg.Wait()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.admitted.Wait()
 }
 
 // Ledger exposes the fleet permutation ledger (read-mostly: soak tools
 // and tests assert its invariants).
 func (s *Service) Ledger() *Ledger { return s.ledger }
 
-// Randomize runs one request through the pipeline, blocking until a
-// worker completes it.
+// Randomize runs one request through the pipeline once it holds a
+// slot. While every slot is taken it blocks, and blocked callers take
+// slots in arrival order: backpressure, not load shedding.
 func (s *Service) Randomize(req Request) (*Artifact, error) {
-	j := job{req: req, resp: make(chan result, 1)}
-	s.closeMu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.closeMu.Unlock()
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	depth := uint64(len(s.jobs) + 1)
-	s.count(func(st *Stats) {
-		st.Submitted++
-		st.QueueHighWater = max(st.QueueHighWater, depth)
-	})
-	s.jobs <- j
-	s.closeMu.Unlock()
-	r := <-j.resp
-	return r.art, r.err
-}
+	s.admitted.Add(1)
+	s.waiting++
+	s.stats.Submitted++
+	s.stats.QueueHighWater = max(s.stats.QueueHighWater, s.waiting)
+	s.mu.Unlock()
+	defer s.admitted.Done()
 
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		art, err := s.process(j.req)
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+	s.mu.Lock()
+	s.waiting--
+	s.mu.Unlock()
+	art, err := s.process(req)
+	s.count(func(st *Stats) {
 		if err != nil {
-			s.count(func(st *Stats) { st.Failed++ })
+			st.Failed++
 		} else {
-			s.count(func(st *Stats) { st.Completed++ })
+			st.Completed++
 		}
-		j.resp <- result{art: art, err: err}
-	}
+	})
+	return art, err
 }
 
 // process is the pipeline body: preprocess (cached) → permute (ledger)
@@ -323,27 +306,12 @@ func (s *Service) process(req Request) (*Artifact, error) {
 			Report:         rep,
 		}
 		s.count(func(st *Stats) { st.ArtifactsSigned++ })
-		s.reports.put(artifactDigest, &StoredReport{
-			Kind:           "artifact",
-			BaseDigest:     baseDigest,
-			ArtifactDigest: artifactDigest,
-			Vehicle:        req.Vehicle,
-			Epoch:          req.Epoch,
-			PermDigest:     pd,
-			Report:         rep,
-		})
-		s.reports.putBase(baseDigest, pre)
 		return art, nil
 	}
 	return nil, &RequestError{
 		Status: 503,
 		Msg:    fmt.Sprintf("no free permutation after %d attempts (fleet larger than the base image's diversity?)", maxAttempts),
 	}
-}
-
-// Report returns the stored report for an artifact or base digest.
-func (s *Service) Report(digest string) (*StoredReport, bool) {
-	return s.reports.get(digest)
 }
 
 // Stats snapshots the service counters.

@@ -7,8 +7,6 @@
 // disassembler to print Fig. 4/5-style gadget listings.
 package asm
 
-import "mavr/internal/avr"
-
 // enc2 encodes a two-register instruction (add, sub, mov, ...).
 func enc2(base uint16, d, r int) uint16 {
 	return base | uint16(r&0x10)<<5 | uint16(r&0x0F) | uint16(d&0x1F)<<4
@@ -152,10 +150,6 @@ func RJMP(k int) uint16    { return 0xC000 | uint16(k&0x0FFF) }
 func RCALL(k int) uint16   { return 0xD000 | uint16(k&0x0FFF) }
 func BRBS(s, k int) uint16 { return 0xF000 | uint16(k&0x7F)<<3 | uint16(s) }
 func BRBC(s, k int) uint16 { return 0xF400 | uint16(k&0x7F)<<3 | uint16(s) }
-
-// BREQ/BRNE are the common zero-flag conditional branches.
-func BREQ(k int) uint16 { return BRBS(avr.FlagZ, k) }
-func BRNE(k int) uint16 { return BRBC(avr.FlagZ, k) }
 
 // Zero-operand instructions.
 const (

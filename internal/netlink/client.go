@@ -121,12 +121,6 @@ func (c *Client) SendFrame(f *mavlink.Frame) {
 	c.sendDatagram(PacketData, f.MarshalOversize())
 }
 
-// SendRaw transmits arbitrary uplink bytes (fuzzing, malformed
-// traffic).
-func (c *Client) SendRaw(payload []byte) {
-	c.sendDatagram(PacketData, payload)
-}
-
 // sendDatagram numbers and encodes a datagram. Control datagrams
 // (hello/bye) are written straight to the socket; data datagrams go
 // through the bounded uplink queue, which drops the oldest entry under

@@ -13,6 +13,7 @@ import (
 	"mavr/internal/attack"
 	"mavr/internal/chaos"
 	"mavr/internal/firmware"
+	"mavr/internal/mavlink"
 )
 
 var (
@@ -366,7 +367,7 @@ func TestSessionExpiry(t *testing.T) {
 	}
 
 	// Any fresh uplink datagram re-establishes the session.
-	c.SendRaw(nil)
+	c.SendFrame(&mavlink.Frame{MsgID: mavlink.MsgIDHeartbeat, SysID: 255, Payload: (&mavlink.Heartbeat{}).Marshal()})
 	for f.Stats().Sessions != 1 {
 		if time.Now().After(end) {
 			t.Fatal("session not re-established after expiry")

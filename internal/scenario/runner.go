@@ -76,6 +76,14 @@ func plan(spec Spec) (*firmware.Image, []Packet, error) {
 	return img, pkts, err
 }
 
+const (
+	// feedStep is the monitor feeding quantum: Run advances the board
+	// this far between two feeds of the ground station monitor.
+	feedStep = 10 * time.Millisecond
+	// checkpointEvery is the interval between counter snapshots.
+	checkpointEvery = 500 * time.Millisecond
+)
+
 // Run executes the scenario and returns its trace. It is strictly
 // single-goroutine and wall-clock-free: the same Spec always yields a
 // byte-identical trace.
@@ -184,7 +192,7 @@ func Run(spec Spec) (*Result, error) {
 
 	start := sys.Now()
 	end := start + spec.Run
-	nextCheckpoint := spec.Checkpoint
+	nextCheckpoint := checkpointEvery
 	sent := 0
 	for sys.Now() < end {
 		now := sys.Now()
@@ -204,7 +212,7 @@ func Run(spec Spec) (*Result, error) {
 			sent++
 		}
 
-		step := spec.Step
+		step := feedStep
 		if rem := end - now; rem < step {
 			step = rem
 		}
@@ -235,7 +243,7 @@ func Run(spec Spec) (*Result, error) {
 			c := counters()
 			r.Records = append(r.Records, Record{T: int64(sys.Now()), Kind: "checkpoint", Counters: &c})
 			for nextCheckpoint <= sys.Now()-start {
-				nextCheckpoint += spec.Checkpoint
+				nextCheckpoint += checkpointEvery
 			}
 		}
 	}

@@ -64,10 +64,6 @@ type Spec struct {
 
 	// Run is the simulated flight time after boot.
 	Run time.Duration `json:"runNs"`
-	// Step is the monitor feeding quantum (default 10ms).
-	Step time.Duration `json:"stepNs,omitempty"`
-	// Checkpoint is the counter-snapshot interval (default 500ms).
-	Checkpoint time.Duration `json:"checkpointNs,omitempty"`
 	// SilenceThreshold is the ground station's vehicle-silent alarm
 	// threshold (default 200ms).
 	SilenceThreshold time.Duration `json:"silenceThresholdNs,omitempty"`
@@ -193,12 +189,6 @@ func (s Spec) withDefaults() Spec {
 	if s.App == "" {
 		s.App = "testapp"
 	}
-	if s.Step == 0 {
-		s.Step = 10 * time.Millisecond
-	}
-	if s.Checkpoint == 0 {
-		s.Checkpoint = 500 * time.Millisecond
-	}
 	if s.SilenceThreshold == 0 {
 		s.SilenceThreshold = 200 * time.Millisecond
 	}
@@ -210,8 +200,8 @@ func (s Spec) withDefaults() Spec {
 
 // Effective is the Spec with every defaulted field resolved — exactly
 // what Run executes. Trace invariants evaluate against the effective
-// Spec so guards can read Step/Checkpoint/Run without re-deriving the
-// defaults.
+// Spec so guards can read Run and SilenceThreshold without re-deriving
+// the defaults.
 func (s Spec) Effective() Spec { return s.withDefaults() }
 
 func (i Injection) withDefaults() Injection {

@@ -10,17 +10,21 @@ import (
 // The real differential property: the same Spec on unprotected vs MAVR
 // boards, quiet sky and under link faults, must be
 // observation-equivalent after normalization.
-func TestDifferentialPairEquivalent(t *testing.T) {
+func TestDifferentialEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full scenario simulations")
 	}
 	for _, spec := range []scenario.Spec{
-		{Name: "diff-quiet", Seed: 3, Run: 1200 * time.Millisecond},
-		{Name: "diff-lossy", Seed: 5, Run: 1200 * time.Millisecond, Link: scenario.LinkSpec{DropRate: 0.1}},
-		{Name: "diff-attacked", Seed: 7, Run: 1500 * time.Millisecond,
+		{Name: "diff-quiet", Board: scenario.BoardMAVR, Seed: 3, Run: 1200 * time.Millisecond},
+		{Name: "diff-lossy", Board: scenario.BoardMAVR, Seed: 5, Run: 1200 * time.Millisecond, Link: scenario.LinkSpec{DropRate: 0.1}},
+		{Name: "diff-attacked", Board: scenario.BoardMAVR, Seed: 7, Run: 1500 * time.Millisecond,
 			Injections: []scenario.Injection{{At: 400 * time.Millisecond, Kind: scenario.InjectV2, Value: 0x40}}},
 	} {
-		d, err := DifferentialPair(spec)
+		res, err := scenario.Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		d, err := Differential(spec, res.Records)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
