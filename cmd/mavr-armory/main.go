@@ -102,9 +102,13 @@ func run() error {
 			return nil
 		case <-tick:
 			st := svc.Stats()
+			// A reissue re-signs a permutation the ledger already
+			// holds. It is counted at its claim, which can come before
+			// a concurrent first signing, hence the clamp.
+			issued := st.ArtifactsSigned - min(st.Reissues, st.ArtifactsSigned)
 			fmt.Printf("armory: completed=%d failed=%d bases=%d issued-perms=%d cache-hit=%d/%d verifies=%d\n",
 				st.Completed, st.Failed, st.CachedBases,
-				st.ArtifactsSigned, st.CacheHits, st.CacheHits+st.CacheMisses, st.FastVerifies)
+				issued, st.CacheHits, st.CacheHits+st.CacheMisses, st.FastVerifies)
 		}
 	}
 }

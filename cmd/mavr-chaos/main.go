@@ -12,7 +12,7 @@
 //	           [-panic 0.003] [-hang 0.002] [-stall 0.002]
 //	           [-partition-down 0.08] [-partition-up 0.03] [-window 64]
 //	           [-corrupt 0.03] [-churn 0.1] [-drop 0]
-//	           [-budget 64] [-protect] [-rate 0] [-step 10ms]
+//	           [-budget 64] [-protect] [-rate 0]
 //	           [-attack] [-silence 300ms] [-v]
 //	mavr-chaos -schedule 500 [-seeds 1,2,3] [-vehicles 4]
 //
@@ -53,7 +53,6 @@ type options struct {
 	budget   int
 	protect  bool
 	rate     float64
-	step     time.Duration
 	attack   bool
 	silence  time.Duration
 	verbose  bool
@@ -86,7 +85,6 @@ func run() error {
 	flag.IntVar(&o.budget, "budget", 64, "supervised restart budget per vehicle")
 	flag.BoolVar(&o.protect, "protect", false, "boot MAVR-protected boards")
 	flag.Float64Var(&o.rate, "rate", 0, "simulated seconds per wall second (0: free-run)")
-	flag.DurationVar(&o.step, "step", 10*time.Millisecond, "simulated time per vehicle tick")
 	flag.BoolVar(&o.attack, "attack", false, "inject a stale V2 mid-soak and require detection (forces -protect)")
 	flag.DurationVar(&o.silence, "silence", 300*time.Millisecond, "vehicle-silence detection threshold (sim time)")
 	flag.BoolVar(&o.verbose, "v", false, "per-event progress output")
@@ -153,7 +151,6 @@ func soak(o options, seed int64, img *firmware.Image) error {
 		Firmware:      img,
 		Protected:     o.protect,
 		MasterSeed:    seed,
-		Step:          o.step,
 		Rate:          o.rate,
 		Chaos:         cfg,
 		RestartBudget: o.budget,

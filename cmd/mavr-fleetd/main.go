@@ -11,7 +11,7 @@
 //
 //	mavr-fleetd [-n 8] [-addr 127.0.0.1:14550] [-metrics 127.0.0.1:9090]
 //	            [-protect] [-armory http://127.0.0.1:8737] [-armory-key <hex>]
-//	            [-seed 1] [-rate 1.0] [-step 10ms]
+//	            [-seed 1] [-rate 1.0]
 //	            [-drop 0.0] [-dup 0.0] [-latency 0] [-jitter 0]
 //	            [-chaos-seed 0] [-chaos-panic 0] [-chaos-hang 0] [-chaos-stall 0]
 //	            [-chaos-partition-down 0] [-chaos-partition-up 0] [-chaos-corrupt 0]
@@ -71,7 +71,6 @@ func run() error {
 	armoryKey := flag.String("armory-key", "", "armory artifact signing key (hex; empty: built-in dev key)")
 	seed := flag.Int64("seed", 1, "master randomization seed base (vehicle i adds i)")
 	rate := flag.Float64("rate", 1.0, "simulated seconds per wall second (0: free-run)")
-	step := flag.Duration("step", 10*time.Millisecond, "simulated time per vehicle tick")
 	var ch chaos.Config
 	flag.Float64Var(&ch.DropRate, "drop", 0, "link: datagram drop probability")
 	flag.Float64Var(&ch.DupRate, "dup", 0, "link: downlink datagram duplication probability")
@@ -130,7 +129,6 @@ func run() error {
 		Protected:      *protect,
 		MasterSeed:     *seed,
 		Provision:      provision,
-		Step:           *step,
 		Rate:           *rate,
 		Chaos:          ch,
 		RestartBudget:  *restartBudget,
@@ -143,8 +141,8 @@ func run() error {
 		return err
 	}
 	defer fleet.Close()
-	fmt.Printf("fleetd: %d vehicle(s) on %s (rate=%g, step=%v, protect=%v)\n",
-		*n, fleet.Addr(), *rate, *step, *protect)
+	fmt.Printf("fleetd: %d vehicle(s) on %s (rate=%g, protect=%v)\n",
+		*n, fleet.Addr(), *rate, *protect)
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)

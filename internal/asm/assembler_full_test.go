@@ -197,18 +197,16 @@ func TestAssemblerComments(t *testing.T) {
 
 func TestBuilderAlignAndHere(t *testing.T) {
 	b := asm.NewBuilder()
-	b.Emit(asm.NOP)
-	b.Align(4)
+	b.Emit(asm.NOP, asm.NOP, asm.NOP, asm.NOP)
 	if b.Here() != 4 {
-		t.Errorf("Here = %d after align(4), want 4", b.Here())
+		t.Errorf("Here = %d after four words, want 4", b.Here())
 	}
 	if b.HereBytes() != 8 {
 		t.Errorf("HereBytes = %d, want 8", b.HereBytes())
 	}
 	b.Label("x")
-	labels := b.Labels()
-	if len(labels) != 1 || labels[0].Name != "x" || labels[0].Addr != 4 {
-		t.Errorf("labels = %+v", labels)
+	if addr, ok := b.LabelAddr("x"); !ok || addr != 4 {
+		t.Errorf("LabelAddr(x) = %d, %v; want 4, true", addr, ok)
 	}
 }
 

@@ -1,9 +1,6 @@
 package asm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 type fixupKind int
 
@@ -64,42 +61,11 @@ func (b *Builder) LabelAddr(name string) (uint32, bool) {
 	return a, ok
 }
 
-// Labels returns all defined labels sorted by address.
-func (b *Builder) Labels() []struct {
-	Name string
-	Addr uint32
-} {
-	out := make([]struct {
-		Name string
-		Addr uint32
-	}, 0, len(b.labels))
-	for n, a := range b.labels {
-		out = append(out, struct {
-			Name string
-			Addr uint32
-		}{n, a})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // Emit appends raw instruction words.
 func (b *Builder) Emit(words ...uint16) { b.words = append(b.words, words...) }
 
 // Emit2 appends a two-word instruction.
 func (b *Builder) Emit2(w [2]uint16) { b.words = append(b.words, w[0], w[1]) }
-
-// Align pads with NOPs until the location is a multiple of words.
-func (b *Builder) Align(words int) {
-	for len(b.words)%words != 0 {
-		b.Emit(NOP)
-	}
-}
 
 // JMP emits a long jump to label.
 func (b *Builder) JMP(label string) {

@@ -41,21 +41,15 @@ type SynthOptions struct {
 	MaxAttempts int
 	// Seed orders equally-ranked candidates (deterministic per seed).
 	Seed int64
-	// Write is the target write the synthesized payload performs; the
-	// zero value defaults to a 3-byte marker at the gyro config address.
-	Write Write
 }
 
-// synthMarker is the write a search lands when none is requested: a
-// 3-byte marker at the gyro config address.
+// synthMarker is the write every search lands: a 3-byte marker at the
+// gyro config address.
 var synthMarker = Write{Addr: firmware.AddrGyroCfg, Vals: [3]byte{0x5A, 0xA5, 0x3C}}
 
 func (o SynthOptions) withDefaults() SynthOptions {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 64
-	}
-	if o.Write.Addr == 0 {
-		o.Write = synthMarker
 	}
 	return o
 }
@@ -148,13 +142,13 @@ func SynthesizeAgainst(elf *elfobj.File, target []byte, opts SynthOptions) (*Syn
 		}
 		s.Attempts++
 		at := SynthAttempt{Phase: "landing", Load: wr.LoadAddr, Store: wr.StoreAddr}
-		p, err := landingPayloadFor(frame, wr, opts.Write)
+		p, err := landingPayloadFor(frame, wr, synthMarker)
 		if err != nil {
 			at.Outcome = "unbuildable"
 			s.Log = append(s.Log, at)
 			continue
 		}
-		pr := probePayload(sim, target, p, opts.Write)
+		pr := probePayload(sim, target, p, synthMarker)
 		at.Outcome = pr.outcome()
 		s.Log = append(s.Log, at)
 		if pr.landed {
@@ -187,13 +181,13 @@ outer:
 			}
 			s.Attempts++
 			at := SynthAttempt{Phase: "stealth", Pivot: pv.Addr, Load: wr.LoadAddr, Store: wr.StoreAddr}
-			p, err := stealthPayloadFor(frame, pv, wr, opts.Write)
+			p, err := stealthPayloadFor(frame, pv, wr, synthMarker)
 			if err != nil {
 				at.Outcome = "unbuildable"
 				s.Log = append(s.Log, at)
 				continue
 			}
-			pr := probePayload(sim, target, p, opts.Write)
+			pr := probePayload(sim, target, p, synthMarker)
 			at.Outcome = pr.outcome()
 			s.Log = append(s.Log, at)
 			if pr.landed && pr.clean() {

@@ -17,6 +17,11 @@ import (
 	"mavr/internal/mavlink"
 )
 
+// FeedStep is the board time a ground station lets pass between two
+// drains of the downlink: Fly and ParamClient.Set step by it, and so do
+// scenario.Run and every vehicle of a netlink.Fleet.
+const FeedStep = 10 * time.Millisecond
+
 // GroundStation drives one UAV over the telemetry link.
 type GroundStation struct {
 	Sys *board.System
@@ -38,11 +43,10 @@ func (g *GroundStation) Step(d time.Duration) error {
 	return nil
 }
 
-// Fly advances the simulation in monitor-friendly 10ms steps.
+// Fly advances the simulation in steps of FeedStep.
 func (g *GroundStation) Fly(d time.Duration) error {
-	const step = 10 * time.Millisecond
-	for e := time.Duration(0); e < d; e += step {
-		if err := g.Step(step); err != nil {
+	for e := time.Duration(0); e < d; e += FeedStep {
+		if err := g.Step(FeedStep); err != nil {
 			return err
 		}
 	}

@@ -35,7 +35,7 @@ func (c *ParamClient) Set(name string, value float32) (*mavlink.ParamValue, erro
 		c.g.SetParam(name, value)
 		deadline := c.g.Sys.Now() + c.Timeout
 		for c.g.Sys.Now() < deadline {
-			if err := c.g.Step(10 * time.Millisecond); err != nil {
+			if err := c.g.Step(FeedStep); err != nil {
 				return nil, err
 			}
 			if c.g.Mon.ParamEchoes > before &&

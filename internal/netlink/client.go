@@ -14,16 +14,14 @@ import (
 	"mavr/internal/mavlink"
 )
 
-// maxUplinkQueue bounds the client's outgoing data queue: a wedged
-// socket sheds the oldest frames instead of growing without bound.
-const maxUplinkQueue = 256
-
 // ClientConfig tunes a ground-station client.
 type ClientConfig struct {
 	// SysID is the vehicle to watch (1-based fleet system id).
 	SysID byte
 	// Keepalive is the hello interval maintaining the session (wall
-	// clock; default 500ms).
+	// clock; default 500ms). The receive loop sends the hello on its
+	// first wakeup after the interval has passed, and it wakes at least
+	// every 50ms.
 	Keepalive time.Duration
 	// LinkIdle is the wall-clock arrival gap after which the client
 	// declares the link dead: the silence is charged to the link (not
@@ -38,8 +36,9 @@ type ClientConfig struct {
 // Client is one ground station's view of one vehicle over UDP: it
 // maintains the session (re-helloing with a fresh epoch after link
 // outages), feeds received telemetry records to a gcs.Monitor (in
-// link-loss-tolerant mode) and transmits uplink frames through a
-// bounded retry queue, including the paper's oversize attack frames.
+// link-loss-tolerant mode) and writes uplink frames, including the
+// paper's oversize attack frames, on its caller's goroutine. Its one
+// goroutine is the receive loop, which also sends the keepalives.
 type Client struct {
 	cfg  ClientConfig
 	conn *net.UDPConn
@@ -54,16 +53,15 @@ type Client struct {
 	lastSim     time.Duration
 	lastArrival time.Time
 
-	up        chan []byte
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
-// DialClient connects to a fleet server and starts the receive,
-// keepalive and uplink loops. The session is established by the first
-// hello; the server starts streaming that vehicle's telemetry on its
-// next tick.
+// DialClient connects to a fleet server, sends the first hello and
+// starts the receive loop. The session is established by that hello;
+// the server starts streaming that vehicle's telemetry on its next
+// tick.
 func DialClient(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.SysID == 0 {
 		cfg.SysID = 1
@@ -86,16 +84,13 @@ func DialClient(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:  cfg,
 		conn: conn,
-		up:   make(chan []byte, maxUplinkQueue),
 		stop: make(chan struct{}),
 	}
 	c.mon.TolerateLinkLoss = true
 	c.sendDatagram(PacketHello, c.helloPayload())
 
-	c.wg.Add(3)
+	c.wg.Add(1)
 	go c.recvLoop()
-	go c.keepaliveLoop()
-	go c.uplinkLoop()
 	return c, nil
 }
 
@@ -108,11 +103,11 @@ func (c *Client) helloPayload() []byte {
 	return []byte{byte(e >> 24), byte(e >> 16), byte(e >> 8), byte(e)}
 }
 
-// SendFrame assigns the session's MAVLink sequence number and
-// transmits the frame on the uplink. Oversize payloads are permitted —
-// a malicious station does not respect the 255-byte limit (the frame
-// is marshaled with MarshalOversize, exactly like the in-process
-// gcs.GroundStation.SendFrame path).
+// SendFrame assigns the session's MAVLink sequence number and writes
+// the frame on the uplink from the caller's goroutine. Oversize
+// payloads are permitted — a malicious station does not respect the
+// 255-byte limit (the frame is marshaled with MarshalOversize, exactly
+// like the in-process gcs.GroundStation.SendFrame path).
 func (c *Client) SendFrame(f *mavlink.Frame) {
 	c.mu.Lock()
 	f.Seq = c.frameSeq
@@ -121,75 +116,25 @@ func (c *Client) SendFrame(f *mavlink.Frame) {
 	c.sendDatagram(PacketData, f.MarshalOversize())
 }
 
-// sendDatagram numbers and encodes a datagram. Control datagrams
-// (hello/bye) are written straight to the socket; data datagrams go
-// through the bounded uplink queue, which drops the oldest entry under
-// backpressure and retries transient write failures with backoff.
+// sendDatagram numbers, encodes and writes one datagram on its
+// caller's goroutine, whatever its type. A data datagram the socket
+// refuses is lost, as it would be on the wire, and counted in
+// QueueDropped; a refused hello or bye is not counted.
 func (c *Client) sendDatagram(t PacketType, payload []byte) {
 	c.mu.Lock()
 	seq := c.txSeq
 	c.txSeq++
 	c.mu.Unlock()
 	pkt := Encode(Header{Type: t, SysID: c.cfg.SysID, Seq: seq}, payload)
-	if t != PacketData {
-		c.write(pkt)
-		return
-	}
-	for {
-		select {
-		case c.up <- pkt:
-			return
-		default:
-		}
-		select {
-		case <-c.up:
-			c.mu.Lock()
-			c.stats.QueueDropped++
-			c.mu.Unlock()
-		default:
-		}
-	}
-}
-
-// write transmits one datagram, reporting success.
-func (c *Client) write(pkt []byte) bool {
-	if _, err := c.conn.Write(pkt); err != nil {
-		return false
-	}
+	_, err := c.conn.Write(pkt)
 	c.mu.Lock()
-	c.stats.DatagramsOut++
-	c.stats.BytesOut += uint64(len(pkt))
-	c.mu.Unlock()
-	return true
-}
-
-// uplinkLoop drains the data queue. A failed write retries a few times
-// with doubling backoff (transient socket pressure), then the datagram
-// is shed — UDP semantics, but without silently wedging the caller.
-func (c *Client) uplinkLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case pkt := <-c.up:
-			backoff := 5 * time.Millisecond
-			for attempt := 0; !c.write(pkt); attempt++ {
-				if attempt >= 3 {
-					c.mu.Lock()
-					c.stats.QueueDropped++
-					c.mu.Unlock()
-					break
-				}
-				select {
-				case <-c.stop:
-					return
-				case <-time.After(backoff):
-				}
-				backoff *= 2
-			}
-		}
+	if err == nil {
+		c.stats.DatagramsOut++
+		c.stats.BytesOut += uint64(len(pkt))
+	} else if t == PacketData {
+		c.stats.QueueDropped++
 	}
+	c.mu.Unlock()
 }
 
 // Monitor returns a copy of the ground-station monitor state.
@@ -229,7 +174,8 @@ func (c *Client) SimTime() time.Duration {
 	return c.lastSim
 }
 
-// Close sends a graceful bye and stops the loops.
+// Close sends a graceful bye, closes the socket and waits for the
+// receive loop to return.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
 		c.sendDatagram(PacketBye, nil)
@@ -240,28 +186,33 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// recvLoop is the client's one goroutine. It feeds received datagrams
+// to the monitor and wakes at least every 50ms, on its read deadline;
+// on every wakeup it sends the keepalive hello once Keepalive has
+// passed since the last one, and on a timeout it checks the link for
+// idleness.
 func (c *Client) recvLoop() {
 	defer c.wg.Done()
 	buf := make([]byte, 1<<16)
+	lastHello := time.Now() // DialClient sent the first
 	for {
 		select {
 		case <-c.stop:
 			return
 		default:
 		}
-		_ = c.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		now := time.Now()
+		if now.Sub(lastHello) >= c.cfg.Keepalive {
+			c.sendDatagram(PacketHello, c.helloPayload())
+			lastHello = now
+		}
+		_ = c.conn.SetReadDeadline(now.Add(50 * time.Millisecond))
 		n, err := c.conn.Read(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				c.checkLinkIdle()
-				continue
 			}
-			select {
-			case <-c.stop:
-				return
-			default:
-				continue
-			}
+			continue // a closed socket returns at the stop check
 		}
 		h, payload, err := Decode(buf[:n])
 		if err != nil {
@@ -326,19 +277,5 @@ func (c *Client) checkLinkIdle() {
 	c.mu.Unlock()
 	if rehello {
 		c.sendDatagram(PacketHello, c.helloPayload())
-	}
-}
-
-func (c *Client) keepaliveLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.Keepalive)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			c.sendDatagram(PacketHello, c.helloPayload())
-		}
 	}
 }

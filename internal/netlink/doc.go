@@ -14,7 +14,8 @@
 //     parser never desynchronizes: loss shows up as pulse sequence gaps
 //     (gcs.Monitor.LinkGaps), not garbage. Sessions are keyed by peer
 //     address + system id; liveness is heartbeat-based (any datagram
-//     refreshes the session, idle sessions expire).
+//     refreshes the session, and the fleet's read loop expires idle
+//     ones).
 //
 //   - A fleet server (fleet.go) and ground-station client (client.go):
 //     Fleet hosts N independent board.System vehicles, each advanced by
@@ -28,6 +29,12 @@
 //     reproducible. Client drives a gcs.Monitor (in link-loss-tolerant
 //     mode) from the received record stream and can inject arbitrary —
 //     including oversize attack — frames on the uplink.
+//
+// Each socket has one loop. A Client is one goroutine, its receive
+// loop, which also sends the keepalive hellos; SendFrame encodes and
+// writes on its caller's goroutine. A Fleet runs its read loop (uplink
+// demultiplexing and session expiry), the sender that releases delayed
+// datagrams, and one supervised driver goroutine per vehicle.
 //
 // cmd/mavr-fleetd wraps Fleet as a daemon; cmd/mavr-attack -connect
 // points the paper's attack generator at a fleetd socket.

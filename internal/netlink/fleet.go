@@ -43,9 +43,6 @@ type FleetConfig struct {
 	// Errors degrade gracefully to on-board randomization, counted in
 	// the fleet.armory_fallbacks metric.
 	Provision func(sysID byte, epoch int) (*board.Provisioned, error)
-	// Step is the simulated time advanced per vehicle tick (default
-	// 10ms).
-	Step time.Duration
 	// Rate paces the simulation: simulated seconds per wall second.
 	// 1 is real time; 0 or negative free-runs as fast as the host
 	// allows (used by tests and load generation).
@@ -69,9 +66,9 @@ const (
 	// maxSessions caps the session table; joins beyond the cap are
 	// rejected and counted.
 	maxSessions = 1024
-	// drainTimeout bounds Close: if the driver/read/reap goroutines
-	// have not drained by then, Close gives up and reports the leak
-	// instead of hanging the caller.
+	// drainTimeout bounds Close: if the drivers and the read loop have
+	// not drained by then, Close gives up and reports the leak instead
+	// of hanging the caller.
 	drainTimeout = 5 * time.Second
 	// timeBeacon is the maximum simulated interval between downlink
 	// datagrams per session: when a vehicle emits no telemetry for this
@@ -87,9 +84,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.Step <= 0 {
-		c.Step = 10 * time.Millisecond
 	}
 	if c.RestartBudget == 0 {
 		c.RestartBudget = 8
@@ -287,8 +281,9 @@ func (f *Fleet) newSystem(i int) (*board.System, error) {
 	return sys, nil
 }
 
-// Start binds the UDP socket and launches the read loop, the session
-// reaper and one supervised driver goroutine per vehicle.
+// Start binds the UDP socket and launches the read loop (which also
+// expires idle sessions), the delayed-datagram sender and one
+// supervised driver goroutine per vehicle.
 func (f *Fleet) Start() error {
 	addr, err := net.ResolveUDPAddr("udp", f.cfg.Addr)
 	if err != nil {
@@ -306,9 +301,6 @@ func (f *Fleet) Start() error {
 
 	f.wg.Add(1)
 	go f.readLoop()
-
-	f.wg.Add(1)
-	go f.reapLoop()
 
 	for _, v := range f.vehicles {
 		f.wg.Add(1)
@@ -459,10 +451,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 	simStart := sys.Now()
 	heldStart := v.heldTicks
 	wallStart := time.Now()
-	beaconEvery := uint64(timeBeacon / f.cfg.Step)
-	if beaconEvery == 0 {
-		beaconEvery = 1
-	}
+	beaconEvery := uint64(timeBeacon / gcs.FeedStep)
 	for {
 		select {
 		case <-f.stop:
@@ -476,7 +465,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 			// though the sim clock is frozen — a hung board still burns
 			// real time.
 			simElapsed := sys.Now() - simStart +
-				time.Duration(v.heldTicks-heldStart)*f.cfg.Step
+				time.Duration(v.heldTicks-heldStart)*gcs.FeedStep
 			due := wallStart.Add(time.Duration(float64(simElapsed) / f.cfg.Rate))
 			if d := time.Until(due); d > 0 {
 				select {
@@ -525,7 +514,7 @@ func (f *Fleet) runVehicle(v *Vehicle) (err error) {
 			continue
 		}
 
-		if err := sys.Run(f.cfg.Step); err != nil {
+		if err := sys.Run(gcs.FeedStep); err != nil {
 			v.publish()
 			return fmt.Errorf("vehicle %d: %w", v.SysID, err)
 		}
@@ -620,13 +609,24 @@ func (f *Fleet) sendDownlink(v *Vehicle, sess *session, simNow time.Duration, pa
 	}
 }
 
-// readLoop demultiplexes uplink datagrams: session bookkeeping, link
+// readLoop demultiplexes uplink datagrams (session bookkeeping, link
 // counters, and raw payload forwarding onto the vehicle's serial
-// uplink.
+// uplink) and expires idle sessions on the wall clock. Its read
+// deadline is the next reap, so a socket with no traffic still reaps.
 func (f *Fleet) readLoop() {
 	defer f.wg.Done()
 	buf := make([]byte, 1<<16)
+	reapEvery := max(f.cfg.SessionTimeout/4, 10*time.Millisecond)
+	nextReap := time.Now().Add(reapEvery)
+	_ = f.conn.SetReadDeadline(nextReap)
 	for {
+		if now := time.Now(); !now.Before(nextReap) {
+			if n := f.sessions.expire(now, f.cfg.SessionTimeout); n > 0 {
+				f.count(func(s *FleetStats) { s.SessionsExpired += uint64(n) })
+			}
+			nextReap = now.Add(reapEvery)
+			_ = f.conn.SetReadDeadline(nextReap)
+		}
 		n, addr, err := f.conn.ReadFromUDP(buf)
 		if err != nil {
 			select {
@@ -667,7 +667,7 @@ func (f *Fleet) readLoop() {
 			f.count(func(s *FleetStats) { s.SessionsRejected++ })
 			continue
 		}
-		sess.touch(now)
+		sess.lastSeen = now
 		if !existed && h.Type == PacketBye {
 			f.sessions.remove(sess)
 			continue
@@ -698,27 +698,6 @@ func (f *Fleet) readLoop() {
 			}
 		default:
 			f.count(func(s *FleetStats) { s.BadDatagrams++ })
-		}
-	}
-}
-
-// reapLoop expires idle sessions on the wall clock.
-func (f *Fleet) reapLoop() {
-	defer f.wg.Done()
-	interval := f.cfg.SessionTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case now := <-ticker.C:
-			if n := f.sessions.expire(now, f.cfg.SessionTimeout); n > 0 {
-				f.count(func(s *FleetStats) { s.SessionsExpired += uint64(n) })
-			}
 		}
 	}
 }

@@ -355,7 +355,8 @@ func TestSessionExpiry(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// No keepalives: the reaper must drop the session.
+	// No keepalives: with no uplink arriving, the read loop's reap,
+	// woken by its read deadline, must drop the session.
 	for f.Stats().Sessions != 0 {
 		if time.Now().After(end) {
 			t.Fatalf("session not expired (still %d live)", f.Stats().Sessions)

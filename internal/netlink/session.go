@@ -26,8 +26,9 @@ type session struct {
 	stats LinkStatsSnapshot
 
 	// lastSeen is the wall time of the last datagram from the peer
-	// (heartbeat-based liveness).
-	lastSeen atomic.Int64
+	// (heartbeat-based liveness). The read loop is its only reader and
+	// writer: it touches the session and expires idle ones.
+	lastSeen time.Time
 
 	// txSeq is the downlink sequence number; only the owning vehicle's
 	// goroutine sends, so no further synchronization is needed.
@@ -52,12 +53,6 @@ func (s *session) Stats() LinkStatsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-func (s *session) touch(now time.Time) { s.lastSeen.Store(now.UnixNano()) }
-
-func (s *session) idleSince(now time.Time) time.Duration {
-	return now.Sub(time.Unix(0, s.lastSeen.Load()))
 }
 
 // rehello applies a hello's epoch. Any change — including wraparound
@@ -196,8 +191,7 @@ func (t *sessionTable) lookup(addr *net.UDPAddr, sysID byte, now time.Time) (*se
 	}
 	// Copy the address: the read loop's UDPAddr may be reused.
 	a := *addr
-	s = &session{key: key, addr: &a, sysID: sysID}
-	s.touch(now)
+	s = &session{key: key, addr: &a, sysID: sysID, lastSeen: now}
 	t.byKey[key] = s
 	t.bySysID[sysID] = append(t.bySysID[sysID], s)
 	return s, false
@@ -241,7 +235,7 @@ func (t *sessionTable) expire(now time.Time, timeout time.Duration) int {
 	defer t.mu.Unlock()
 	var dead []*session
 	for _, s := range t.allLocked() {
-		if s.idleSince(now) > timeout {
+		if now.Sub(s.lastSeen) > timeout {
 			dead = append(dead, s)
 		}
 	}

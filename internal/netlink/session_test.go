@@ -1,4 +1,4 @@
-//mavr:wallclock — session liveness (touch/idleSince/expire) is
+//mavr:wallclock — session liveness (lastSeen/expire) is
 // wall-clock by design; these tests drive it with real timestamps.
 
 package netlink
@@ -151,9 +151,10 @@ func TestDuplicateSysIDJoin(t *testing.T) {
 	}
 }
 
-// The expiry-vs-re-hello race: a session expiring just as its peer
-// re-hellos yields a fresh session (the datagram after the sweep
-// recreates it), never a lookup on freed state.
+// Expiry then re-hello: a session expired by a sweep is gone, and the
+// peer's next datagram builds a fresh session, never a lookup on the
+// expired one. The read loop runs both, one after the other, so this
+// pins what the table does rather than a race between goroutines.
 func TestSessionExpiryRehelloRace(t *testing.T) {
 	tab := newSessionTable(0)
 	start := time.Now()

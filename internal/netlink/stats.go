@@ -50,8 +50,10 @@ type LinkStatsSnapshot struct {
 	// CorruptDatagrams counts received datagrams rejected by the
 	// transport checksum — wire damage surfacing as whole-datagram loss.
 	CorruptDatagrams uint64 `metric:"corrupt_datagrams"`
-	// QueueDropped counts datagrams shed by the client's bounded
-	// uplink queue (drop-oldest backpressure).
+	// QueueDropped counts the client's uplink data datagrams that the
+	// socket refused to send: each is lost, as it would be on the wire.
+	// It keeps the name it had when a bounded queue fed the socket,
+	// because scrapers and the benchmark harness read it.
 	QueueDropped uint64 `metric:"queue_dropped"`
 	// Rehellos counts session re-establishments: hellos carrying a new
 	// epoch after the peer detected a dead link.

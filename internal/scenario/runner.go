@@ -76,13 +76,8 @@ func plan(spec Spec) (*firmware.Image, []Packet, error) {
 	return img, pkts, err
 }
 
-const (
-	// feedStep is the monitor feeding quantum: Run advances the board
-	// this far between two feeds of the ground station monitor.
-	feedStep = 10 * time.Millisecond
-	// checkpointEvery is the interval between counter snapshots.
-	checkpointEvery = 500 * time.Millisecond
-)
+// checkpointEvery is the interval between counter snapshots.
+const checkpointEvery = 500 * time.Millisecond
 
 // Run executes the scenario and returns its trace. It is strictly
 // single-goroutine and wall-clock-free: the same Spec always yields a
@@ -212,7 +207,7 @@ func Run(spec Spec) (*Result, error) {
 			sent++
 		}
 
-		step := feedStep
+		step := gcs.FeedStep
 		if rem := end - now; rem < step {
 			step = rem
 		}
